@@ -6,17 +6,13 @@ fixed-point definitions, with every accepted proof backed by a replayable
 trace.
 """
 
-from .fpc import (
-    ANY_FROZEN, FRESH, OBVIOUS, Certificate, FpcDefinition, Hyp, Index,
-    LemmaName,
-)
+from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
 from .frontend import (
     ElabError, ParseError, TheoremFile, TheoremResult, elaborate, parse_file,
-    print_file, run_session,
+    run_session,
 )
 from .kernel import (
     Accepted, CheckResult, OutOfBudget, Rejected, ResourceLimits, check,
-    synthesize_obvious_invariants,
 )
 from .oracle import UNKNOWN, eval_ground
 from .outline import (
@@ -26,9 +22,9 @@ from .outline import (
 from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (
     FF, SELF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff,
-    Formula, Imp, InvariantAbs, MVar, MuAtom, Or, Polarity, StructuralError,
-    Term, Tt, con, formula_subst_bound, fresh_evar, fresh_mvar, open_binder,
-    polarity_of, sym, unfold_mu,
+    Formula, Hyp, Imp, Index, InvariantAbs, LemmaName, MVar, MuAtom, Or,
+    StructuralError, Term, Tt, con, formula_subst_bound, fresh_evar,
+    fresh_mvar, open_binder, sym, synthesize_obvious_invariants, unfold_mu,
 )
 from .trace import (
     TraceFormatError, TraceNode, count_rule, trace_from_lines, trace_to_lines,

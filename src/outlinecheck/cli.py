@@ -3,8 +3,8 @@
 One verdict line per theorem, machine-parseable and stable:
 
     NAME: ok (decides=D, unfoldL=A, unfoldR=S, steps=N)
-    NAME: FAIL <reason>
-    NAME: BUDGET
+    NAME: fail <reason>
+    NAME: budget
 
 Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .frontend import ElabError, ParseError, TheoremResult, parse_file, run_session
@@ -32,8 +31,8 @@ def _verdict_line(r: TheoremResult) -> str:
                 f" unfoldR={count_rule(r.trace, 'unfoldR')},"
                 f" steps={r.steps})")
     if r.outcome == "budget":
-        return f"{r.name}: BUDGET"
-    return f"{r.name}: FAIL {r.detail}"
+        return f"{r.name}: budget"
+    return f"{r.name}: fail {r.detail}"
 
 
 def _check_file(path: Path, limits: ResourceLimits,
@@ -56,12 +55,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="per-theorem search step limit (default 10^6)")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop a file at its first non-accepted theorem")
-    ap.add_argument("--jobs", metavar="N", type=int, default=1,
-                    help="check this many files concurrently")
     args = ap.parse_args(argv)
 
-    if args.max_steps <= 0 or args.jobs <= 0:
-        print("acheck: --max-steps and --jobs must be positive", file=sys.stderr)
+    if args.max_steps <= 0:
+        print("acheck: --max-steps must be positive", file=sys.stderr)
         return 2
     for path in args.files:
         if not path.is_file():
@@ -69,20 +66,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     limits = ResourceLimits(max_steps=args.max_steps)
-
-    def work(path: Path):
-        return _check_file(path, limits, args.stop_on_failure)
-
     try:
-        if args.jobs > 1 and len(args.files) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outputs = list(pool.map(work, args.files))
-        else:
-            outputs = [work(p) for p in args.files]
-    except (ParseError, ElabError) as e:
-        print(f"acheck: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        outputs = [_check_file(p, limits, args.stop_on_failure)
+                   for p in args.files]
+    except (ParseError, ElabError, OSError) as e:
         print(f"acheck: {e}", file=sys.stderr)
         return 2
 

@@ -13,34 +13,11 @@ how a certificate format expresses budgets and gating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Sequence, Union
 
-from .syntax import InvariantAbs, Sym, Term
+from .syntax import Index, Term
 
 Certificate = Any
-
-
-# -- store indexes
-
-
-@dataclass(frozen=True)
-class LemmaName:
-    name: Sym
-
-    def __repr__(self) -> str:
-        return f"lemma:{self.name}"
-
-
-@dataclass(frozen=True)
-class Hyp:
-    serial: int
-
-    def __repr__(self) -> str:
-        return f"hyp:{self.serial}"
-
-
-Index = Union[LemmaName, Hyp]
 
 
 # -- option values returned by experts
@@ -62,15 +39,6 @@ class _Fresh:
 
 FRESH = _Fresh()
 TermOption = Union[Term, _Fresh]
-
-
-class _Obvious:
-    def __repr__(self) -> str:
-        return "<obvious>"
-
-
-OBVIOUS = _Obvious()
-InvariantOption = Union[InvariantAbs, _Obvious]
 
 
 class FpcDefinition:
@@ -141,13 +109,10 @@ class FpcDefinition:
     def unfold_right_expert(self, cert: Certificate) -> Sequence[Certificate]:
         return ()
 
-    def ind_expert(
-        self, cert: Certificate
-    ) -> Sequence[tuple[Optional[Certificate], Certificate, InvariantOption]]:
-        """Alternatives are (left-premise cert, invariance-premise cert, S).
+    def ind_expert(self, cert: Certificate) -> Sequence[Certificate]:
+        """Certificates for the invariance premise of an obvious induction.
 
-        With OBVIOUS for S the kernel synthesises the invariant itself and
-        discharges the left premise canonically; the first component is then
-        ignored and may be None.
+        The kernel synthesises the invariant itself and discharges the left
+        premise canonically, so that premise takes no certificate.
         """
         return ()

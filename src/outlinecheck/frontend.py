@@ -36,11 +36,10 @@ from typing import Optional, Union
 
 from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
-from .fpc import Index, LemmaName
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
-    FF, SELF, TT, All, And, Bound, Definition, Eq, Ex, Formula, Imp,
-    MuAtom, Or, Term, con, sym,
+    FF, SELF, TT, All, And, Bound, Definition, Eq, Ex, Formula, Imp, Index,
+    LemmaName, MuAtom, Or, Term, con, sym,
 )
 from .trace import TraceNode
 
@@ -419,76 +418,6 @@ class _Parser:
 
 def parse_file(text: str) -> TheoremFile:
     return _Parser(_lex(text)).file()
-
-
-# ---------------------------------------------------------------------------
-# pretty printing (inverse of the parser on well-formed files)
-
-
-def _p_term(t: STerm, atomic: bool = False) -> str:
-    if not t.args:
-        return t.head
-    s = t.head + " " + " ".join(_p_term(a, True) for a in t.args)
-    return f"({s})" if atomic else s
-
-
-def _p_formula(f: SFormula, prec: int = 0) -> str:
-    # precedence: 0 body, 1 imp, 2 or, 3 and, 4 unit
-    match f:
-        case SAll(names=ns, body=b):
-            s = f"forall {' '.join(ns)}, {_p_formula(b, 0)}"
-            return f"({s})" if prec > 0 else s
-        case SEx(names=ns, body=b):
-            s = f"exists {' '.join(ns)}, {_p_formula(b, 0)}"
-            return f"({s})" if prec > 0 else s
-        case SImp(a=a, b=b):
-            s = f"{_p_formula(a, 2)} -> {_p_formula(b, 1)}"
-            return f"({s})" if prec > 1 else s
-        case SOr(a=a, b=b):
-            s = f"{_p_formula(a, 2)} \\/ {_p_formula(b, 3)}"
-            return f"({s})" if prec > 2 else s
-        case SAnd(a=a, b=b):
-            s = f"{_p_formula(a, 3)} /\\ {_p_formula(b, 4)}"
-            return f"({s})" if prec > 3 else s
-        case SEq(l=l, r=r):
-            return f"{_p_term(l, True)} = {_p_term(r, True)}"
-        case SAtom(pred=p, args=ts):
-            if not ts:
-                return p
-            s = p + " " + " ".join(_p_term(a, True) for a in ts)
-            return f"({s})" if prec > 3 else s
-        case STrue():
-            return "true"
-        case SFalse():
-            return "false"
-    raise TypeError(f"not a surface formula: {f!r}")
-
-
-def print_file(file: TheoremFile) -> str:
-    out: list[str] = []
-    for d in file.decls:
-        match d:
-            case KindDecl(name=n):
-                out.append(f"Kind {n} type.")
-            case TypeDecl(names=ns, arg_sorts=args, result=res):
-                arrow = " -> ".join(list(args) + [res])
-                out.append(f"Type {', '.join(ns)} {arrow}.")
-            case DefineDecl(name=n, arg_sorts=args, clauses=cs):
-                arrow = " -> ".join(list(args) + ["prop"])
-                if not cs:
-                    out.append(f"Define {n} : {arrow}.")
-                    continue
-                lines = [f"Define {n} : {arrow} by"]
-                for i, c in enumerate(cs):
-                    head = " ".join([n] + [_p_term(a, True) for a in c.head_args])
-                    body = "" if c.body is None else f" := {_p_formula(c.body, 1)}"
-                    sep = ";" if i + 1 < len(cs) else "."
-                    lines.append(f"  {head}{body} {sep}")
-                out.append("\n".join(lines))
-            case TheoremDecl(name=n, statement=st, ship=sh):
-                out.append(f"Theorem {n} : {_p_formula(st)}.")
-                out.append(f'ship "{sh}".')
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,14 @@ of the left equality rule is applied structurally to its premise instead,
 so it cannot leak into sibling branches.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
-treated by induction.  For the obvious induction the kernel abstracts the
-fixed point out of the surrounding sequent, in two flavours: one folding
-the stored atomic hypotheses into the invariant and one keeping the
-invariant bare.  The left induction premise of an obvious induction is
-provable by construction (instantiate the abstraction at the original
-arguments, reflexivity for the equations, initial steps for the folded
-hypotheses, and an identity for the goal), so the kernel discharges it
-after checking exactly those side conditions and records only the
-invariance premise.
+treated by the obvious induction: the kernel abstracts the fixed point out
+of the surrounding sequent, in two flavours, one folding the stored atomic
+hypotheses into the invariant and one keeping the invariant bare.  The
+left premise of this induction is provable by construction (instantiate
+the abstraction at the original arguments, reflexivity for the equations,
+initial steps for the folded hypotheses, and an identity for the goal), so
+the kernel discharges it after checking exactly those side conditions and
+records only the invariance premise.
 """
 
 from __future__ import annotations
@@ -34,21 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .fpc import (
-    ANY_FROZEN, FRESH, OBVIOUS, Certificate, FpcDefinition, Hyp, Index, LemmaName,
-)
+from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
 from .syntax import (
-    SELF, TT, All, And, App, Definition, EVar, Eq, Ex, Ff, Formula, Imp,
-    InvariantAbs, MVar, MuAtom, Or, StructuralError, Term, Tt,
-    apply_invariant, body_with_invariant, close_formula, formula_vars,
-    fresh_evar, fresh_mvar, open_binder, sym, term_vars, unfold_mu,
+    SELF, YS_HEAD, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, Index,
+    InvariantAbs, MuAtom, Or, Rhs, Store, StructuralError, Term, Tt,
+    apply_invariant, body_with_invariant, fresh_evar, fresh_mvar, map_terms,
+    open_binder, store_lookup, synthesize_obvious_invariants, unfold_mu,
 )
 from .trace import TraceNode
 from .unify import CLASH, OK, BindingStore
-
-# head symbol bundling the fresh eigenvariables of an invariance premise
-# into a trace record's term slot
-_YS = sym("%ys")
 
 
 @dataclass(frozen=True)
@@ -74,9 +67,6 @@ class OutOfBudget:
 
 CheckResult = Union[Accepted, Rejected, OutOfBudget]
 
-Store = tuple[tuple[Index, Formula], ...]
-Rhs = tuple[str, Formula]  # ("un", f) unstored or ("st", f) stored goal
-
 
 class OutOfBudgetError(Exception):
     pass
@@ -97,130 +87,16 @@ class _Ctx:
             raise OutOfBudgetError
 
 
-def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
-    for jx, f in store:
-        if jx == ix:
-            return f
-    return None
-
-
-def resolve_formula(binds: BindingStore, f: Formula,
-                    sigma: Optional[dict] = None) -> Formula:
-    """Substitute metavariable bindings (and an optional eigenvariable
-    substitution) throughout a formula."""
-
-    def go(g: Formula) -> Formula:
-        match g:
-            case Eq(l=l, r=r):
-                return Eq(binds.resolve_under(l, sigma), binds.resolve_under(r, sigma))
-            case And(a=a, b=b):
-                return And(go(a), go(b))
-            case Or(a=a, b=b):
-                return Or(go(a), go(b))
-            case Imp(a=a, b=b):
-                return Imp(go(a), go(b))
-            case All(body=b):
-                return All(go(b))
-            case Ex(body=b):
-                return Ex(go(b))
-            case MuAtom(defn=d, args=ts):
-                return MuAtom(d, tuple(binds.resolve_under(x, sigma) for x in ts))
-            case Tt() | Ff():
-                return g
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
-
-
 def _rewrite_state(binds: BindingStore, sigma: dict, store: Store,
                    theta: tuple[Formula, ...], rhs: Rhs
                    ) -> tuple[Store, tuple[Formula, ...], Rhs]:
-    store2 = tuple((ix, resolve_formula(binds, f, sigma)) for ix, f in store)
-    theta2 = tuple(resolve_formula(binds, f, sigma) for f in theta)
-    rhs2 = (rhs[0], resolve_formula(binds, rhs[1], sigma))
+    def fn(t: Term, _: int) -> Term:
+        return binds.resolve_under(t, sigma)
+
+    store2 = tuple((ix, map_terms(f, fn)) for ix, f in store)
+    theta2 = tuple(map_terms(f, fn) for f in theta)
+    rhs2 = (rhs[0], map_terms(rhs[1], fn))
     return store2, theta2, rhs2
-
-
-# ---------------------------------------------------------------------------
-# obvious invariant synthesis
-
-
-def _conj(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return TT
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
-
-
-def synthesize_obvious_invariants(
-    store: Store,
-    target_args: tuple[Term, ...],
-    goal: Formula,
-) -> list[InvariantAbs]:
-    """Candidate obvious invariants for inducting on an atom with the given
-    (resolved) arguments, under the given (resolved) store and goal.
-
-    Abstracting the fixed point out of the sequent gives
-
-        S = fun xs -> forall zs, (xs = ts /\\ H1 /\\ ... /\\ Hk) => R
-
-    with zs the eigenvariables of the sequent, Hi the stored atomic
-    hypotheses and R the goal.  A second candidate keeps the hypotheses out
-    of the invariant.  Synthesis is refused (empty list) when a stored
-    hypothesis is not atomic or when an undetermined metavariable occurs in
-    the relevant formulas.
-    """
-    hyps: list[Formula] = []
-    for ix, f in store:
-        if isinstance(ix, Hyp):
-            if not isinstance(f, (MuAtom, Eq)):
-                return []
-            hyps.append(f)
-
-    arity = len(target_args)
-    if any(isinstance(v, MVar) for t in target_args for v in term_vars(t)):
-        return []
-    if any(isinstance(v, MVar) for v in formula_vars(goal)):
-        return []
-
-    out: list[InvariantAbs] = []
-    for folded in (hyps, []):
-        if folded and any(isinstance(v, MVar) for h in folded for v in formula_vars(h)):
-            continue
-        evars: list[EVar] = []
-        seen: set[EVar] = set()
-
-        def note(v) -> None:
-            if isinstance(v, EVar) and v not in seen:
-                seen.add(v)
-                evars.append(v)
-
-        for t in target_args:
-            for v in term_vars(t):
-                note(v)
-        for h in folded:
-            for v in formula_vars(h):
-                note(v)
-        for v in formula_vars(goal):
-            note(v)
-        evars.sort(key=lambda e: e.id)
-
-        k = len(evars)
-        params = [fresh_evar(0) for _ in range(arity)]
-        eqs: list[Formula] = [Eq(params[i], target_args[i]) for i in range(arity)]
-        inner: Formula = Imp(_conj(eqs + list(folded)), goal)
-        mapping: dict[EVar, int] = {z: k - 1 - j for j, z in enumerate(evars)}
-        for i, p in enumerate(params):
-            mapping[p] = k + i
-        body = close_formula(inner, mapping)
-        for _ in range(k):
-            body = All(body)
-        inv = InvariantAbs(arity, body)
-        if inv not in out:
-            out.append(inv)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +152,16 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 if d is SELF:
                     raise StructuralError("recursive marker escaped a definition body")
                 # induction
-                for _kl, kr, invopt in fpc.ind_expert(cert):
-                    if invopt is OBVIOUS:
-                        targs = tuple(binds.resolve(x) for x in ts)
-                        goal_f = resolve_formula(binds, rhs[1])
-                        rstore = tuple((ix, resolve_formula(binds, f)) for ix, f in store)
-                        for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
-                            ys = tuple(fresh_evar(level + 1) for _ in range(d.arity))
-                            for t2 in _invariance(ctx, store, d, inv, ys, kr, level):
-                                yield TraceNode("induct_obvious", (t2,), formula=c,
-                                                term=App(_YS, ys), invariant=inv)
-                    else:
-                        inv = invopt
-                        if inv.arity != d.arity:
-                            continue
-                        st = apply_invariant(inv, ts)
+                for kr in fpc.ind_expert(cert):
+                    targs = tuple(binds.resolve(x) for x in ts)
+                    goal_f = map_terms(rhs[1], lambda t, _: binds.resolve(t))
+                    rstore = tuple((ix, map_terms(f, lambda t, _: binds.resolve(t)))
+                                   for ix, f in store)
+                    for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
                         ys = tuple(fresh_evar(level + 1) for _ in range(d.arity))
-                        for t1 in _async(ctx, store, (st,) + rest, rhs, _kl, level):
-                            for t2 in _invariance(ctx, store, d, inv, ys, kr, level):
-                                yield TraceNode("induct", (t1, t2), formula=c,
-                                                term=App(_YS, ys), invariant=inv)
+                        for t2 in _invariance(ctx, store, d, inv, ys, kr, level):
+                            yield TraceNode("induct_obvious", (t2,), formula=c,
+                                            term=App(YS_HEAD, ys), invariant=inv)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
@@ -446,7 +312,8 @@ def _finalize(binds: BindingStore, node: TraceNode) -> TraceNode:
     return TraceNode(
         node.rule,
         tuple(_finalize(binds, c) for c in node.children),
-        resolve_formula(binds, node.formula) if node.formula is not None else None,
+        map_terms(node.formula, lambda t, _: binds.resolve(t))
+        if node.formula is not None else None,
         binds.resolve(node.term) if node.term is not None else None,
         node.index,
         node.invariant,

@@ -41,14 +41,16 @@ def _is_ground(t: Term) -> bool:
 
 # Saturation is deterministic for a given definition list and universe, so
 # its round-by-round history is shared between queries: the cache maps
-# (definition names, universe) to the cumulative fact set after each round
-# plus a flag telling whether a fixed point was reached at the last round.
+# (definitions, universe) to the cumulative fact set after each round plus a
+# flag telling whether a fixed point was reached at the last round.  A
+# definition is keyed by its body as well as its name, since two sessions
+# may define the same name differently.
 _SAT_CACHE: dict[tuple, tuple[list[frozenset[Fact]], bool]] = {}
 
 
 def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 ) -> tuple[list[frozenset[Fact]], bool]:
-    key = (tuple(d.name.name for d in defs), tuple(terms))
+    key = (tuple((d.name, d.body) for d in defs), tuple(terms))
     rounds, done = _SAT_CACHE.get(key, ([], False))
     if done or len(rounds) >= fuel:
         return rounds, done

@@ -27,12 +27,10 @@ budgets only decides on stored hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .fpc import (
-    ANY_FROZEN, FRESH, OBVIOUS, Certificate, FpcDefinition, Hyp, Index, LemmaName,
-)
-from .syntax import Sym, sym
+from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
+from .syntax import Hyp, Index, LemmaName, Sym, sym
 from .trace import SExp, TraceFormatError, parse_sexp
 
 
@@ -248,7 +246,7 @@ class OutlineFpc(FpcDefinition):
     def ind_expert(self, cert):
         if cert.inducted:
             return ()
-        return ((None, replace(cert, inducted=True), OBVIOUS),)
+        return (replace(cert, inducted=True),)
 
 
 OUTLINE_FPC = OutlineFpc()

@@ -22,14 +22,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    SELF, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
-    Or, Term, Tt, apply_invariant, body_with_invariant, open_binder,
+    SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar,
+    MuAtom, Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
+    map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
     term_vars, unfold_mu,
 )
 from .trace import TraceNode
-from .kernel import Rhs, Store, store_lookup, synthesize_obvious_invariants
-
-_YS = "%ys"
 
 OK = "ok"
 CLASH = "clash"
@@ -55,26 +53,6 @@ def _sigma_apply(t: Term, sigma: dict[EVar, Term]) -> Term:
     if isinstance(t, App) and t.args:
         return App(t.head, tuple(_sigma_apply(x, sigma) for x in t.args))
     return t
-
-
-def _sigma_apply_formula(f: Formula, sigma: dict[EVar, Term]) -> Formula:
-    match f:
-        case Eq(l=l, r=r):
-            return Eq(_sigma_apply(l, sigma), _sigma_apply(r, sigma))
-        case And(a=a, b=b):
-            return And(_sigma_apply_formula(a, sigma), _sigma_apply_formula(b, sigma))
-        case Or(a=a, b=b):
-            return Or(_sigma_apply_formula(a, sigma), _sigma_apply_formula(b, sigma))
-        case Imp(a=a, b=b):
-            return Imp(_sigma_apply_formula(a, sigma), _sigma_apply_formula(b, sigma))
-        case All(body=b):
-            return All(_sigma_apply_formula(b, sigma))
-        case Ex(body=b):
-            return Ex(_sigma_apply_formula(b, sigma))
-        case MuAtom(defn=d, args=ts):
-            return MuAtom(d, tuple(_sigma_apply(x, sigma) for x in ts))
-        case _:
-            return f
 
 
 def _occurs(e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
@@ -176,7 +154,7 @@ class _Replay:
     def invariance_eigen(self, node: TraceNode, arity: int, level: int
                          ) -> tuple[Term, ...]:
         t = node.term
-        self.need(isinstance(t, App) and t.head.name == _YS and len(t.args) == arity,
+        self.need(isinstance(t, App) and t.head == YS_HEAD and len(t.args) == arity,
                   "malformed eigenvariable bundle on an induction record")
         assert isinstance(t, App)
         return tuple(self.fresh_eigen(y, level + 1) for y in t.args)
@@ -211,10 +189,12 @@ class _Replay:
                     self.need(out is OK, "recorded equation does not unify")
                     assert sigma is not None
                     if sigma:
-                        store = tuple((ix, _sigma_apply_formula(f, sigma))
-                                      for ix, f in store)
-                        rest = tuple(_sigma_apply_formula(f, sigma) for f in rest)
-                        rhs = (rhs[0], _sigma_apply_formula(rhs[1], sigma))
+                        def fn(t: Term, _: int) -> Term:
+                            return _sigma_apply(t, sigma)
+
+                        store = tuple((ix, map_terms(f, fn)) for ix, f in store)
+                        rest = tuple(map_terms(f, fn) for f in rest)
+                        rhs = (rhs[0], map_terms(rhs[1], fn))
                     self.r_async(store, rest, rhs, level, node.children[0])
                 case Tt():
                     self.expect(node, ("ttL",), 1, c)
@@ -223,8 +203,8 @@ class _Replay:
                     self.expect(node, ("ffL",), 0, c)
                 case MuAtom(defn=d, args=ts):
                     self.need(d is not SELF, "recursive marker in a replayed atom")
-                    self.expect(node, ("freeze", "unfoldL", "induct",
-                                       "induct_obvious"), len(node.children), c)
+                    self.expect(node, ("freeze", "unfoldL", "induct_obvious"),
+                                len(node.children), c)
                     if node.rule == "freeze":
                         self.need(len(node.children) == 1, "freeze arity")
                         ix = node.index
@@ -237,7 +217,7 @@ class _Replay:
                         self.need(len(node.children) == 1, "unfoldL arity")
                         self.r_async(store, (unfold_mu(d, ts),) + rest, rhs,
                                      level, node.children[0])
-                    elif node.rule == "induct_obvious":
+                    else:
                         self.need(len(node.children) == 1, "induction arity")
                         inv = node.invariant
                         self.need(inv is not None, "missing invariant record")
@@ -249,18 +229,6 @@ class _Replay:
                         self.r_async(store, (body_with_invariant(d, inv, ys),),
                                      ("un", apply_invariant(inv, ys)),
                                      level + 1, node.children[0])
-                    else:  # explicit induction
-                        self.need(len(node.children) == 2, "induction arity")
-                        inv = node.invariant
-                        self.need(inv is not None and inv.arity == d.arity,
-                                  "missing or ill-sorted invariant record")
-                        assert inv is not None
-                        ys = self.invariance_eigen(node, d.arity, level)
-                        self.r_async(store, (apply_invariant(inv, ts),) + rest,
-                                     rhs, level, node.children[0])
-                        self.r_async(store, (body_with_invariant(d, inv, ys),),
-                                     ("un", apply_invariant(inv, ys)),
-                                     level + 1, node.children[1])
                 case Imp() | All():
                     self.expect(node, ("storeL",), 1, c)
                     ix = node.index
@@ -377,7 +345,6 @@ _RULE_FIELDS: dict[str, frozenset[str]] = {
     "storeL": frozenset({"index"}),
     "decideL": frozenset({"index"}),
     "initial": frozenset({"index"}),
-    "induct": frozenset({"term", "invariant"}),
     "induct_obvious": frozenset({"term", "invariant"}),
     "orR": frozenset({"side"}),
 }

@@ -1,4 +1,6 @@
-"""Terms, formulas and least-fixed-point definitions.
+"""Terms, formulas and least-fixed-point definitions, plus the store
+indexes and the obvious-invariant synthesis that the kernel and the
+replayer share.
 
 Terms are first order.  Eigenvariables (EVar) are introduced by right
 universals and left existentials; metavariables (MVar) stand for terms yet
@@ -15,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -193,22 +194,6 @@ FF = Ff()
 Formula = Union[Eq, And, Or, Imp, All, Ex, MuAtom, Tt, Ff]
 
 
-class Polarity(Enum):
-    POS = "positive"
-    NEG = "negative"
-
-
-def polarity_of(f: Formula) -> Polarity:
-    """Equality, conjunction, disjunction, existentials, fixed-point atoms
-    and the units are positive; implication and universals are negative."""
-    match f:
-        case Imp() | All():
-            return Polarity.NEG
-        case Eq() | And() | Or() | Ex() | MuAtom() | Tt() | Ff():
-            return Polarity.POS
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class StructuralError(Exception):
     """An ill-formed term, formula or rule application."""
 
@@ -332,27 +317,6 @@ def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
             return t
 
 
-def close_formula(f: Formula, mapping: dict[EVar, int], depth: int = 0) -> Formula:
-    match f:
-        case Eq(l=l, r=r):
-            return Eq(close_term(l, mapping, depth), close_term(r, mapping, depth))
-        case And(a=a, b=b):
-            return And(close_formula(a, mapping, depth), close_formula(b, mapping, depth))
-        case Or(a=a, b=b):
-            return Or(close_formula(a, mapping, depth), close_formula(b, mapping, depth))
-        case Imp(a=a, b=b):
-            return Imp(close_formula(a, mapping, depth), close_formula(b, mapping, depth))
-        case All(body=b):
-            return All(close_formula(b, mapping, depth + 1))
-        case Ex(body=b):
-            return Ex(close_formula(b, mapping, depth + 1))
-        case MuAtom(defn=d, args=ts):
-            return MuAtom(d, tuple(close_term(x, mapping, depth) for x in ts))
-        case Tt() | Ff():
-            return f
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # traversal helpers
 
@@ -386,32 +350,147 @@ def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
         yield from term_vars(t)
 
 
-def free_bound_indices(f: Formula) -> set[int]:
-    """Indices of unbound positional variables (empty for a closed formula)."""
-    out: set[int] = set()
+def map_terms(f: Formula, fn: Callable[[Term, int], Term]) -> Formula:
+    """Rebuild `f` with every term t replaced by fn(t, depth), where depth
+    is the number of binders of `f` enclosing t."""
 
-    def go_t(t: Term, depth: int) -> None:
-        match t:
-            case Bound(index=j):
-                if j >= depth:
-                    out.add(j - depth)
-            case App(args=ts):
-                for x in ts:
-                    go_t(x, depth)
-
-    def go_f(g: Formula, depth: int) -> None:
+    def go(g: Formula, depth: int) -> Formula:
         match g:
             case Eq(l=l, r=r):
-                go_t(l, depth)
-                go_t(r, depth)
-            case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
-                go_f(a, depth)
-                go_f(b, depth)
-            case All(body=b) | Ex(body=b):
-                go_f(b, depth + 1)
-            case MuAtom(args=ts):
-                for x in ts:
-                    go_t(x, depth)
+                return Eq(fn(l, depth), fn(r, depth))
+            case And(a=a, b=b):
+                return And(go(a, depth), go(b, depth))
+            case Or(a=a, b=b):
+                return Or(go(a, depth), go(b, depth))
+            case Imp(a=a, b=b):
+                return Imp(go(a, depth), go(b, depth))
+            case All(body=b):
+                return All(go(b, depth + 1))
+            case Ex(body=b):
+                return Ex(go(b, depth + 1))
+            case MuAtom(defn=d, args=ts):
+                return MuAtom(d, tuple(fn(x, depth) for x in ts))
+            case Tt() | Ff():
+                return g
+        raise TypeError(f"not a formula: {g!r}")
 
-    go_f(f, 0)
+    return go(f, 0)
+
+
+# ---------------------------------------------------------------------------
+# the store of lemmas and hypotheses
+
+
+@dataclass(frozen=True)
+class LemmaName:
+    name: Sym
+
+    def __repr__(self) -> str:
+        return f"lemma:{self.name}"
+
+
+@dataclass(frozen=True)
+class Hyp:
+    serial: int
+
+    def __repr__(self) -> str:
+        return f"hyp:{self.serial}"
+
+
+Index = Union[LemmaName, Hyp]
+
+Store = tuple[tuple[Index, Formula], ...]
+Rhs = tuple[str, Formula]  # ("un", f) unstored or ("st", f) stored goal
+
+
+def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
+    for jx, f in store:
+        if jx == ix:
+            return f
+    return None
+
+
+# ---------------------------------------------------------------------------
+# obvious invariant synthesis
+
+# head symbol bundling the fresh eigenvariables of an invariance premise
+# into a trace record's term slot
+YS_HEAD = sym("%ys")
+
+
+def _conj(parts: Sequence[Formula]) -> Formula:
+    if not parts:
+        return TT
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = And(p, out)
+    return out
+
+
+def synthesize_obvious_invariants(
+    store: Store,
+    target_args: tuple[Term, ...],
+    goal: Formula,
+) -> list[InvariantAbs]:
+    """Candidate obvious invariants for inducting on an atom with the given
+    (resolved) arguments, under the given (resolved) store and goal.
+
+    Abstracting the fixed point out of the sequent gives
+
+        S = fun xs -> forall zs, (xs = ts /\\ H1 /\\ ... /\\ Hk) => R
+
+    with zs the eigenvariables of the sequent, Hi the stored atomic
+    hypotheses and R the goal.  A second candidate keeps the hypotheses out
+    of the invariant.  Synthesis is refused (empty list) when a stored
+    hypothesis is not atomic or when an undetermined metavariable occurs in
+    the relevant formulas.
+    """
+    hyps: list[Formula] = []
+    for ix, f in store:
+        if isinstance(ix, Hyp):
+            if not isinstance(f, (MuAtom, Eq)):
+                return []
+            hyps.append(f)
+
+    arity = len(target_args)
+    if any(isinstance(v, MVar) for t in target_args for v in term_vars(t)):
+        return []
+    if any(isinstance(v, MVar) for v in formula_vars(goal)):
+        return []
+
+    out: list[InvariantAbs] = []
+    for folded in (hyps, []):
+        if folded and any(isinstance(v, MVar) for h in folded for v in formula_vars(h)):
+            continue
+        evars: list[EVar] = []
+        seen: set[EVar] = set()
+
+        def note(v) -> None:
+            if isinstance(v, EVar) and v not in seen:
+                seen.add(v)
+                evars.append(v)
+
+        for t in target_args:
+            for v in term_vars(t):
+                note(v)
+        for h in folded:
+            for v in formula_vars(h):
+                note(v)
+        for v in formula_vars(goal):
+            note(v)
+        evars.sort(key=lambda e: e.id)
+
+        k = len(evars)
+        params = [fresh_evar(0) for _ in range(arity)]
+        eqs: list[Formula] = [Eq(params[i], target_args[i]) for i in range(arity)]
+        inner: Formula = Imp(_conj(eqs + list(folded)), goal)
+        mapping: dict[EVar, int] = {z: k - 1 - j for j, z in enumerate(evars)}
+        for i, p in enumerate(params):
+            mapping[p] = k + i
+        body = map_terms(inner, lambda t, depth: close_term(t, mapping, depth))
+        for _ in range(k):
+            body = All(body)
+        inv = InvariantAbs(arity, body)
+        if inv not in out:
+            out.append(inv)
     return out

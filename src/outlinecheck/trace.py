@@ -16,28 +16,22 @@ needs the definition table of the session that produced the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .fpc import Hyp, Index, LemmaName
 from .syntax import (
     FF, SELF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff, Formula,
-    Imp, InvariantAbs, MVar, MuAtom, Or, StructuralError, Term, Tt, sym,
+    Hyp, Imp, Index, InvariantAbs, LemmaName, MVar, MuAtom, Or, Term, Tt, sym,
 )
 
-# rule tags, grouped by phase
-ASYNC_RULES = frozenset({
+# rule tags: asynchronous, border, then synchronous
+ALL_RULES = frozenset({
     "andL", "orL", "exL", "eqL", "eqL_clash", "ttL", "ffL",
-    "storeL", "freeze", "unfoldL", "induct", "induct_obvious",
-    "impR", "allR", "storeR",
-})
-BORDER_RULES = frozenset({"decideL", "decideR"})
-SYNC_RULES = frozenset({
+    "storeL", "freeze", "unfoldL", "induct_obvious", "impR", "allR", "storeR",
+    "decideL", "decideR",
     "orR", "andR", "exR", "eqR", "ttR", "unfoldR", "initial",
     "allL", "impL", "releaseL", "releaseR",
 })
-LEAF_RULES = frozenset({"eqL_clash", "ffL", "eqR", "ttR", "initial"})
-ALL_RULES = ASYNC_RULES | BORDER_RULES | SYNC_RULES
 
 
 @dataclass(frozen=True)
@@ -56,19 +50,12 @@ class TraceNode:
             yield from c.walk()
 
 
-Trace = TraceNode
-
-
 def count_rule(trace: TraceNode, rule: str) -> int:
     return sum(1 for n in trace.walk() if n.rule == rule)
 
 
 # ---------------------------------------------------------------------------
 # s-expressions
-
-
-def _atom(s: str) -> str:
-    return s
 
 
 def term_to_sexp(t: Term) -> str:

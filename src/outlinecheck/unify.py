@@ -21,9 +21,6 @@ in a candidate binding are pruned to fresh ones at the lower level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from .syntax import App, Bound, EVar, MVar, StructuralError, Term, fresh_mvar
 
 OK = "ok"
@@ -59,9 +56,6 @@ class BindingStore:
                 f"checkpoint {checkpoint} is ahead of trail length {len(self.trail)}")
         while len(self.trail) > checkpoint:
             del self.bindings[self.trail.pop()]
-
-    def snapshot(self) -> dict[int, Term]:
-        return dict(self.bindings)
 
     # -- resolution
 

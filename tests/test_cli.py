@@ -69,18 +69,17 @@ def test_failing_theorem_exit_one(capsys, tmp_path):
     code, lines, _ = run(capsys, f)
     assert code == 1
     assert lines[0].startswith("t: ok")
-    assert lines[1].startswith("bad: FAIL")
+    assert lines[1].startswith("bad: fail")
 
 
 def test_budget_verdict(capsys):
     code, lines, _ = run(capsys, CORPUS, "--max-steps", "50")
     assert code == 1
-    assert any(ln.endswith(": BUDGET") for ln in lines)
+    assert any(ln.endswith(": budget") for ln in lines)
 
 
 def test_bad_flags_exit_two(capsys):
     assert run(capsys, CORPUS, "--max-steps", "0")[0] == 2
-    assert run(capsys, CORPUS, "--jobs", "0")[0] == 2
 
 
 def test_stop_on_failure_stops(capsys, tmp_path):
@@ -97,7 +96,7 @@ def test_multiple_files_get_headers_and_jobs(capsys, tmp_path):
     g = tmp_path / "g.thm"
     g.write_text("Kind nat type.\nType z nat.\n"
                  'Theorem t : z = z.\nship "(induction 0 0 0)".\n')
-    code, lines, _ = run(capsys, CORPUS, g, "--jobs", "2")
+    code, lines, _ = run(capsys, CORPUS, g)
     assert code == 0
     assert sum(1 for ln in lines if ln.startswith("== ")) == 2
 

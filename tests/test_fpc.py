@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from outlinecheck import FpcDefinition, LemmaName, sym
-from outlinecheck.fpc import ANY_FROZEN, FRESH, OBVIOUS, Hyp
+from outlinecheck import FpcDefinition, Hyp, LemmaName, sym
+from outlinecheck.fpc import ANY_FROZEN, FRESH
 
 
 def test_default_definition_forbids_every_rule():
@@ -41,4 +41,3 @@ def test_index_values_are_hashable_and_distinct():
 def test_option_markers_are_singletons():
     assert repr(ANY_FROZEN) == "<any-frozen>"
     assert repr(FRESH) == "<fresh>"
-    assert repr(OBVIOUS) == "<obvious>"

@@ -25,8 +25,7 @@ from outlinecheck import (
     kernel,
     synthesize_obvious_invariants,
 )
-from outlinecheck.fpc import Hyp
-from outlinecheck.syntax import InvariantAbs, apply_invariant, fresh_evar
+from outlinecheck.syntax import Hyp, InvariantAbs, apply_invariant, fresh_evar
 
 from _util import check_outline, elab_plus, num
 
@@ -137,8 +136,7 @@ def test_accepted_induction_has_exactly_one_record(el):
     goal = el.goals["plus_total"]
     r = check_outline(el, goal, "(induction 1 0 1)")
     assert isinstance(r, Accepted)
-    n_ind = count_rule(r.trace, "induct") + count_rule(r.trace, "induct_obvious")
-    assert n_ind == 1
+    assert count_rule(r.trace, "induct_obvious") == 1
 
 
 def test_zero_decide_budget_means_zero_decides(el):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outlinecheck import MuAtom, UNKNOWN, eval_ground, fresh_mvar
+from outlinecheck import (
+    MuAtom, UNKNOWN, elaborate, eval_ground, fresh_mvar, parse_file,
+)
 
 from _util import elab_plus, num
 
@@ -43,6 +45,21 @@ def test_non_ground_query_rejected(el):
     bad = MuAtom(el.definitions["is_nat"], (fresh_mvar(0),))
     with pytest.raises(ValueError):
         eval_ground(el.definitions.values(), bad, 5)
+
+
+def test_redefined_name_is_not_served_from_cache():
+    src = ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+           "Define plus : nat -> nat -> nat -> prop by\n"
+           "  plus z N {base} ;\n  plus (s M) N (s P) := plus M N P.\n")
+
+    def plus_1_1_2(base):
+        defs = elaborate(parse_file(src.format(base=base))).definitions
+        return eval_ground(defs.values(),
+                           MuAtom(defs["plus"], (num(1), num(1), num(2))), 20)
+
+    # same name and universe; only the base clause differs
+    assert plus_1_1_2("N") is True
+    assert plus_1_1_2("z") is False
 
 
 @settings(deadline=None, max_examples=40)

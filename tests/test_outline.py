@@ -16,7 +16,7 @@ from outlinecheck import (
     parse_outline,
     sym,
 )
-from outlinecheck.fpc import Hyp, LemmaName, OBVIOUS
+from outlinecheck.syntax import Hyp, LemmaName
 
 from _util import check_outline, elab_plus
 
@@ -128,8 +128,8 @@ def test_unfold_budgets_gate_experts():
 
 def test_induction_offered_once():
     st0 = _state()
-    [(left, st1, inv)] = OUTLINE_FPC.ind_expert(st0)
-    assert left is None and inv is OBVIOUS and st1.inducted
+    [st1] = OUTLINE_FPC.ind_expert(st0)
+    assert st1.inducted
     assert OUTLINE_FPC.ind_expert(st1) == ()
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from outlinecheck import (
-    FF,
     SELF,
     TT,
     All,
@@ -20,22 +19,20 @@ from outlinecheck import (
     InvariantAbs,
     MuAtom,
     Or,
-    Polarity,
     StructuralError,
     con,
     formula_subst_bound,
     fresh_evar,
     fresh_mvar,
     open_binder,
-    polarity_of,
     sym,
     unfold_mu,
 )
 from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
-    close_formula,
-    free_bound_indices,
+    close_term,
+    map_terms,
     term_subst_bound,
 )
 
@@ -51,18 +48,6 @@ def test_fresh_vars_are_distinct():
     a, b = fresh_evar(1), fresh_evar(1)
     assert a != b
     assert fresh_mvar(2).level == 2
-
-
-def test_polarities():
-    e = fresh_evar(0)
-    assert polarity_of(Eq(e, e)) is Polarity.POS
-    assert polarity_of(And(TT, TT)) is Polarity.POS
-    assert polarity_of(Or(TT, FF)) is Polarity.POS
-    assert polarity_of(Ex(Eq(Bound(0), Bound(0)))) is Polarity.POS
-    assert polarity_of(TT) is Polarity.POS
-    assert polarity_of(FF) is Polarity.POS
-    assert polarity_of(Imp(TT, TT)) is Polarity.NEG
-    assert polarity_of(All(TT)) is Polarity.NEG
 
 
 def test_open_binder_substitutes_innermost():
@@ -162,14 +147,8 @@ def test_self_outside_definition_rejected():
 def test_close_formula_abstracts_eigenvariables():
     a, b = fresh_evar(1), fresh_evar(2)
     f = Imp(Eq(a, b), All(Eq(a, Bound(0))))
-    closed = close_formula(f, {a: 1, b: 0})
+    closed = map_terms(f, lambda t, depth: close_term(t, {a: 1, b: 0}, depth))
     assert closed == Imp(Eq(Bound(1), Bound(0)), All(Eq(Bound(2), Bound(0))))
-    assert free_bound_indices(All(All(closed))) == set()
-
-
-def test_free_bound_indices():
-    f = Ex(Eq(Bound(0), Bound(3)))
-    assert free_bound_indices(f) == {2}
 
 
 # -- property: substitution commutes with numeral structure

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import outlinecheck
 from outlinecheck import (
     Accepted,
     ResourceLimits,
@@ -17,7 +20,7 @@ from outlinecheck import (
     trace_to_lines,
     verify_trace,
 )
-from outlinecheck.syntax import App, Bound, InvariantAbs, TT, con, sym
+from outlinecheck.syntax import App, Bound, Hyp, InvariantAbs, TT, con, sym
 from outlinecheck.trace import ALL_RULES
 
 from _util import check_outline, elab_plus, load_plus, num
@@ -119,7 +122,6 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
     elif field == "term":
         term = num(9) if term is None or term != num(9) else num(8)
     elif field == "index":
-        from outlinecheck.fpc import Hyp
         index = Hyp(97) if index != Hyp(97) else Hyp(98)
     elif field == "invariant":
         invariant = InvariantAbs(1, TT)
@@ -168,3 +170,36 @@ def test_clash_claims_require_rigid_disagreement(session, el):
                 with pytest.raises(TraceFormatError):
                     trace_from_lines(bad, el.definitions)
                 return
+
+
+# -- the trusted base stands alone
+
+
+def _package_imports(path: pathlib.Path):
+    """Names of the outlinecheck modules a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "outlinecheck":
+                    yield parts[1] if len(parts) > 1 else parts[0]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "outlinecheck":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_trusted_base_imports_only_itself():
+    # read the source: importing any module runs the package __init__,
+    # which loads the kernel, so sys.modules cannot show this
+    trusted = {"syntax", "trace", "replay"}
+    pkg = pathlib.Path(outlinecheck.__file__).parent
+    for name in sorted(trusted):
+        imported = set(_package_imports(pkg / f"{name}.py"))
+        assert imported <= trusted, (name, imported - trusted)
