@@ -8,7 +8,8 @@ One verdict line per theorem, machine-parseable and stable:
 
 Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
-of steps; 2 on usage, file, or parse errors.
+of steps; 2 on usage, file, or parse errors, including a file that is not
+UTF-8 or nests too deeply for the checker's recursion.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def _check_file(path: Path, limits: ResourceLimits,
     return [_verdict_line(r) for r in results], results
 
 
+def _error(msg: str) -> int:
+    print(f"acheck: {msg}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="acheck",
@@ -58,20 +64,22 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.max_steps <= 0:
-        print("acheck: --max-steps must be positive", file=sys.stderr)
-        return 2
+        return _error("--max-steps must be positive")
     for path in args.files:
         if not path.is_file():
-            print(f"acheck: no such file: {path}", file=sys.stderr)
-            return 2
+            return _error(f"no such file: {path}")
 
     limits = ResourceLimits(max_steps=args.max_steps)
-    try:
-        outputs = [_check_file(p, limits, args.stop_on_failure)
-                   for p in args.files]
-    except (ParseError, ElabError, OSError) as e:
-        print(f"acheck: {e}", file=sys.stderr)
-        return 2
+    outputs = []
+    for path in args.files:
+        try:
+            outputs.append(_check_file(path, limits, args.stop_on_failure))
+        except (ParseError, ElabError, OSError) as e:
+            return _error(str(e))
+        except UnicodeDecodeError as e:
+            return _error(f"{path}: not UTF-8 text (byte {e.start})")
+        except RecursionError:
+            return _error(f"{path}: nested too deeply for this checker")
 
     failed = False
     for path, (lines, results) in zip(args.files, outputs):

@@ -16,7 +16,10 @@ A `.thm` file is a sequence of declarations:
 `false`, and application; `->` binds loosest and associates right, then
 `\\/`, then `/\\`.  Capitalised or not, a name in a theorem statement must
 be bound by a quantifier or declared; in a definition clause, any name
-that is not a declared constructor or predicate is a clause variable.
+that is not a declared constructor or predicate, nor bound by an enclosing
+quantifier, is a clause variable.  Each quantifier and each clause scopes
+its own names, so a name may be reused at another sort under another
+binder.
 
 Elaboration compiles each Define into a least-fixed-point body by Clark
 completion — one disjunct per clause, existentially closing the clause
@@ -30,7 +33,9 @@ the lemma table (under its name) for the ones after it.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,8 +43,8 @@ from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
-    FF, SELF, TT, All, And, Bound, Definition, Eq, Ex, Formula, Imp, Index,
-    LemmaName, MuAtom, Or, Term, con, sym,
+    FF, SELF, TT, All, And, Definition, EVar, Eq, Ex, Formula, Imp, Index,
+    LemmaName, MuAtom, Or, Term, _chain, close_binders, con, sym,
 )
 from .trace import TraceNode
 
@@ -439,26 +444,47 @@ class Elaborated:
 
 
 class _Elab:
+    """Elaborates declarations in order.  Every bound name (quantifier
+    binder, clause variable, definition parameter) is elaborated to a
+    placeholder eigenvariable, whose sort var_sorts records, and
+    syntax.close_binders turns the placeholders into positional binders
+    where the binder is built.  Placeholders come from this elaborator's
+    own counter: fresh_evar's counter numbers the eigenvariables written
+    into traces, and elaborating a file must not shift them."""
+
     def __init__(self) -> None:
         self.sorts: set[str] = set()
         self.constructors: dict[str, tuple[tuple[str, ...], str]] = {}
         self.definitions: dict[str, Definition] = {}
         self.def_sorts: dict[str, tuple[str, ...]] = {}
+        self.var_sorts: dict[EVar, Optional[str]] = {}
+        self.ids = itertools.count()
 
-    # -- terms; env maps a bound name to its binder depth
+    def placeholder(self) -> EVar:
+        return EVar(next(self.ids), 0)
 
-    def term(self, t: STerm, env: dict[str, int], depth: int,
-             var_sorts: dict[str, Optional[str]],
-             expected: Optional[str]) -> Term:
-        if t.head in env and not t.args:
-            seen = var_sorts.get(t.head)
+    # -- terms.  env maps a bound name to its placeholder, innermost binder
+    # first.  Its last map holds a clause's variables: each is made at its
+    # first use, under whatever quantifiers that use sits, and is then seen
+    # by the whole clause.  selfname is None in a theorem, which has none.
+
+    def term(self, t: STerm, env: ChainMap[str, EVar],
+             expected: Optional[str], selfname: Optional[str]) -> Term:
+        v = env.get(t.head)
+        if v is None and selfname is not None and not t.args \
+                and t.head not in self.constructors:
+            if t.head in self.definitions or t.head == selfname:
+                raise ElabError(f"predicate {t.head} used as a term")
+            v = env.maps[-1][t.head] = self.placeholder()
+        if v is not None:
+            if t.args:
+                raise ElabError(f"variable {t.head} cannot take arguments")
+            seen = self.var_sorts.get(v)
             if seen is None:
-                var_sorts[t.head] = expected
+                self.var_sorts[v] = expected
             elif expected is not None and seen != expected:
                 raise ElabError(f"{t.head} used at sorts {seen} and {expected}")
-            return Bound(depth - env[t.head] - 1)
-        if t.head in env:
-            raise ElabError(f"variable {t.head} cannot take arguments")
+            return v
         ctor = self.constructors.get(t.head)
         if ctor is None:
             raise ElabError(f"undeclared symbol: {t.head}")
@@ -468,19 +494,18 @@ class _Elab:
         if len(t.args) != len(arg_sorts):
             raise ElabError(f"{t.head} expects {len(arg_sorts)} arguments,"
                             f" got {len(t.args)}")
-        return con(t.head, *(self.term(a, env, depth, var_sorts, s)
+        return con(t.head, *(self.term(a, env, s, selfname)
                              for a, s in zip(t.args, arg_sorts)))
 
-    def term_sort(self, t: STerm, var_sorts: dict[str, Optional[str]]
-                  ) -> Optional[str]:
-        if t.head in self.constructors:
-            return self.constructors[t.head][1]
-        return var_sorts.get(t.head)
+    def term_sort(self, t: STerm, env: ChainMap[str, EVar]) -> Optional[str]:
+        if t.head in env:
+            return self.var_sorts.get(env[t.head])
+        ctor = self.constructors.get(t.head)
+        return ctor[1] if ctor else None
 
     # -- formulas
 
-    def formula(self, f: SFormula, env: dict[str, int], depth: int,
-                var_sorts: dict[str, Optional[str]],
+    def formula(self, f: SFormula, env: ChainMap[str, EVar],
                 selfname: Optional[str]) -> Formula:
         match f:
             case STrue():
@@ -488,30 +513,22 @@ class _Elab:
             case SFalse():
                 return FF
             case SEq(l=l, r=r):
-                s = self.term_sort(l, var_sorts)
-                if s is None:
-                    s = self.term_sort(r, var_sorts)
-                lt = self.term(l, env, depth, var_sorts, s)
-                rt = self.term(r, env, depth, var_sorts, s)
-                return Eq(lt, rt)
+                s = self.term_sort(l, env) or self.term_sort(r, env)
+                lt = self.term(l, env, s, selfname)
+                return Eq(lt, self.term(r, env, s, selfname))
             case SAnd(a=a, b=b):
-                return And(self.formula(a, env, depth, var_sorts, selfname),
-                           self.formula(b, env, depth, var_sorts, selfname))
+                return And(self.formula(a, env, selfname),
+                           self.formula(b, env, selfname))
             case SOr(a=a, b=b):
-                return Or(self.formula(a, env, depth, var_sorts, selfname),
-                          self.formula(b, env, depth, var_sorts, selfname))
+                return Or(self.formula(a, env, selfname),
+                          self.formula(b, env, selfname))
             case SImp(a=a, b=b):
-                return Imp(self.formula(a, env, depth, var_sorts, selfname),
-                           self.formula(b, env, depth, var_sorts, selfname))
+                return Imp(self.formula(a, env, selfname),
+                           self.formula(b, env, selfname))
             case SAll(names=ns, body=b) | SEx(names=ns, body=b):
-                env2 = dict(env)
-                for i, n in enumerate(ns):
-                    env2[n] = depth + i
-                inner = self.formula(b, env2, depth + len(ns), var_sorts, selfname)
-                wrap = All if isinstance(f, SAll) else Ex
-                for _ in ns:
-                    inner = wrap(inner)
-                return inner
+                ps = [self.placeholder() for _ in ns]
+                inner = self.formula(b, env.new_child(dict(zip(ns, ps))), selfname)
+                return close_binders(inner, ps, All if isinstance(f, SAll) else Ex)
             case SAtom(pred=p, args=ts):
                 if p in env and not ts:
                     raise ElabError(f"{p} is a term variable, not a predicate")
@@ -527,7 +544,7 @@ class _Elab:
                     raise ElabError(f"{p} expects {len(arg_sorts)} arguments,"
                                     f" got {len(ts)}")
                 return MuAtom(dref, tuple(
-                    self.term(a, env, depth, var_sorts, s)
+                    self.term(a, env, s, selfname)
                     for a, s in zip(ts, arg_sorts)))
         raise TypeError(f"not a surface formula: {f!r}")
 
@@ -555,81 +572,32 @@ class _Elab:
                 raise ElabError(f"undeclared sort: {s}")
         arity = len(d.arg_sorts)
         self.def_sorts[d.name] = d.arg_sorts
+        params = [self.placeholder() for _ in range(arity)]
 
+        # Clark completion: one disjunct per clause, existentially closing
+        # the clause variables over equations against the head patterns
         disjuncts: list[Formula] = []
         for c in d.clauses:
             if len(c.head_args) != arity:
                 raise ElabError(f"clause of {d.name} has {len(c.head_args)}"
                                 f" head arguments, expected {arity}")
-            cvars: list[str] = []
-
-            def collect(t: STerm) -> None:
-                if t.head not in self.constructors and not t.args:
-                    if t.head in self.definitions or t.head == d.name:
-                        raise ElabError(f"predicate {t.head} used as a term")
-                    if t.head not in cvars:
-                        cvars.append(t.head)
-                for a in t.args:
-                    collect(a)
-
-            for h in c.head_args:
-                collect(h)
+            env: ChainMap[str, EVar] = ChainMap()
+            parts: list[Formula] = [
+                Eq(p, self.term(h, env, s, d.name))
+                for p, h, s in zip(params, c.head_args, d.arg_sorts)]
             if c.body is not None:
-                for t in _formula_terms_surface(c.body):
-                    collect(t)
+                parts.append(self.formula(c.body, env, d.name))
+            disjuncts.append(close_binders(_chain(And, parts, TT),
+                                           list(env.maps[-1].values()), Ex, params))
 
-            m = len(cvars)
-            # inside m existentials: clause var j -> Bound(m-1-j),
-            # definition parameter i -> Bound(m+i)
-            env = {v: j for j, v in enumerate(cvars)}
-            var_sorts: dict[str, Optional[str]] = {}
-            params = [Bound(m + i) for i in range(arity)]
-            eqs: list[Formula] = []
-            for i, h in enumerate(c.head_args):
-                ht = self.term(h, env, m, var_sorts, d.arg_sorts[i])
-                eqs.append(Eq(params[i], ht))
-            parts = list(eqs)
-            if c.body is not None:
-                parts.append(self.formula(c.body, env, m, var_sorts, d.name))
-            if not parts:
-                parts = [TT]
-            body: Formula = parts[-1]
-            for p in reversed(parts[:-1]):
-                body = And(p, body)
-            for _ in range(m):
-                body = Ex(body)
-            disjuncts.append(body)
-
-        if not disjuncts:
-            full: Formula = FF
-        else:
-            full = disjuncts[-1]
-            for p in reversed(disjuncts[:-1]):
-                full = Or(p, full)
+        full = _chain(Or, disjuncts, FF)
         _check_positivity(full, positive=True, name=d.name)
         self.definitions[d.name] = Definition(sym(d.name), arity, full)
 
     def theorem(self, d: TheoremDecl, names: set[str]) -> Formula:
         if d.name in names:
             raise ElabError(f"duplicate theorem name: {d.name}")
-        var_sorts: dict[str, Optional[str]] = {}
-        return self.formula(d.statement, {}, 0, var_sorts, None)
-
-
-def _formula_terms_surface(f: SFormula):
-    match f:
-        case SEq(l=l, r=r):
-            yield l
-            yield r
-        case SAtom(args=ts):
-            yield from ts
-        case SAnd(a=a, b=b) | SOr(a=a, b=b) | SImp(a=a, b=b):
-            yield from _formula_terms_surface(a)
-            yield from _formula_terms_surface(b)
-        case SAll(body=b) | SEx(body=b):
-            yield from _formula_terms_surface(b)
-        case _:
-            return
+        return self.formula(d.statement, ChainMap(), None)
 
 
 def _check_positivity(f: Formula, positive: bool, name: str) -> None:

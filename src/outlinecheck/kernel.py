@@ -37,8 +37,9 @@ from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
 from .syntax import (
     SELF, YS_HEAD, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, Index,
     InvariantAbs, MuAtom, Or, Rhs, Store, StructuralError, Term, Tt,
-    apply_invariant, body_with_invariant, fresh_evar, fresh_mvar, map_terms,
-    open_binder, store_lookup, synthesize_obvious_invariants, unfold_mu,
+    apply_invariant, body_with_invariant, fresh_evar, fresh_mvar, map_sequent,
+    map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
+    unfold_mu,
 )
 from .trace import TraceNode
 from .unify import CLASH, OK, BindingStore
@@ -87,18 +88,6 @@ class _Ctx:
             raise OutOfBudgetError
 
 
-def _rewrite_state(binds: BindingStore, sigma: dict, store: Store,
-                   theta: tuple[Formula, ...], rhs: Rhs
-                   ) -> tuple[Store, tuple[Formula, ...], Rhs]:
-    def fn(t: Term, _: int) -> Term:
-        return binds.resolve_under(t, sigma)
-
-    store2 = tuple((ix, map_terms(f, fn)) for ix, f in store)
-    theta2 = tuple(map_terms(f, fn) for f in theta)
-    rhs2 = (rhs[0], map_terms(rhs[1], fn))
-    return store2, theta2, rhs2
-
-
 # ---------------------------------------------------------------------------
 # search
 
@@ -133,7 +122,8 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                     yield TraceNode("eqL_clash", formula=c)
                 elif out is OK:
                     if sigma:
-                        store2, rest2, rhs2 = _rewrite_state(binds, sigma, store, rest, rhs)
+                        store2, rest2, rhs2 = map_sequent(
+                            store, rest, rhs, lambda t, _: binds.resolve_under(t, sigma))
                     else:
                         store2, rest2, rhs2 = store, rest, rhs
                     for k1 in fpc.eql_clerk(cert):
@@ -154,9 +144,8 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 # induction
                 for kr in fpc.ind_expert(cert):
                     targs = tuple(binds.resolve(x) for x in ts)
-                    goal_f = map_terms(rhs[1], lambda t, _: binds.resolve(t))
-                    rstore = tuple((ix, map_terms(f, lambda t, _: binds.resolve(t)))
-                                   for ix, f in store)
+                    rstore, _, (_, goal_f) = map_sequent(
+                        store, (), rhs, lambda t, _: binds.resolve(t))
                     for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
                         ys = tuple(fresh_evar(level + 1) for _ in range(d.arity))
                         for t2 in _invariance(ctx, store, d, inv, ys, kr, level):

@@ -44,13 +44,17 @@ def _is_ground(t: Term) -> bool:
 # (definitions, universe) to the cumulative fact set after each round plus a
 # flag telling whether a fixed point was reached at the last round.  A
 # definition is keyed by its body as well as its name, since two sessions
-# may define the same name differently.
+# may define the same name differently.  Only the most recent definition
+# list is kept: a query under another list empties the cache, so it cannot
+# grow with every session a process checks.
 _SAT_CACHE: dict[tuple, tuple[list[frozenset[Fact]], bool]] = {}
 
 
 def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 ) -> tuple[list[frozenset[Fact]], bool]:
     key = (tuple((d.name, d.body) for d in defs), tuple(terms))
+    if next(iter(_SAT_CACHE), key)[0] != key[0]:
+        _SAT_CACHE.clear()
     rounds, done = _SAT_CACHE.get(key, ([], False))
     if done or len(rounds) >= fuel:
         return rounds, done

@@ -24,10 +24,10 @@ from typing import Optional
 from .syntax import (
     SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar,
     MuAtom, Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
-    map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
+    map_sequent, open_binder, store_lookup, synthesize_obvious_invariants,
     term_vars, unfold_mu,
 )
-from .trace import TraceNode
+from .trace import RULES, TraceNode
 
 OK = "ok"
 CLASH = "clash"
@@ -121,13 +121,20 @@ class _Replay:
         if not cond:
             raise ReplayError(msg)
 
-    def expect(self, node: TraceNode, rules: tuple[str, ...], nchildren: int,
+    def expect(self, node: TraceNode, rules: tuple[str, ...],
                formula: Formula) -> None:
+        """The record is one of `rules`, has the shape trace.RULES gives
+        that rule, and acts on `formula`."""
         self.need(node.rule in rules,
                   f"expected one of {rules}, found {node.rule}")
+        nchildren, fields = RULES[node.rule]
         self.need(len(node.children) == nchildren,
                   f"{node.rule}: expected {nchildren} premises,"
                   f" found {len(node.children)}")
+        # a field the rule does not use is tampering even if nothing reads it
+        for name in ("term", "index", "invariant", "side"):
+            self.need(getattr(node, name) is None or name in fields,
+                      f"{node.rule}: unexpected {name} field")
         self.need(node.formula == formula,
                   f"{node.rule}: principal formula mismatch")
 
@@ -167,46 +174,40 @@ class _Replay:
             c, rest = theta[0], theta[1:]
             match c:
                 case And(a=a, b=b):
-                    self.expect(node, ("andL",), 1, c)
+                    self.expect(node, ("andL",), c)
                     self.r_async(store, (a, b) + rest, rhs, level, node.children[0])
                 case Or(a=a, b=b):
-                    self.expect(node, ("orL",), 2, c)
+                    self.expect(node, ("orL",), c)
                     self.r_async(store, (a,) + rest, rhs, level, node.children[0])
                     self.r_async(store, (b,) + rest, rhs, level, node.children[1])
                 case Ex():
-                    self.expect(node, ("exL",), 1, c)
+                    self.expect(node, ("exL",), c)
                     e = self.fresh_eigen(node.term, level + 1)
                     self.r_async(store, (open_binder(c, e),) + rest, rhs,
                                  level + 1, node.children[0])
                 case Eq(l=l, r=r):
                     if node.rule == "eqL_clash":
-                        self.expect(node, ("eqL_clash",), 0, c)
+                        self.expect(node, ("eqL_clash",), c)
                         out, _ = match_evars(l, r)
                         self.need(out is CLASH, "recorded clash is not rigid")
                         return
-                    self.expect(node, ("eqL",), 1, c)
+                    self.expect(node, ("eqL",), c)
                     out, sigma = match_evars(l, r)
                     self.need(out is OK, "recorded equation does not unify")
                     assert sigma is not None
                     if sigma:
-                        def fn(t: Term, _: int) -> Term:
-                            return _sigma_apply(t, sigma)
-
-                        store = tuple((ix, map_terms(f, fn)) for ix, f in store)
-                        rest = tuple(map_terms(f, fn) for f in rest)
-                        rhs = (rhs[0], map_terms(rhs[1], fn))
+                        store, rest, rhs = map_sequent(
+                            store, rest, rhs, lambda t, _: _sigma_apply(t, sigma))
                     self.r_async(store, rest, rhs, level, node.children[0])
                 case Tt():
-                    self.expect(node, ("ttL",), 1, c)
+                    self.expect(node, ("ttL",), c)
                     self.r_async(store, rest, rhs, level, node.children[0])
                 case Ff():
-                    self.expect(node, ("ffL",), 0, c)
+                    self.expect(node, ("ffL",), c)
                 case MuAtom(defn=d, args=ts):
                     self.need(d is not SELF, "recursive marker in a replayed atom")
-                    self.expect(node, ("freeze", "unfoldL", "induct_obvious"),
-                                len(node.children), c)
+                    self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
                     if node.rule == "freeze":
-                        self.need(len(node.children) == 1, "freeze arity")
                         ix = node.index
                         self.need(ix is not None and store_lookup(store, ix) is None,
                                   "freeze index missing or already used")
@@ -214,11 +215,9 @@ class _Replay:
                         self.r_async(store + ((ix, c),), rest, rhs, level,
                                      node.children[0])
                     elif node.rule == "unfoldL":
-                        self.need(len(node.children) == 1, "unfoldL arity")
                         self.r_async(store, (unfold_mu(d, ts),) + rest, rhs,
                                      level, node.children[0])
                     else:
-                        self.need(len(node.children) == 1, "induction arity")
                         inv = node.invariant
                         self.need(inv is not None, "missing invariant record")
                         assert inv is not None
@@ -230,7 +229,7 @@ class _Replay:
                                      ("un", apply_invariant(inv, ys)),
                                      level + 1, node.children[0])
                 case Imp() | All():
-                    self.expect(node, ("storeL",), 1, c)
+                    self.expect(node, ("storeL",), c)
                     ix = node.index
                     self.need(ix is not None and store_lookup(store, ix) is None,
                               "store index missing or already used")
@@ -245,30 +244,29 @@ class _Replay:
         if kind == "un":
             match f:
                 case Imp(a=a, b=b):
-                    self.expect(node, ("impR",), 1, f)
+                    self.expect(node, ("impR",), f)
                     self.r_async(store, (a,), ("un", b), level, node.children[0])
                 case All():
-                    self.expect(node, ("allR",), 1, f)
+                    self.expect(node, ("allR",), f)
                     e = self.fresh_eigen(node.term, level + 1)
                     self.r_async(store, (), ("un", open_binder(f, e)),
                                  level + 1, node.children[0])
                 case _:
-                    self.expect(node, ("storeR",), 1, f)
+                    self.expect(node, ("storeR",), f)
                     self.r_async(store, (), ("st", f), level, node.children[0])
             return
 
         if node.rule == "decideL":
-            self.need(len(node.children) == 1, "decideL arity")
             ix = node.index
             self.need(ix is not None, "decideL without an index")
             assert ix is not None
             g = store_lookup(store, ix)
             self.need(g is not None, f"decideL on an absent index {ix!r}")
             assert g is not None
-            self.need(node.formula == g, "decideL: stored formula mismatch")
+            self.expect(node, ("decideL",), g)
             self.r_left(store, g, f, level, node.children[0])
         elif node.rule == "decideR":
-            self.expect(node, ("decideR",), 1, f)
+            self.expect(node, ("decideR",), f)
             self.r_right(store, f, level, node.children[0])
         else:
             raise ReplayError(f"expected a decide record, found {node.rule}")
@@ -277,16 +275,16 @@ class _Replay:
                level: int, node: TraceNode) -> None:
         match focus:
             case All():
-                self.expect(node, ("allL",), 1, focus)
+                self.expect(node, ("allL",), focus)
                 w = self.scoped_witness(node.term, level)
                 self.r_left(store, open_binder(focus, w), goal, level,
                             node.children[0])
             case Imp(a=a, b=b):
-                self.expect(node, ("impL",), 2, focus)
+                self.expect(node, ("impL",), focus)
                 self.r_right(store, a, level, node.children[0])
                 self.r_left(store, b, goal, level, node.children[1])
             case _:
-                self.expect(node, ("releaseL",), 1, focus)
+                self.expect(node, ("releaseL",), focus)
                 self.r_async(store, (focus,), ("st", goal), level,
                              node.children[0])
 
@@ -294,28 +292,28 @@ class _Replay:
                 node: TraceNode) -> None:
         match focus:
             case Or(a=a, b=b):
-                self.expect(node, ("orR",), 1, focus)
+                self.expect(node, ("orR",), focus)
                 self.need(node.side in (1, 2), "orR without a side")
                 sub = a if node.side == 1 else b
                 self.r_right(store, sub, level, node.children[0])
             case And(a=a, b=b):
-                self.expect(node, ("andR",), 2, focus)
+                self.expect(node, ("andR",), focus)
                 self.r_right(store, a, level, node.children[0])
                 self.r_right(store, b, level, node.children[1])
             case Ex():
-                self.expect(node, ("exR",), 1, focus)
+                self.expect(node, ("exR",), focus)
                 w = self.scoped_witness(node.term, level)
                 self.r_right(store, open_binder(focus, w), level,
                              node.children[0])
             case Eq(l=l, r=r):
-                self.expect(node, ("eqR",), 0, focus)
+                self.expect(node, ("eqR",), focus)
                 self.need(l == r, "right equality is not reflexive when replayed")
             case Tt():
-                self.expect(node, ("ttR",), 0, focus)
+                self.expect(node, ("ttR",), focus)
             case MuAtom(defn=d, args=ts):
                 self.need(d is not SELF, "recursive marker in a replayed atom")
                 if node.rule == "initial":
-                    self.expect(node, ("initial",), 0, focus)
+                    self.expect(node, ("initial",), focus)
                     ix = node.index
                     self.need(ix is not None, "initial without an index")
                     assert ix is not None
@@ -324,48 +322,19 @@ class _Replay:
                               and g.args == ts,
                               "initial step does not match its store entry")
                 else:
-                    self.expect(node, ("unfoldR",), 1, focus)
+                    self.expect(node, ("unfoldR",), focus)
                     self.r_right(store, unfold_mu(d, ts), level,
                                  node.children[0])
             case Imp() | All():
-                self.expect(node, ("releaseR",), 1, focus)
+                self.expect(node, ("releaseR",), focus)
                 self.r_async(store, (), ("un", focus), level, node.children[0])
             case _:
                 raise ReplayError(f"unexpected focus: {focus!r}")
 
 
-# fields a rule's record may carry besides the principal formula; anything
-# else present is tampering even if no check would read it
-_RULE_FIELDS: dict[str, frozenset[str]] = {
-    "exL": frozenset({"term"}),
-    "allR": frozenset({"term"}),
-    "allL": frozenset({"term"}),
-    "exR": frozenset({"term"}),
-    "freeze": frozenset({"index"}),
-    "storeL": frozenset({"index"}),
-    "decideL": frozenset({"index"}),
-    "initial": frozenset({"index"}),
-    "induct_obvious": frozenset({"term", "invariant"}),
-    "orR": frozenset({"side"}),
-}
-_EMPTY: frozenset = frozenset()
-
-
-def _check_shape(trace: TraceNode) -> None:
-    for n in trace.walk():
-        allowed = _RULE_FIELDS.get(n.rule, _EMPTY)
-        if n.formula is None:
-            raise ReplayError(f"{n.rule}: record without a principal formula")
-        for name, value in (("term", n.term), ("index", n.index),
-                            ("invariant", n.invariant), ("side", n.side)):
-            if value is not None and name not in allowed:
-                raise ReplayError(f"{n.rule}: unexpected {name} field")
-
-
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
     """Replay a trace; None when it checks out, else a reason it does not."""
     try:
-        _check_shape(trace)
         _Replay().r_async(tuple(lemmas), (), ("un", goal), 0, trace)
     except ReplayError as e:
         return str(e)

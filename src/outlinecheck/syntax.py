@@ -10,7 +10,8 @@ mentioning an EVar of a strictly larger level.
 
 Bound variables inside formula binders use positional (de Bruijn) indices.
 A `Bound` never escapes its binder in a well-formed formula; the kernel only
-ever works with opened bodies.
+ever works with opened bodies.  Other modules do not number binders: they
+build a formula over named eigenvariables and bind them with close_binders.
 """
 
 from __future__ import annotations
@@ -317,6 +318,21 @@ def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
             return t
 
 
+def close_binders(f: Formula, names: Sequence[EVar],
+                  binder: Callable[[Formula], Formula],
+                  params: Sequence[EVar] = ()) -> Formula:
+    """Wrap `f` in one `binder` per eigenvariable of `names`, outermost
+    first, binding its occurrences; beneath the k new binders params[i]
+    becomes Bound(k + i), as a definition body wants its parameters."""
+    k = len(names)
+    mapping = {z: k - 1 - j for j, z in enumerate(names)}
+    mapping.update((p, k + i) for i, p in enumerate(params))
+    body = map_terms(f, lambda t, depth: close_term(t, mapping, depth))
+    for _ in range(k):
+        body = binder(body)
+    return body
+
+
 # ---------------------------------------------------------------------------
 # traversal helpers
 
@@ -410,6 +426,17 @@ def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
     return None
 
 
+def map_sequent(store: Store, theta: tuple[Formula, ...], rhs: Rhs,
+                fn: Callable[[Term, int], Term]
+                ) -> tuple[Store, tuple[Formula, ...], Rhs]:
+    """Rewrite every term of a sequent (store, workbench and right-hand
+    side) with map_terms; the left equality rule applies its case-split
+    substitution this way."""
+    return (tuple((ix, map_terms(f, fn)) for ix, f in store),
+            tuple(map_terms(f, fn) for f in theta),
+            (rhs[0], map_terms(rhs[1], fn)))
+
+
 # ---------------------------------------------------------------------------
 # obvious invariant synthesis
 
@@ -418,12 +445,15 @@ def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
 YS_HEAD = sym("%ys")
 
 
-def _conj(parts: Sequence[Formula]) -> Formula:
+def _chain(op: Callable[[Formula, Formula], Formula],
+           parts: Sequence[Formula], empty: Formula) -> Formula:
+    """parts joined by the connective `op`, nested to the right; `empty`
+    when there are none."""
     if not parts:
-        return TT
+        return empty
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = And(p, out)
+        out = op(p, out)
     return out
 
 
@@ -462,35 +492,12 @@ def synthesize_obvious_invariants(
     for folded in (hyps, []):
         if folded and any(isinstance(v, MVar) for h in folded for v in formula_vars(h)):
             continue
-        evars: list[EVar] = []
-        seen: set[EVar] = set()
-
-        def note(v) -> None:
-            if isinstance(v, EVar) and v not in seen:
-                seen.add(v)
-                evars.append(v)
-
-        for t in target_args:
-            for v in term_vars(t):
-                note(v)
-        for h in folded:
-            for v in formula_vars(h):
-                note(v)
-        for v in formula_vars(goal):
-            note(v)
-        evars.sort(key=lambda e: e.id)
-
-        k = len(evars)
         params = [fresh_evar(0) for _ in range(arity)]
-        eqs: list[Formula] = [Eq(params[i], target_args[i]) for i in range(arity)]
-        inner: Formula = Imp(_conj(eqs + list(folded)), goal)
-        mapping: dict[EVar, int] = {z: k - 1 - j for j, z in enumerate(evars)}
-        for i, p in enumerate(params):
-            mapping[p] = k + i
-        body = map_terms(inner, lambda t, depth: close_term(t, mapping, depth))
-        for _ in range(k):
-            body = All(body)
-        inv = InvariantAbs(arity, body)
+        eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
+        inner: Formula = Imp(_chain(And, eqs + folded, TT), goal)
+        zs = sorted({v for v in formula_vars(inner) if isinstance(v, EVar)} - set(params),
+                    key=lambda e: (e.id, e.level))
+        inv = InvariantAbs(arity, close_binders(inner, zs, All, params))
         if inv not in out:
             out.append(inv)
     return out

@@ -24,14 +24,20 @@ from .syntax import (
     Hyp, Imp, Index, InvariantAbs, LemmaName, MVar, MuAtom, Or, Term, Tt, sym,
 )
 
-# rule tags: asynchronous, border, then synchronous
-ALL_RULES = frozenset({
-    "andL", "orL", "exL", "eqL", "eqL_clash", "ttL", "ffL",
-    "storeL", "freeze", "unfoldL", "induct_obvious", "impR", "allR", "storeR",
-    "decideL", "decideR",
-    "orR", "andR", "exR", "eqR", "ttR", "unfoldR", "initial",
-    "allL", "impL", "releaseL", "releaseR",
-})
+# every rule's premise count and the fields its record carries besides the
+# principal formula: asynchronous, border, then synchronous rules
+RULES: dict[str, tuple[int, tuple[str, ...]]] = {
+    "andL": (1, ()), "orL": (2, ()), "exL": (1, ("term",)), "eqL": (1, ()),
+    "eqL_clash": (0, ()), "ttL": (1, ()), "ffL": (0, ()),
+    "storeL": (1, ("index",)), "freeze": (1, ("index",)), "unfoldL": (1, ()),
+    "induct_obvious": (1, ("term", "invariant")),
+    "impR": (1, ()), "allR": (1, ("term",)), "storeR": (1, ()),
+    "decideL": (1, ("index",)), "decideR": (1, ()),
+    "orR": (1, ("side",)), "andR": (2, ()), "exR": (1, ("term",)),
+    "eqR": (0, ()), "ttR": (0, ()), "unfoldR": (1, ()), "initial": (0, ("index",)),
+    "allL": (1, ("term",)), "impL": (2, ()), "releaseL": (1, ()), "releaseR": (1, ()),
+}
+ALL_RULES = frozenset(RULES)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,26 @@ def test_parse_error_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_file_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.thm"
+    bad.write_bytes(b"\xff\xfeKind nat type.\n")
+    code, _, err = run(capsys, bad)
+    assert code == 2
+    assert err.count("\n") == 1 and "bad.thm" in err
+
+
+def test_recursion_overflow_exit_two(capsys, tmp_path):
+    deep = tmp_path / "deep.thm"
+    deep.write_text("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+                    "Define is_nat : nat -> prop by\n"
+                    "  is_nat z ;\n  is_nat (s N) := is_nat N.\n"
+                    f"Theorem deep : is_nat {'(s ' * 200}z{')' * 200}.\n"
+                    'ship "(induction 0 0 202)".\n')
+    code, _, err = run(capsys, deep)
+    assert code == 2
+    assert err.count("\n") == 1 and "deep.thm" in err
+
+
 def test_failing_theorem_exit_one(capsys, tmp_path):
     f = tmp_path / "f.thm"
     f.write_text("Kind nat type.\nType z nat.\n"

@@ -14,7 +14,9 @@ from outlinecheck import (
     run_session,
 )
 from outlinecheck.frontend import SAll, SAnd, SAtom, SEq, SImp, SOr, STerm
-from outlinecheck.syntax import And, Eq, Ex, MuAtom, Or, SELF, Bound, con
+from outlinecheck.syntax import (
+    All, And, Bound, EVar, Eq, Ex, MuAtom, Or, SELF, con, formula_vars,
+)
 
 from _util import CORPUS, load_plus
 
@@ -110,6 +112,42 @@ def test_plus_completion_shape():
     assert isinstance(base, Ex)
     # step: exists M N P, (x0 = s M /\ x1 = N /\ x2 = s P) /\ plus M N P
     assert isinstance(step, Ex) and isinstance(step.body, Ex)
+
+
+def test_quantifiers_scope_their_own_names():
+    # the same name at two sorts under two binders
+    src = PRELUDE + (
+        "Kind list type.\nType nil list.\n"
+        "Define is_nat : nat -> prop by is_nat z.\n"
+        "Define is_list : list -> prop by is_list nil.\n"
+        "Theorem t : (forall X, is_nat X -> true) /\\ (forall X, is_list X -> true).\n"
+        'ship "(induction 0 0 0)".\n')
+    goal = elaborate(parse_file(src)).goals["t"]
+    assert isinstance(goal, And) and isinstance(goal.a, All) and isinstance(goal.b, All)
+
+
+def test_quantified_name_is_not_a_clause_variable():
+    el = elaborate(parse_file(PRELUDE + (
+        "Define is_nat : nat -> prop by is_nat z.\n"
+        "Define q : nat -> prop by q X := exists Y, is_nat Y.\n")))
+    is_nat = el.definitions["is_nat"]
+    assert el.definitions["q"].body == Ex(And(Eq(Bound(1), Bound(0)),
+                                              Ex(MuAtom(is_nat, (Bound(0),)))))
+
+
+def test_clause_variable_first_met_under_a_quantifier_is_one_variable():
+    el = elaborate(parse_file(PRELUDE + (
+        "Define le : nat -> nat -> prop by le z N.\n"
+        "Define t : nat -> prop by t X := (exists Y, le Y Z) /\\ le X Z.\n"
+        "Theorem u : forall X, t X -> exists Y, le Y X.\n"
+        'ship "(induction 0 0 0)".\n')))
+    le = el.definitions["le"]
+    # two outer existentials, X (#1) and Z (#0); the parameter is #2
+    assert el.definitions["t"].body == Ex(Ex(And(
+        Eq(Bound(2), Bound(1)),
+        And(Ex(MuAtom(le, (Bound(0), Bound(1)))), MuAtom(le, (Bound(1), Bound(0)))))))
+    for f in [d.body for d in el.definitions.values()] + list(el.goals.values()):
+        assert not any(isinstance(v, EVar) for v in formula_vars(f))
 
 
 def test_zero_clause_definition_compiles_to_false():

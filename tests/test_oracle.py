@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outlinecheck import (
-    MuAtom, UNKNOWN, elaborate, eval_ground, fresh_mvar, parse_file,
+    MuAtom, UNKNOWN, elaborate, eval_ground, fresh_mvar, oracle, parse_file,
 )
 
-from _util import elab_plus, num
+from _util import CORPUS, elab_plus, num
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +47,6 @@ def test_non_ground_query_rejected(el):
         eval_ground(el.definitions.values(), bad, 5)
 
 
-def test_redefined_name_is_not_served_from_cache():
-    src = ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
-           "Define plus : nat -> nat -> nat -> prop by\n"
-           "  plus z N {base} ;\n  plus (s M) N (s P) := plus M N P.\n")
-
-    def plus_1_1_2(base):
-        defs = elaborate(parse_file(src.format(base=base))).definitions
-        return eval_ground(defs.values(),
-                           MuAtom(defs["plus"], (num(1), num(1), num(2))), 20)
-
-    # same name and universe; only the base clause differs
-    assert plus_1_1_2("N") is True
-    assert plus_1_1_2("z") is False
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=6))
@@ -82,3 +67,35 @@ def test_verdicts_never_flip_with_more_fuel(a, b, c, fuel):
     late = eval_ground(defs, atom, fuel + 10)
     if early is not UNKNOWN:
         assert late is early
+
+
+# the cache tests switch definition lists, which empties the cache, so they
+# run after the tests that share its saturations
+
+
+def test_redefined_name_is_not_served_from_cache():
+    src = ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+           "Define plus : nat -> nat -> nat -> prop by\n"
+           "  plus z N {base} ;\n  plus (s M) N (s P) := plus M N P.\n")
+
+    def plus_1_1_2(base):
+        defs = elaborate(parse_file(src.format(base=base))).definitions
+        return eval_ground(defs.values(),
+                           MuAtom(defs["plus"], (num(1), num(1), num(2))), 20)
+
+    # same name and universe; only the base clause differs
+    assert plus_1_1_2("N") is True
+    assert plus_1_1_2("z") is False
+
+
+def test_cache_keeps_only_the_latest_definition_list():
+    text = CORPUS.read_text()
+    for i in range(50):
+        defs = elaborate(parse_file(
+            text.replace("plus", f"plus{i}").replace("is_nat", f"is_nat{i}"))
+        ).definitions
+        query = MuAtom(defs[f"plus{i}"], (num(1), num(1), num(2)))
+        assert eval_ground(defs.values(), query, 20) is True
+    last = tuple((d.name, d.body) for d in defs.values())
+    assert oracle._SAT_CACHE
+    assert {key[0] for key in oracle._SAT_CACHE} == {last}
