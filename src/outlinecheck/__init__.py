@@ -6,7 +6,7 @@ fixed-point definitions, with every accepted proof backed by a replayable
 trace.
 """
 
-from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
+from .fpc import Certificate, FpcDefinition
 from .frontend import (
     ElabError, ParseError, TheoremFile, TheoremResult, elaborate, parse_file,
     run_session,

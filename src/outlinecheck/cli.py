@@ -9,7 +9,9 @@ One verdict line per theorem, machine-parseable and stable:
 Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
 of steps; 2 on usage, file, or parse errors, including a file that is not
-UTF-8 or nests too deeply for the checker's recursion.
+UTF-8 or nests too deeply for the checker's recursion.  Files are checked
+and reported one at a time, so such an error, printed with the file's
+path, keeps the verdicts of the files before it and skips the files after.
 """
 
 from __future__ import annotations
@@ -70,19 +72,17 @@ def main(argv: list[str] | None = None) -> int:
             return _error(f"no such file: {path}")
 
     limits = ResourceLimits(max_steps=args.max_steps)
-    outputs = []
+    failed = False
     for path in args.files:
         try:
-            outputs.append(_check_file(path, limits, args.stop_on_failure))
+            lines, results = _check_file(path, limits, args.stop_on_failure)
         except (ParseError, ElabError, OSError) as e:
-            return _error(str(e))
+            return _error(f"{path}: {e}")
         except UnicodeDecodeError as e:
             return _error(f"{path}: not UTF-8 text (byte {e.start})")
         except RecursionError:
             return _error(f"{path}: nested too deeply for this checker")
 
-    failed = False
-    for path, (lines, results) in zip(args.files, outputs):
         if len(args.files) > 1:
             print(f"== {path}")
         for line in lines:

@@ -1,106 +1,41 @@
 """The clerk and expert interface between the kernel and certificates.
 
 A certificate is an opaque value: the kernel never inspects it, it only
-threads it through the predicates of an `FpcDefinition`.  Clerks accompany
-invertible rules and merely transform the certificate; experts accompany
-choice rules and return the alternatives the kernel is allowed to try, in
+threads it through the predicates of an `FpcDefinition`.  The interface
+holds only the five predicates at which a certificate makes a choice: the
+clerk that names a stored hypothesis, and the experts for deciding, for
+unfolding a fixed point on the left and on the right, and for the obvious
+induction.  Each returns the alternatives the kernel is allowed to try, in
 order.  Every predicate must be pure: same inputs, same outputs, and no
 mutation of the certificate or of anything reachable from it.
 
 Returning an empty list forbids the corresponding rule outright, which is
-how a certificate format expresses budgets and gating.
+how a certificate format expresses budgets and gating.  Every other rule
+the kernel fires by itself, passing the certificate through unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
-from .syntax import Index, Term
+from .syntax import Index
 
 Certificate = Any
 
 
-# -- option values returned by experts
-
-
-class _AnyFrozen:
-    def __repr__(self) -> str:
-        return "<any-frozen>"
-
-
-ANY_FROZEN = _AnyFrozen()
-IndexOption = Union[Index, _AnyFrozen]
-
-
-class _Fresh:
-    def __repr__(self) -> str:
-        return "<fresh>"
-
-
-FRESH = _Fresh()
-TermOption = Union[Term, _Fresh]
-
-
 class FpcDefinition:
-    """Base class; the default behaviour forbids everything.
+    """Base class; the default behaviour forbids every choice.
 
     Subclasses override the predicates they care about.  Alternatives are
     returned as sequences and tried by the kernel in the given order.
     """
 
-    # -- asynchronous clerks
-
-    def andl_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def orl_clerk(self, cert: Certificate) -> Sequence[tuple[Certificate, Certificate]]:
-        return ()
-
-    def exl_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def eql_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def ttl_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def ffl_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def impr_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def allr_clerk(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
     def store_clerk(self, cert: Certificate) -> Sequence[tuple[Certificate, Index]]:
         """Consulted when a formula moves to the store; computes its index."""
         return ()
 
-    # -- experts
-
     def decide_expert(self, cert: Certificate) -> Sequence[tuple[Certificate, Index]]:
-        return ()
-
-    def decide_right_expert(self, cert: Certificate) -> Sequence[Certificate]:
-        return ()
-
-    def initial_expert(self, cert: Certificate) -> Sequence[IndexOption]:
-        return ()
-
-    def or_expert(self, cert: Certificate) -> Sequence[tuple[Certificate, int]]:
-        """Alternatives are (continuation, side) with side 1 or 2."""
-        return ()
-
-    def and_expert(self, cert: Certificate) -> Sequence[tuple[Certificate, Certificate]]:
-        return ()
-
-    def some_expert(self, cert: Certificate) -> Sequence[tuple[Certificate, TermOption]]:
-        """Witness choices for right existentials and left universals."""
-        return ()
-
-    def true_expert(self, cert: Certificate) -> Sequence[Certificate]:
+        """Store entries a border sequent may decide on (decideL)."""
         return ()
 
     def unfold_left_expert(self, cert: Certificate) -> Sequence[Certificate]:

@@ -435,10 +435,7 @@ class ElabError(Exception):
 
 @dataclass
 class Elaborated:
-    sorts: set[str]
-    constructors: dict[str, tuple[tuple[str, ...], str]]
     definitions: dict[str, Definition]
-    def_sorts: dict[str, tuple[str, ...]]
     theorems: list[TheoremDecl]
     goals: dict[str, Formula]
 
@@ -632,8 +629,7 @@ def elaborate(file: TheoremFile) -> Elaborated:
             case TheoremDecl():
                 goals[d.name] = el.theorem(d, set(goals))
                 theorems.append(d)
-    return Elaborated(el.sorts, el.constructors, el.definitions,
-                      el.def_sorts, theorems, goals)
+    return Elaborated(el.definitions, theorems, goals)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,14 @@ The kernel runs a focused sequent search over three phases:
 * synchronous: left or right focus applies non-invertible rules until the
   focus is released back to the asynchronous phase or the branch closes.
 
-All choices are delegated to the clerks and experts of an FpcDefinition.
+The certificate is asked only where an outline can choose: which store
+entry to decide on, which index a stored formula gets, whether a fixed
+point may be unfolded on either side, and whether the obvious induction
+may fire (see `fpc`).  Every other rule fires by itself with the
+certificate unchanged: the invertible rules, decideR, ttR and ffL always;
+orR tries side 1, then side 2; exR and allL take a fresh metavariable;
+initial tries each stored atom of the same definition, in store order.
+
 Alternatives are explored depth first with full backtracking: every prove
 function is a generator of trace nodes, so an exhausted inner premise can
 pull the next solution of an outer one.  Metavariable bindings live in a
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
+from .fpc import Certificate, FpcDefinition
 from .syntax import (
     SELF, YS_HEAD, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, Index,
     InvariantAbs, MuAtom, Or, Rhs, Store, StructuralError, Term, Tt,
@@ -101,20 +108,17 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         c, rest = theta[0], theta[1:]
         match c:
             case And(a=a, b=b):
-                for k1 in fpc.andl_clerk(cert):
-                    for t in _async(ctx, store, (a, b) + rest, rhs, k1, level):
-                        yield TraceNode("andL", (t,), formula=c)
+                for t in _async(ctx, store, (a, b) + rest, rhs, cert, level):
+                    yield TraceNode("andL", (t,), formula=c)
             case Or(a=a, b=b):
-                for k1, k2 in fpc.orl_clerk(cert):
-                    for t1 in _async(ctx, store, (a,) + rest, rhs, k1, level):
-                        for t2 in _async(ctx, store, (b,) + rest, rhs, k2, level):
-                            yield TraceNode("orL", (t1, t2), formula=c)
+                for t1 in _async(ctx, store, (a,) + rest, rhs, cert, level):
+                    for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level):
+                        yield TraceNode("orL", (t1, t2), formula=c)
             case Ex():
-                for k1 in fpc.exl_clerk(cert):
-                    e = fresh_evar(level + 1)
-                    sub = open_binder(c, e)
-                    for t in _async(ctx, store, (sub,) + rest, rhs, k1, level + 1):
-                        yield TraceNode("exL", (t,), formula=c, term=e)
+                e = fresh_evar(level + 1)
+                sub = open_binder(c, e)
+                for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1):
+                    yield TraceNode("exL", (t,), formula=c, term=e)
             case Eq(l=l, r=r):
                 cp = binds.mark()
                 out, sigma = binds.unify_case_split(l, r)
@@ -123,21 +127,18 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 elif out is OK:
                     if sigma:
                         store2, rest2, rhs2 = map_sequent(
-                            store, rest, rhs, lambda t, _: binds.resolve_under(t, sigma))
+                            store, rest, rhs, lambda t, _: binds.resolve(t, sigma))
                     else:
                         store2, rest2, rhs2 = store, rest, rhs
-                    for k1 in fpc.eql_clerk(cert):
-                        for t in _async(ctx, store2, rest2, rhs2, k1, level):
-                            yield TraceNode("eqL", (t,), formula=c)
+                    for t in _async(ctx, store2, rest2, rhs2, cert, level):
+                        yield TraceNode("eqL", (t,), formula=c)
                     binds.undo(cp)
                 # a scope-indeterminate equation fails the branch
             case Tt():
-                for k1 in fpc.ttl_clerk(cert):
-                    for t in _async(ctx, store, rest, rhs, k1, level):
-                        yield TraceNode("ttL", (t,), formula=c)
+                for t in _async(ctx, store, rest, rhs, cert, level):
+                    yield TraceNode("ttL", (t,), formula=c)
             case Ff():
-                if fpc.ffl_clerk(cert):
-                    yield TraceNode("ffL", formula=c)
+                yield TraceNode("ffL", formula=c)
             case MuAtom(defn=d, args=ts):
                 if d is SELF:
                     raise StructuralError("recursive marker escaped a definition body")
@@ -176,15 +177,13 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
     if kind == "un":
         match f:
             case Imp(a=a, b=b):
-                for k1 in fpc.impr_clerk(cert):
-                    for t in _async(ctx, store, (a,), ("un", b), k1, level):
-                        yield TraceNode("impR", (t,), formula=f)
+                for t in _async(ctx, store, (a,), ("un", b), cert, level):
+                    yield TraceNode("impR", (t,), formula=f)
             case All():
-                for k1 in fpc.allr_clerk(cert):
-                    e = fresh_evar(level + 1)
-                    sub = open_binder(f, e)
-                    for t in _async(ctx, store, (), ("un", sub), k1, level + 1):
-                        yield TraceNode("allR", (t,), formula=f, term=e)
+                e = fresh_evar(level + 1)
+                sub = open_binder(f, e)
+                for t in _async(ctx, store, (), ("un", sub), cert, level + 1):
+                    yield TraceNode("allR", (t,), formula=f, term=e)
             case _:
                 for t in _async(ctx, store, (), ("st", f), cert, level):
                     yield TraceNode("storeR", (t,), formula=f)
@@ -197,9 +196,8 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
             continue
         for t in _left_focus(ctx, store, g, f, k1, level):
             yield TraceNode("decideL", (t,), formula=g, index=ix)
-    for k1 in fpc.decide_right_expert(cert):
-        for t in _right_focus(ctx, store, f, k1, level):
-            yield TraceNode("decideR", (t,), formula=f)
+    for t in _right_focus(ctx, store, f, cert, level):
+        yield TraceNode("decideR", (t,), formula=f)
 
 
 def _invariance(ctx: _Ctx, store: Store, d: Definition, inv: InvariantAbs,
@@ -214,17 +212,13 @@ def _invariance(ctx: _Ctx, store: Store, d: Definition, inv: InvariantAbs,
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
                 cert: Certificate, level: int) -> Iterator[TraceNode]:
     ctx.tick()
-    fpc = ctx.fpc
     match focus:
         case All():
-            for k1, w in fpc.some_expert(cert):
-                t = fresh_mvar(level) if w is FRESH else w
-                sub = open_binder(focus, t)
-                for tr in _left_focus(ctx, store, sub, goal, k1, level):
-                    yield TraceNode("allL", (tr,), formula=focus, term=t)
+            t = fresh_mvar(level)
+            sub = open_binder(focus, t)
+            for tr in _left_focus(ctx, store, sub, goal, cert, level):
+                yield TraceNode("allL", (tr,), formula=focus, term=t)
         case Imp(a=a, b=b):
-            # both premises share the certificate; there is no dedicated
-            # expert for splitting an implication under focus
             for t1 in _right_focus(ctx, store, a, cert, level):
                 for t2 in _left_focus(ctx, store, b, goal, cert, level):
                     yield TraceNode("impL", (t1, t2), formula=focus)
@@ -237,52 +231,42 @@ def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
 def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
                  cert: Certificate, level: int) -> Iterator[TraceNode]:
     ctx.tick()
-    fpc = ctx.fpc
     binds = ctx.binds
     match focus:
         case Or(a=a, b=b):
-            for k1, side in fpc.or_expert(cert):
-                sub = a if side == 1 else b
-                for t in _right_focus(ctx, store, sub, k1, level):
+            for side, sub in ((1, a), (2, b)):
+                for t in _right_focus(ctx, store, sub, cert, level):
                     yield TraceNode("orR", (t,), formula=focus, side=side)
         case And(a=a, b=b):
-            for k1, k2 in fpc.and_expert(cert):
-                for t1 in _right_focus(ctx, store, a, k1, level):
-                    for t2 in _right_focus(ctx, store, b, k2, level):
-                        yield TraceNode("andR", (t1, t2), formula=focus)
+            for t1 in _right_focus(ctx, store, a, cert, level):
+                for t2 in _right_focus(ctx, store, b, cert, level):
+                    yield TraceNode("andR", (t1, t2), formula=focus)
         case Ex():
-            for k1, w in fpc.some_expert(cert):
-                t = fresh_mvar(level) if w is FRESH else w
-                sub = open_binder(focus, t)
-                for tr in _right_focus(ctx, store, sub, k1, level):
-                    yield TraceNode("exR", (tr,), formula=focus, term=t)
+            t = fresh_mvar(level)
+            sub = open_binder(focus, t)
+            for tr in _right_focus(ctx, store, sub, cert, level):
+                yield TraceNode("exR", (tr,), formula=focus, term=t)
         case Eq(l=l, r=r):
             cp = binds.mark()
             if binds.unify(l, r):
                 yield TraceNode("eqR", formula=focus)
                 binds.undo(cp)
         case Tt():
-            if fpc.true_expert(cert):
-                yield TraceNode("ttR", formula=focus)
+            yield TraceNode("ttR", formula=focus)
         case Ff():
             return
         case MuAtom(defn=d, args=ts):
             if d is SELF:
                 raise StructuralError("recursive marker escaped a definition body")
-            for iopt in fpc.initial_expert(cert):
-                if iopt is ANY_FROZEN:
-                    candidates = [(ix, g) for ix, g in store
-                                  if isinstance(g, MuAtom) and g.defn is d]
-                else:
-                    g = store_lookup(store, iopt)
-                    candidates = [(iopt, g)] if isinstance(g, MuAtom) and g.defn is d else []
-                for ix, g in candidates:
-                    ctx.tick()
-                    cp = binds.mark()
-                    if all(binds.unify(x, y) for x, y in zip(ts, g.args)):
-                        yield TraceNode("initial", formula=focus, index=ix)
-                    binds.undo(cp)
-            for k1 in fpc.unfold_right_expert(cert):
+            for ix, g in store:
+                if not (isinstance(g, MuAtom) and g.defn is d):
+                    continue
+                ctx.tick()
+                cp = binds.mark()
+                if all(binds.unify(x, y) for x, y in zip(ts, g.args)):
+                    yield TraceNode("initial", formula=focus, index=ix)
+                binds.undo(cp)
+            for k1 in ctx.fpc.unfold_right_expert(cert):
                 sub = unfold_mu(d, ts)
                 for t in _right_focus(ctx, store, sub, k1, level):
                     yield TraceNode("unfoldR", (t,), formula=focus)

@@ -1,15 +1,18 @@
 """Proof-outline certificates: budgeted "induct, then chain lemmas" checking.
 
 An outline gives three budgets — decides `d`, left unfolds `uA`, right
-unfolds `uS` — and optionally a lemma supply.  The FPC below elaborates an
-outline as follows: on the way in (invertible phase) every fixed point may
-be frozen, unfolded within `uA`, or taken as the induction target with the
-obvious invariant; once an induction has fired, no further induction is
-offered.  At a border sequent, deciding on the stored goal is always
-allowed, while deciding on a lemma or a stored hypothesis consumes one
-unit of `d`.  Under right focus a fixed point may close against any frozen
-atom or unfold within `uS`.  Witnesses are always fresh metavariables; the
-kernel's backtracking resolves them.
+unfolds `uS` — and optionally a lemma supply.  The FPC below answers the
+five choices the kernel asks a certificate about (see `fpc`): on the way in
+(invertible phase) every fixed point may be frozen under the next
+hypothesis serial, unfolded within `uA`, or taken as the induction target
+with the obvious invariant; once an induction has fired, no further
+induction is offered.  At a border sequent, deciding on a lemma or a
+stored hypothesis consumes one unit of `d`.  Under right focus a fixed
+point may unfold within `uS`.  The kernel decides the rest by itself:
+deciding on the stored goal is always allowed, a fixed point may close
+against any stored atom (an atomic lemma too, without spending `d` and
+whatever the lemma supply), and witnesses are fresh metavariables that its
+backtracking resolves.
 
 Concrete syntax (shipped with each theorem):
 
@@ -17,11 +20,11 @@ Concrete syntax (shipped with each theorem):
     (induction D (lemmas N1 ... Nk) UA US)
     (tree T D UA US)      with T ::= NAME | (NAME T1 ... Tn)
 
-The lemma supply is (i) everything previously proved, (ii) the listed
-names, or (iii) a tree of names: a decide may use any currently exposed
-root, which then exposes that node's children for the conjunctive
-subproofs.  Tree decides are bounded by the tree itself; in tree form `d`
-budgets only decides on stored hypotheses.
+The lemma supply is (i) everything previously proved, in table order,
+(ii) the listed names, or (iii) a tree of names: a decide may use any
+currently exposed root, which then exposes that node's children for the
+conjunctive subproofs.  Tree decides are bounded by the tree itself; in
+tree form `d` budgets only decides on stored hypotheses.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
-from .fpc import ANY_FROZEN, FRESH, Certificate, FpcDefinition
+from .fpc import Certificate, FpcDefinition
 from .syntax import Hyp, Index, LemmaName, Sym, sym
 from .trace import SExp, TraceFormatError, parse_sexp
 
@@ -128,10 +131,9 @@ class OutlineState:
     uS: int
     inducted: bool
     hyps: int  # highest allocated hypothesis serial
-    # lemma supply: None = the whole table, a tuple of names, or exposed trees
-    supply: Union[None, tuple[Sym, ...], tuple[Tree, ...]]
+    # lemma supply: a tuple of names, or the exposed trees in tree mode
+    supply: Union[tuple[Sym, ...], tuple[Tree, ...]]
     tree_mode: bool
-    table: tuple[Sym, ...]
 
 
 def initial_state(cert: OutlineCert, table: Sequence[Sym]) -> OutlineState:
@@ -145,47 +147,22 @@ def initial_state(cert: OutlineCert, table: Sequence[Sym]) -> OutlineState:
 
     match cert:
         case Induction(d=d, uA=a, uS=s):
-            return OutlineState(d, a, s, False, 0, None, False, table)
+            return OutlineState(d, a, s, False, 0, table, False)
         case WithLemmas(d=d, names=ns, uA=a, uS=s):
             check_names(ns)
-            return OutlineState(d, a, s, False, 0, ns, False, table)
+            return OutlineState(d, a, s, False, 0, ns, False)
         case LemmaTree(root=t, d=d, uA=a, uS=s):
             def walk(node: Tree) -> None:
                 check_names((node[0],))
                 for c in node[1]:
                     walk(c)
             walk(t)
-            return OutlineState(d, a, s, False, 0, (t,), True, table)
+            return OutlineState(d, a, s, False, 0, (t,), True)
     raise OutlineError(f"not an outline certificate: {cert!r}")
 
 
 class OutlineFpc(FpcDefinition):
     """Clerks and experts realising the outline policy on OutlineState."""
-
-    # invertible rules pass the state through
-    def andl_clerk(self, cert):
-        return (cert,)
-
-    def orl_clerk(self, cert):
-        return ((cert, cert),)
-
-    def exl_clerk(self, cert):
-        return (cert,)
-
-    def eql_clerk(self, cert):
-        return (cert,)
-
-    def ttl_clerk(self, cert):
-        return (cert,)
-
-    def ffl_clerk(self, cert):
-        return (cert,)
-
-    def impr_clerk(self, cert):
-        return (cert,)
-
-    def allr_clerk(self, cert):
-        return (cert,)
 
     def store_clerk(self, cert):
         n = cert.hyps + 1
@@ -207,32 +184,13 @@ class OutlineFpc(FpcDefinition):
         if cert.d <= 0:
             return ()
         nxt = replace(cert, d=cert.d - 1)
-        names = cert.table if cert.supply is None else cert.supply
-        for n in names:
+        for n in cert.supply:
             out.append((nxt, LemmaName(n)))
         for k in range(1, cert.hyps + 1):
             out.append((nxt, Hyp(k)))
         return out
 
-    def decide_right_expert(self, cert):
-        return (cert,)
-
-    # synchronous experts
-    def initial_expert(self, cert):
-        return (ANY_FROZEN,)
-
-    def or_expert(self, cert):
-        return ((cert, 1), (cert, 2))
-
-    def and_expert(self, cert):
-        return ((cert, cert),)
-
-    def some_expert(self, cert):
-        return ((cert, FRESH),)
-
-    def true_expert(self, cert):
-        return (cert,)
-
+    # fixed points
     def unfold_left_expert(self, cert):
         if cert.uA <= 0:
             return ()

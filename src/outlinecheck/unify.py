@@ -59,25 +59,29 @@ class BindingStore:
 
     # -- resolution
 
-    def walk(self, t: Term) -> Term:
-        """Follow bindings at the head only."""
-        while isinstance(t, MVar):
-            b = self.bindings.get(t.id)
-            if b is None:
+    def walk(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
+        """Follow bindings, and sigma's eigenvariable assignments if given,
+        at the head only."""
+        while True:
+            if isinstance(t, MVar):
+                b = self.bindings.get(t.id)
+                if b is None:
+                    return t
+                t = b
+            elif sigma is not None and isinstance(t, EVar):
+                b = sigma.get(t)
+                if b is None:
+                    return t
+                t = b
+            else:
                 return t
-            t = b
-        return t
 
-    def resolve(self, t: Term) -> Term:
-        """Substitute all bindings, recursively."""
-        t = self.walk(t)
+    def resolve(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
+        """Substitute all bindings, and sigma if given, recursively."""
+        t = self.walk(t, sigma)
         if isinstance(t, App) and t.args:
-            return App(t.head, tuple(self.resolve(x) for x in t.args))
+            return App(t.head, tuple(self.resolve(x, sigma) for x in t.args))
         return t
-
-    def resolve_under(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
-        """Like resolve, but also applies an eigenvariable substitution."""
-        return self._deep(t, sigma)
 
     def _bind(self, v: MVar, t: Term) -> None:
         self.bindings[v.id] = t
@@ -110,37 +114,16 @@ class BindingStore:
         if sigma:
             # make sigma idempotent and push it through any bindings that
             # were recorded during this call
-            sigma = {e: self._deep(t, sigma) for e, t in sigma.items()}
+            sigma = {e: self.resolve(t, sigma) for e, t in sigma.items()}
             for key in self.trail[cp:]:
-                self.bindings[key] = self._deep(self.bindings[key], sigma)
+                self.bindings[key] = self.resolve(self.bindings[key], sigma)
         return OK, sigma
 
     # -- internals
 
-    def _walk2(self, t: Term, sigma: dict[EVar, Term] | None) -> Term:
-        while True:
-            if isinstance(t, MVar):
-                b = self.bindings.get(t.id)
-                if b is None:
-                    return t
-                t = b
-            elif sigma is not None and isinstance(t, EVar):
-                b = sigma.get(t)
-                if b is None:
-                    return t
-                t = b
-            else:
-                return t
-
-    def _deep(self, t: Term, sigma: dict[EVar, Term] | None) -> Term:
-        t = self._walk2(t, sigma)
-        if isinstance(t, App) and t.args:
-            return App(t.head, tuple(self._deep(x, sigma) for x in t.args))
-        return t
-
     def _unify(self, a: Term, b: Term, sigma: dict[EVar, Term] | None) -> str:
-        a = self._walk2(a, sigma)
-        b = self._walk2(b, sigma)
+        a = self.walk(a, sigma)
+        b = self.walk(b, sigma)
         if a == b:
             return OK
         if isinstance(a, Bound) or isinstance(b, Bound):
@@ -169,15 +152,15 @@ class BindingStore:
         # metavariable whose level exceeds v's
         out = self._scan(v, t, sigma)
         if out is not OK:
-            if sigma is not None and isinstance(self._walk2(t, sigma), EVar):
+            if sigma is not None and isinstance(self.walk(t, sigma), EVar):
                 # the flexible side can absorb the binding instead
-                return self._bind_evar(self._walk2(t, sigma), v, sigma)
+                return self._bind_evar(self.walk(t, sigma), v, sigma)
             return out
         self._bind(v, t)
         return OK
 
     def _scan(self, v: MVar, t: Term, sigma: dict[EVar, Term] | None) -> str:
-        t = self._walk2(t, sigma)
+        t = self.walk(t, sigma)
         match t:
             case MVar():
                 if t.id == v.id:
@@ -204,7 +187,7 @@ class BindingStore:
         return OK
 
     def _occurs_evar(self, e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
-        t = self._walk2(t, sigma)
+        t = self.walk(t, sigma)
         match t:
             case EVar():
                 return t == e

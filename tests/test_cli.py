@@ -59,6 +59,18 @@ def test_parse_error_exit_two(capsys, tmp_path):
     bad.write_text("Kind nat type\n")
     code, _, err = run(capsys, bad)
     assert code == 2
+    assert "bad.thm" in err
+
+
+def test_bad_file_keeps_earlier_verdicts(capsys, tmp_path):
+    bad = tmp_path / "bad.thm"
+    bad.write_text("Kind nat type\n")
+    code, lines, err = run(capsys, CORPUS, bad)
+    assert code == 2
+    assert lines[0] == f"== {CORPUS}"
+    assert len(lines) == 6
+    assert all(OK_LINE.match(ln) for ln in lines[1:])
+    assert err.count("\n") == 1 and "bad.thm" in err
 
 
 def test_non_utf8_file_exit_two(capsys, tmp_path):

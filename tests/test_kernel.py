@@ -184,7 +184,12 @@ def test_rejected_search_restores_state(el):
     assert isinstance(r, Rejected)
 
 
-def test_default_fpc_forbids_everything():
-    r = kernel.check((), Eq(num(0), num(0)), object(), FpcDefinition(),
-                     ResourceLimits(max_steps=1000))
+def test_default_fpc_forbids_everything(el):
+    # every choice is forbidden, so a fixed point cannot be unfolded; rules
+    # that take no certificate choice still fire: storeR, decideR, eqR
+    limits = ResourceLimits(max_steps=1000)
+    r = kernel.check((), is_nat_atom(el, 0), object(), FpcDefinition(), limits)
     assert isinstance(r, Rejected)
+    r = kernel.check((), Eq(num(0), num(0)), object(), FpcDefinition(), limits)
+    assert isinstance(r, Accepted)
+    assert r.steps == 3

@@ -9,16 +9,19 @@ from outlinecheck import (
     Accepted,
     Induction,
     LemmaTree,
+    MuAtom,
     OUTLINE_FPC,
     OutlineError,
+    Rejected,
     WithLemmas,
+    count_rule,
     initial_state,
     parse_outline,
     sym,
 )
 from outlinecheck.syntax import Hyp, LemmaName
 
-from _util import check_outline, elab_plus
+from _util import check_outline, elab_plus, num
 
 
 # -- grammar
@@ -138,6 +141,23 @@ def test_store_allocates_increasing_serials():
     [(st1, ix1)] = OUTLINE_FPC.store_clerk(st0)
     [(st2, ix2)] = OUTLINE_FPC.store_clerk(st1)
     assert (ix1, ix2) == (Hyp(1), Hyp(2))
+
+
+# -- initial closes against any stored atom, atomic lemmas included, outside
+# the decide budget and the lemma supply
+
+
+def test_initial_reaches_atomic_lemmas_outside_the_supply():
+    el = elab_plus()
+    is_nat = el.definitions["is_nat"]
+    lemmas = [(LemmaName(sym("two")), MuAtom(is_nat, (num(2),)))]
+    goal = MuAtom(is_nat, (num(3),))
+    r = check_outline(el, goal, "(induction 0 (lemmas) 0 1)", lemmas)
+    assert isinstance(r, Accepted)
+    assert count_rule(r.trace, "decideL") == 0
+    assert count_rule(r.trace, "initial") == 1
+    r = check_outline(el, goal, "(induction 0 (lemmas) 0 0)", lemmas)
+    assert isinstance(r, Rejected)
 
 
 # -- refinement property: if a lemma list suffices, the unrestricted
