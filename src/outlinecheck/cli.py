@@ -8,10 +8,11 @@ One verdict line per theorem, machine-parseable and stable:
 
 Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
-of steps; 2 on usage, file, or parse errors, including a file that is not
-UTF-8 or nests too deeply for the checker's recursion.  Files are checked
-and reported one at a time, so such an error, printed with the file's
-path, keeps the verdicts of the files before it and skips the files after.
+of steps; 2 on usage, file, parse or trace-writing errors, including a
+file that is not UTF-8 or nests too deeply for the checker's recursion.
+Files are checked and reported one at a time, so such an error, printed
+with the path, keeps the verdicts of the files before it and skips the
+files after.
 """
 
 from __future__ import annotations
@@ -91,12 +92,16 @@ def main(argv: list[str] | None = None) -> int:
 
         accepted = [r for r in results if r.outcome == "ok"]
         if args.trace:
-            args.trace.mkdir(parents=True, exist_ok=True)
-            for r in accepted:
-                assert r.trace is not None
-                out = args.trace / f"{path.stem}.{r.name}.trace"
-                out.write_text("\n".join(trace_to_lines(r.trace)) + "\n",
-                               encoding="utf-8")
+            try:
+                args.trace.mkdir(parents=True, exist_ok=True)
+                for r in accepted:
+                    assert r.trace is not None
+                    out = args.trace / f"{path.stem}.{r.name}.trace"
+                    out.write_text("\n".join(trace_to_lines(r.trace)) + "\n",
+                                   encoding="utf-8")
+            except OSError as e:
+                return _error(f"cannot write trace {e.filename or args.trace}:"
+                              f" {e.strerror or e}")
         if args.replay:
             bad = []
             for r in accepted:

@@ -40,25 +40,25 @@ def _is_ground(t: Term) -> bool:
 
 
 # Saturation is deterministic for a given definition list and universe, so
-# its round-by-round history is shared between queries: the cache maps
-# (definitions, universe) to the cumulative fact set after each round plus a
-# flag telling whether a fixed point was reached at the last round.  A
+# its history is shared between queries: the cache maps (definitions,
+# universe) to the round in which each fact was first derived, the number
+# of rounds run, and a flag telling whether the last round added nothing.  A
 # definition is keyed by its body as well as its name, since two sessions
 # may define the same name differently.  Only the most recent definition
 # list is kept: a query under another list empties the cache, so it cannot
 # grow with every session a process checks.
-_SAT_CACHE: dict[tuple, tuple[list[frozenset[Fact]], bool]] = {}
+_SAT_CACHE: dict[tuple, tuple[dict[Fact, int], int, bool]] = {}
 
 
 def _saturation(defs: list[Definition], terms: list[Term], fuel: int
-                ) -> tuple[list[frozenset[Fact]], bool]:
+                ) -> tuple[dict[Fact, int], int, bool]:
     key = (tuple((d.name, d.body) for d in defs), tuple(terms))
     if next(iter(_SAT_CACHE), key)[0] != key[0]:
         _SAT_CACHE.clear()
-    rounds, done = _SAT_CACHE.get(key, ([], False))
-    if done or len(rounds) >= fuel:
-        return rounds, done
-    facts: set[Fact] = set(rounds[-1]) if rounds else set()
+    first, rounds, done = _SAT_CACHE.get(key, ({}, 0, False))
+    if done or rounds >= fuel:
+        return first, rounds, done
+    first = dict(first)  # a cut-short round must not reach the cache
 
     def holds(f: Formula) -> bool:
         match f:
@@ -81,25 +81,25 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
             case MuAtom(defn=d, args=ts):
                 if d is SELF:
                     raise ValueError("recursive marker outside its definition")
-                return (d.name.name, ts) in facts
+                return (d.name.name, ts) in first
         raise TypeError(f"not a formula: {f!r}")
 
-    while len(rounds) < fuel and not done:
+    while rounds < fuel and not done:
         added = False
         for d in defs:
             for args in product(terms, repeat=d.arity):
                 fact = (d.name.name, args)
-                if fact in facts:
+                if fact in first:
                     continue
                 # unfolding replaces recursive markers with named atoms,
-                # which holds() looks up in the current fact set
+                # which holds() looks up among the facts derived so far
                 if holds(unfold_mu(d, args)):
-                    facts.add(fact)
+                    first[fact] = rounds
                     added = True
-        rounds.append(frozenset(facts))
+        rounds += 1
         done = not added
-    _SAT_CACHE[key] = (rounds, done)
-    return rounds, done
+    _SAT_CACHE[key] = (first, rounds, done)
+    return first, rounds, done
 
 
 def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
@@ -113,10 +113,9 @@ def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
     terms = sorted(universe, key=repr)
     goal: Fact = (atom.defn.name.name, atom.args)
 
-    rounds, done = _saturation(list(defs), terms, fuel)
-    for i, facts in enumerate(rounds[:fuel]):
-        if goal in facts:
-            return True
-        if done and i == len(rounds) - 1:
-            return False
+    first, rounds, done = _saturation(list(defs), terms, fuel)
+    if first.get(goal, fuel) < fuel:
+        return True
+    if done and rounds <= fuel:
+        return False
     return UNKNOWN

@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
-from .syntax import Hyp, Index, LemmaName, Sym, sym
-from .trace import SExp, TraceFormatError, parse_sexp
+from .syntax import (
+    Hyp, Index, LemmaName, SExp, Sym, TraceFormatError, parse_sexp, sym,
+)
 
 
 class OutlineError(Exception):

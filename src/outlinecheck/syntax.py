@@ -12,6 +12,10 @@ Bound variables inside formula binders use positional (de Bruijn) indices.
 A `Bound` never escapes its binder in a well-formed formula; the kernel only
 ever works with opened bodies.  Other modules do not number binders: they
 build a formula over named eigenvariables and bind them with close_binders.
+
+This module also owns the concrete syntax: every term, formula, index and
+invariant prints as the s-expression a trace file holds, and the readers
+at the end of the module read it back.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class EVar:
     level: int
 
     def __repr__(self) -> str:
-        return f"e{self.id}@{self.level}"
+        return f"(ev {self.id} {self.level})"
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class MVar:
     level: int
 
     def __repr__(self) -> str:
-        return f"?{self.id}@{self.level}"
+        return f"(mv {self.id} {self.level})"
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class Bound:
     index: int
 
     def __repr__(self) -> str:
-        return f"#{self.index}"
+        return f"(bv {self.index})"
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class _Self:
     """Marker for the recursive occurrence inside a definition body."""
 
     def __repr__(self) -> str:
-        return "<self>"
+        return "%self"
 
 
 SELF = _Self()
@@ -144,11 +148,17 @@ class Eq:
     l: Term
     r: Term
 
+    def __repr__(self) -> str:
+        return f"(eq {self.l!r} {self.r!r})"
+
 
 @dataclass(frozen=True)
 class And:
     a: "Formula"
     b: "Formula"
+
+    def __repr__(self) -> str:
+        return f"(and {self.a!r} {self.b!r})"
 
 
 @dataclass(frozen=True)
@@ -156,21 +166,33 @@ class Or:
     a: "Formula"
     b: "Formula"
 
+    def __repr__(self) -> str:
+        return f"(or {self.a!r} {self.b!r})"
+
 
 @dataclass(frozen=True)
 class Imp:
     a: "Formula"
     b: "Formula"
 
+    def __repr__(self) -> str:
+        return f"(imp {self.a!r} {self.b!r})"
+
 
 @dataclass(frozen=True)
 class All:
     body: "Formula"
 
+    def __repr__(self) -> str:
+        return f"(all {self.body!r})"
+
 
 @dataclass(frozen=True)
 class Ex:
     body: "Formula"
+
+    def __repr__(self) -> str:
+        return f"(ex {self.body!r})"
 
 
 @dataclass(frozen=True)
@@ -178,15 +200,21 @@ class MuAtom:
     defn: Union[Definition, _Self]
     args: tuple[Term, ...]
 
+    def __repr__(self) -> str:
+        name = "%self" if self.defn is SELF else self.defn.name.name
+        return f"(mu {name}{''.join(' ' + repr(t) for t in self.args)})"
+
 
 @dataclass(frozen=True)
 class Tt:
-    pass
+    def __repr__(self) -> str:
+        return "tt"
 
 
 @dataclass(frozen=True)
 class Ff:
-    pass
+    def __repr__(self) -> str:
+        return "ff"
 
 
 TT = Tt()
@@ -292,6 +320,9 @@ class InvariantAbs:
     arity: int
     body: Formula
 
+    def __repr__(self) -> str:
+        return f"(inv {self.arity} {self.body!r})"
+
 
 def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     if len(args) != s.arity:
@@ -345,25 +376,19 @@ def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
                 yield from term_vars(x)
 
 
-def formula_terms(f: Formula) -> Iterator[Term]:
+def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
     match f:
         case Eq(l=l, r=r):
-            yield l
-            yield r
+            yield from term_vars(l)
+            yield from term_vars(r)
         case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
-            yield from formula_terms(a)
-            yield from formula_terms(b)
+            yield from formula_vars(a)
+            yield from formula_vars(b)
         case All(body=b) | Ex(body=b):
-            yield from formula_terms(b)
+            yield from formula_vars(b)
         case MuAtom(args=ts):
-            yield from ts
-        case Tt() | Ff():
-            return
-
-
-def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
-    for t in formula_terms(f):
-        yield from term_vars(t)
+            for t in ts:
+                yield from term_vars(t)
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term]) -> Formula:
@@ -402,7 +427,7 @@ class LemmaName:
     name: Sym
 
     def __repr__(self) -> str:
-        return f"lemma:{self.name}"
+        return f"(lemma {self.name})"
 
 
 @dataclass(frozen=True)
@@ -410,7 +435,7 @@ class Hyp:
     serial: int
 
     def __repr__(self) -> str:
-        return f"hyp:{self.serial}"
+        return f"(hyp {self.serial})"
 
 
 Index = Union[LemmaName, Hyp]
@@ -501,3 +526,112 @@ def synthesize_obvious_invariants(
         if inv not in out:
             out.append(inv)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reading the concrete syntax back: the readers below invert the reprs.
+# Fixed-point atoms name their definition, so reading a formula needs the
+# definition table it was written under; `%self` names the recursive marker.
+
+SExp = Union[str, list]
+
+
+class TraceFormatError(Exception):
+    pass
+
+
+def _tokenize(line: str) -> list[str]:
+    return line.replace("(", " ( ").replace(")", " ) ").split()
+
+
+def _read(tokens: list[str], pos: int) -> tuple[SExp, int]:
+    if pos >= len(tokens):
+        raise TraceFormatError("unexpected end of record")
+    tok = tokens[pos]
+    if tok == "(":
+        out: list[SExp] = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = _read(tokens, pos)
+            out.append(item)
+        if pos >= len(tokens):
+            raise TraceFormatError("unbalanced parentheses")
+        return out, pos + 1
+    if tok == ")":
+        raise TraceFormatError("unexpected ')'")
+    return tok, pos + 1
+
+
+def parse_sexp(line: str) -> SExp:
+    tokens = _tokenize(line)
+    out, pos = _read(tokens, 0)
+    if pos != len(tokens):
+        raise TraceFormatError(f"trailing tokens in record: {line!r}")
+    return out
+
+
+def int_from_sexp(s: SExp) -> int:
+    if not isinstance(s, str):
+        raise TraceFormatError(f"expected an integer, got {s!r}")
+    try:
+        return int(s)
+    except ValueError:
+        raise TraceFormatError(f"expected an integer, got {s!r}") from None
+
+
+def term_from_sexp(s: SExp) -> Term:
+    if isinstance(s, str):
+        return App(sym(s), ())
+    if not s or not isinstance(s[0], str):
+        raise TraceFormatError(f"bad term: {s!r}")
+    head = s[0]
+    if head == "ev" and len(s) == 3:
+        return EVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
+    if head == "mv" and len(s) == 3:
+        return MVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
+    if head == "bv" and len(s) == 2:
+        return Bound(int_from_sexp(s[1]))
+    return App(sym(head), tuple(term_from_sexp(x) for x in s[1:]))
+
+
+def formula_from_sexp(s: SExp, defs: dict[str, Definition]) -> Formula:
+    if s == "tt":
+        return TT
+    if s == "ff":
+        return FF
+    if not isinstance(s, list) or not s or not isinstance(s[0], str):
+        raise TraceFormatError(f"bad formula: {s!r}")
+    head = s[0]
+    if head == "eq" and len(s) == 3:
+        return Eq(term_from_sexp(s[1]), term_from_sexp(s[2]))
+    if head in ("and", "or", "imp") and len(s) == 3:
+        a = formula_from_sexp(s[1], defs)
+        b = formula_from_sexp(s[2], defs)
+        return {"and": And, "or": Or, "imp": Imp}[head](a, b)
+    if head in ("all", "ex") and len(s) == 2:
+        body = formula_from_sexp(s[1], defs)
+        return All(body) if head == "all" else Ex(body)
+    if head == "mu" and len(s) >= 2 and isinstance(s[1], str):
+        name = s[1]
+        args = tuple(term_from_sexp(x) for x in s[2:])
+        if name == "%self":
+            return MuAtom(SELF, args)
+        d = defs.get(name)
+        if d is None:
+            raise TraceFormatError(f"unknown definition in trace: {name}")
+        return MuAtom(d, args)
+    raise TraceFormatError(f"bad formula: {s!r}")
+
+
+def index_from_sexp(s: SExp) -> Index:
+    if isinstance(s, list) and len(s) == 2 and s[0] == "lemma" and isinstance(s[1], str):
+        return LemmaName(sym(s[1]))
+    if isinstance(s, list) and len(s) == 2 and s[0] == "hyp":
+        return Hyp(int_from_sexp(s[1]))
+    raise TraceFormatError(f"bad index: {s!r}")
+
+
+def invariant_from_sexp(s: SExp, defs: dict[str, Definition]) -> InvariantAbs:
+    if not (isinstance(s, list) and len(s) == 3 and s[0] == "inv"):
+        raise TraceFormatError(f"bad invariant: {s!r}")
+    return InvariantAbs(int_from_sexp(s[1]), formula_from_sexp(s[2], defs))

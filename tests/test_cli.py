@@ -48,6 +48,21 @@ def test_trace_files_written_and_verifiable(capsys, tmp_path):
     assert verify_trace((), el.goals["plus_total"], tr)
 
 
+def test_unwritable_trace_path_exit_two(capsys, tmp_path):
+    # a --trace directory that names a file, then a trace file that names
+    # a directory: the verdicts stand and one line names the path
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, lines, err = run(capsys, CORPUS, "--trace", taken)
+    assert code == 2 and len(lines) == 5
+    assert err.count("\n") == 1 and str(taken) in err
+    blocked = tmp_path / "traces" / "plus.plus_total.trace"
+    blocked.mkdir(parents=True)
+    code, lines, err = run(capsys, CORPUS, "--trace", blocked.parent)
+    assert code == 2 and len(lines) == 5
+    assert err.count("\n") == 1 and str(blocked) in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "does-not-exist.thm")
     assert code == 2

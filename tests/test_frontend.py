@@ -142,7 +142,7 @@ def test_clause_variable_first_met_under_a_quantifier_is_one_variable():
         "Theorem u : forall X, t X -> exists Y, le Y X.\n"
         'ship "(induction 0 0 0)".\n')))
     le = el.definitions["le"]
-    # two outer existentials, X (#1) and Z (#0); the parameter is #2
+    # two outer existentials, X (bv 1) and Z (bv 0); the parameter is (bv 2)
     assert el.definitions["t"].body == Ex(Ex(And(
         Eq(Bound(2), Bound(1)),
         And(Ex(MuAtom(le, (Bound(0), Bound(1)))), MuAtom(le, (Bound(1), Bound(0)))))))
@@ -160,6 +160,14 @@ def test_negative_recursion_rejected():
                      "  bad N := bad N -> false.\n")
     with pytest.raises(ElabError):
         elaborate(parse_file(src))
+
+
+def test_doubly_negated_recursion_accepted():
+    # left of two arrows a recursive call is positive again: the check
+    # tracks polarity, not merely the left of a `->`
+    src = PRELUDE + ("Define p : nat -> prop by\n"
+                     "  p z ;\n  p (s N) := (p N -> false) -> false.\n")
+    assert elaborate(parse_file(src)).definitions["p"].arity == 1
 
 
 def test_clause_order_does_not_change_acceptance():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from outlinecheck import (
+    FF,
     SELF,
     TT,
     All,
@@ -13,10 +14,14 @@ from outlinecheck import (
     App,
     Bound,
     Definition,
+    EVar,
     Eq,
     Ex,
+    Hyp,
     Imp,
     InvariantAbs,
+    LemmaName,
+    MVar,
     MuAtom,
     Or,
     StructuralError,
@@ -32,7 +37,12 @@ from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
     close_term,
+    formula_from_sexp,
+    index_from_sexp,
+    invariant_from_sexp,
     map_terms,
+    parse_sexp,
+    term_from_sexp,
     term_subst_bound,
 )
 
@@ -167,3 +177,51 @@ def test_lift_then_substitute_roundtrip(idx, depth):
     t = Bound(depth)
     out = term_subst_bound(t, (Bound(idx),), depth)
     assert out == Bound(idx + depth)
+
+
+# -- concrete syntax: reprs are what trace records hold, and read back
+
+
+def test_reprs_spell_trace_syntax():
+    plus = Definition(sym("plus"), 3, TT)
+    assert repr(EVar(3, 1)) == "(ev 3 1)"
+    assert repr(MVar(4, 0)) == "(mv 4 0)"
+    assert repr(Bound(0)) == "(bv 0)"
+    assert repr(con("s", con("z"))) == "(s z)"
+    assert repr(MuAtom(plus, (con("z"),) * 3)) == "(mu plus z z z)"
+    assert repr(MuAtom(SELF, (Bound(0),))) == "(mu %self (bv 0))"
+    assert repr(Imp(All(Eq(Bound(0), con("z"))), Ex(Or(TT, FF)))) == (
+        "(imp (all (eq (bv 0) z)) (ex (or tt ff)))")
+    assert repr(And(TT, TT)) == "(and tt tt)"
+    assert repr(Hyp(2)) == "(hyp 2)"
+    assert repr(LemmaName(sym("plus_total"))) == "(lemma plus_total)"
+    assert repr(InvariantAbs(1, Eq(Bound(0), Bound(0)))) == "(inv 1 (eq (bv 0) (bv 0)))"
+
+
+_NAMES = st.sampled_from(["z", "s", "cons", "pair"])
+_NUMS = st.integers(min_value=0, max_value=99)
+_DEFS = {"p": Definition(sym("p"), 2, TT), "q": Definition(sym("q"), 0, TT)}
+
+_terms = st.recursive(
+    st.one_of(st.builds(EVar, _NUMS, _NUMS), st.builds(MVar, _NUMS, _NUMS),
+              st.builds(Bound, _NUMS), _NAMES.map(lambda n: App(sym(n)))),
+    lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),
+                           _NAMES, st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=8)
+_formulas = st.recursive(
+    st.one_of(st.just(TT), st.just(FF), st.builds(Eq, _terms, _terms),
+              st.builds(MuAtom, st.sampled_from([_DEFS["p"], _DEFS["q"], SELF]),
+                        st.lists(_terms, max_size=3).map(tuple))),
+    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids),
+                           st.builds(Imp, kids, kids), st.builds(All, kids),
+                           st.builds(Ex, kids)),
+    max_leaves=8)
+_indices = st.one_of(st.builds(Hyp, _NUMS), _NAMES.map(lambda n: LemmaName(sym(n))))
+
+
+@given(_terms, _formulas, _indices, st.builds(InvariantAbs, _NUMS, _formulas))
+def test_readers_invert_reprs(t, f, ix, inv):
+    assert term_from_sexp(parse_sexp(repr(t))) == t
+    assert formula_from_sexp(parse_sexp(repr(f)), _DEFS) == f
+    assert index_from_sexp(parse_sexp(repr(ix))) == ix
+    assert invariant_from_sexp(parse_sexp(repr(inv)), _DEFS) == inv

@@ -14,16 +14,19 @@ from outlinecheck import (
     ResourceLimits,
     TraceFormatError,
     TraceNode,
+    count_rule,
+    elaborate,
     explain_failure,
+    parse_file,
     run_session,
     trace_from_lines,
     trace_to_lines,
     verify_trace,
 )
-from outlinecheck.syntax import App, Bound, Hyp, InvariantAbs, TT, con, sym
+from outlinecheck.syntax import App, Bound, FF, Hyp, InvariantAbs, TT, con, sym
 from outlinecheck.trace import ALL_RULES
 
-from _util import check_outline, elab_plus, load_plus, num
+from _util import CORPUS, check_outline, elab_plus, load_plus, num
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,8 @@ def test_malformed_records_rejected(el):
     with pytest.raises(TraceFormatError):
         trace_from_lines(["(impR 1 nil nil nil nil nil)"], el.definitions)  # truncated
     with pytest.raises(TraceFormatError):
+        trace_from_lines(["(eqR -1 nil nil nil nil nil)"], el.definitions)
+    with pytest.raises(TraceFormatError):
         trace_from_lines(
             ["(eqR 0 nil nil nil nil nil)", "(eqR 0 nil nil nil nil nil)"],
             el.definitions)  # extra record
@@ -71,6 +76,18 @@ def test_unknown_definition_name_rejected(el):
     with pytest.raises(TraceFormatError):
         trace_from_lines(["(freeze 0 (mu ghost z) nil (hyp 1) nil nil)"],
                          el.definitions)
+
+
+def test_twenty_thousand_record_chain_needs_no_recursion():
+    chain = TraceNode("eqR")
+    for _ in range(19_999):
+        chain = TraceNode("ttL", (chain,), TT)
+    lines = trace_to_lines(chain)
+    assert len(lines) == 20_000
+    back = trace_from_lines(lines, {})
+    # compare the written lines: dataclass == on the trees would recurse
+    assert trace_to_lines(back) == lines
+    assert count_rule(back, "ttL") == 19_999
 
 
 # -- replay
@@ -153,6 +170,35 @@ def test_hundred_random_mutations_rejected(session):
             r.name, path, field)
         rejected += 1
     assert rejected == 100
+
+
+# -- rules the corpus never fires: each is traced, replays from its lines,
+# and is rejected once its principal formula is changed
+
+_RARE_RULES = {
+    "ffL": ("false -> is_nat (s z)", "(induction 0 0 0)"),
+    "ttL": ("true -> is_nat z", "(induction 0 0 1)"),
+    "ttR": ("true", "(induction 0 0 0)"),
+    "releaseR": ("is_nat (s z) \\/ (forall X, is_nat X -> is_nat X)",
+                 "(induction 0 0 0)"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_RARE_RULES))
+def test_rare_rule_traced_replayed_and_guarded(rule):
+    statement, cert = _RARE_RULES[rule]
+    prelude = CORPUS.read_text().split("Define plus")[0]
+    file = parse_file(prelude + f'Theorem t : {statement}.\nship "{cert}".\n')
+    [r] = run_session(file)
+    assert r.outcome == "ok" and count_rule(r.trace, rule) >= 1
+    defs = elaborate(file).definitions
+    lines = trace_to_lines(r.trace)
+    assert verify_trace(r.lemmas, r.goal, trace_from_lines(lines, defs))
+    i, node = next((i, n) for i, n in enumerate(r.trace.walk()) if n.rule == rule)
+    head = f"({rule} {len(node.children)} "
+    other = TT if node.formula == FF else FF
+    lines[i] = head + repr(other) + lines[i][len(head) + len(repr(node.formula)):]
+    assert not verify_trace(r.lemmas, r.goal, trace_from_lines(lines, defs))
 
 
 # -- tampering with recorded equality reasoning is caught
