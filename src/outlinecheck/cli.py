@@ -10,9 +10,10 @@ Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
 of steps; 2 on usage, file, parse or trace-writing errors, including a
 file that is not UTF-8 or nests too deeply for the checker's recursion.
-Files are checked and reported one at a time, so such an error, printed
-with the path, keeps the verdicts of the files before it and skips the
-files after.
+A --trace directory that cannot be made is reported before any file is
+checked.  Files are checked and reported one at a time, so any other such
+error, printed with the path, keeps the verdicts of the files before it
+and skips the files after.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ def _error(msg: str) -> int:
     return 2
 
 
+def _trace_error(e: OSError, trace_dir: Path) -> int:
+    return _error(f"cannot write trace {e.filename or trace_dir}: {e.strerror or e}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="acheck",
@@ -71,6 +76,11 @@ def main(argv: list[str] | None = None) -> int:
     for path in args.files:
         if not path.is_file():
             return _error(f"no such file: {path}")
+    if args.trace:
+        try:
+            args.trace.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            return _trace_error(e, args.trace)
 
     limits = ResourceLimits(max_steps=args.max_steps)
     failed = False
@@ -93,15 +103,13 @@ def main(argv: list[str] | None = None) -> int:
         accepted = [r for r in results if r.outcome == "ok"]
         if args.trace:
             try:
-                args.trace.mkdir(parents=True, exist_ok=True)
                 for r in accepted:
                     assert r.trace is not None
                     out = args.trace / f"{path.stem}.{r.name}.trace"
                     out.write_text("\n".join(trace_to_lines(r.trace)) + "\n",
                                    encoding="utf-8")
             except OSError as e:
-                return _error(f"cannot write trace {e.filename or args.trace}:"
-                              f" {e.strerror or e}")
+                return _trace_error(e, args.trace)
         if args.replay:
             bad = []
             for r in accepted:

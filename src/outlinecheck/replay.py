@@ -49,13 +49,17 @@ def _sigma_walk(t: Term, sigma: dict[EVar, Term]) -> Term:
 
 
 def _sigma_apply(t: Term, sigma: dict[EVar, Term]) -> Term:
+    if t.ground:
+        return t
     t = _sigma_walk(t, sigma)
-    if isinstance(t, App) and t.args:
+    if isinstance(t, App) and not t.ground:
         return App(t.head, tuple(_sigma_apply(x, sigma) for x in t.args))
     return t
 
 
 def _occurs(e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
+    if t.ground:
+        return False
     t = _sigma_walk(t, sigma)
     if isinstance(t, EVar):
         return t == e

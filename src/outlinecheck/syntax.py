@@ -21,7 +21,7 @@ at the end of the module read it back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,10 @@ def sym(name: str) -> Sym:
 # ---------------------------------------------------------------------------
 # terms
 
+# Every term carries two flags: `closed` (no Bound inside) and `ground`
+# (no EVar, MVar or Bound inside).  A walk that only rewrites variables of
+# some kind returns a subterm whose flag rules them out as it is.
+
 _ids = itertools.count(1)
 
 
@@ -59,6 +63,9 @@ _ids = itertools.count(1)
 class EVar:
     id: int
     level: int
+
+    closed = True
+    ground = False
 
     def __repr__(self) -> str:
         return f"(ev {self.id} {self.level})"
@@ -68,6 +75,9 @@ class EVar:
 class MVar:
     id: int
     level: int
+
+    closed = True
+    ground = False
 
     def __repr__(self) -> str:
         return f"(mv {self.id} {self.level})"
@@ -79,14 +89,75 @@ class Bound:
 
     index: int
 
+    closed = False
+    ground = False
+
     def __repr__(self) -> str:
         return f"(bv {self.index})"
 
 
-@dataclass(frozen=True)
+# the one shared instance of each ground application built so far
+_GROUND: dict[tuple, "App"] = {}
+
+
 class App:
-    head: Sym
-    args: tuple["Term", ...] = ()
+    """A constructor application, immutable like the other terms.  Its
+    flags are computed once, from its arguments' flags, and its hash is
+    cached.  A ground application is interned: building an equal one
+    returns the shared instance.  Identity is only a fast path of equality,
+    which falls back to comparing structure, so nothing relies on the
+    sharing.  Non-ground terms hold fresh variables and are not interned.
+    """
+
+    __slots__ = ("head", "args", "closed", "ground", "_hash")
+    __match_args__ = ("head", "args")
+
+    def __new__(cls, head: Sym, args: tuple["Term", ...] = ()) -> "App":
+        closed = ground = True
+        for a in args:
+            if not a.ground:
+                ground = False
+                if not a.closed:
+                    closed = False
+                    break
+        if ground:
+            key = (head, args)
+            t = _GROUND.get(key)
+            if t is not None:
+                return t
+        t = object.__new__(cls)
+        _init = object.__setattr__
+        _init(t, "head", head)
+        _init(t, "args", args)
+        _init(t, "closed", closed)
+        _init(t, "ground", ground)
+        _init(t, "_hash", None)
+        if ground:
+            _GROUND[key] = t
+        return t
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return App, (self.head, self.args)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self.head == other.head and self.args == other.args
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.head, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         if not self.args:
@@ -232,31 +303,26 @@ class StructuralError(Exception):
 
 def _shift_term(t: Term, by: int) -> Term:
     """Raise every positional index in a (binder-free) term by `by`."""
-    if by == 0:
+    if by == 0 or t.closed:
         return t
-    match t:
-        case Bound(index=j):
-            return Bound(j + by)
-        case App(head=h, args=ts):
-            return App(h, tuple(_shift_term(x, by) for x in ts))
-        case _:
-            return t
+    if isinstance(t, Bound):
+        return Bound(t.index + by)
+    return App(t.head, tuple(_shift_term(x, by) for x in t.args))
 
 
 def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
     """Replace Bound(depth + i) by args[i] lifted to the local depth; shift
     higher indices down."""
-    match t:
-        case Bound(index=j):
-            if j < depth:
-                return t
-            if j < depth + len(args):
-                return _shift_term(args[j - depth], depth)
-            return Bound(j - len(args))
-        case App(head=h, args=ts):
-            return App(h, tuple(term_subst_bound(x, args, depth) for x in ts))
-        case _:
+    if t.closed:
+        return t
+    if isinstance(t, Bound):
+        j = t.index
+        if j < depth:
             return t
+        if j < depth + len(args):
+            return _shift_term(args[j - depth], depth)
+        return Bound(j - len(args))
+    return App(t.head, tuple(term_subst_bound(x, args, depth) for x in t.args))
 
 
 def _subst(f: Formula, args: tuple[Term, ...], depth: int,
@@ -339,6 +405,8 @@ def body_with_invariant(d: Definition, s: InvariantAbs, args: tuple[Term, ...]) 
 
 def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
     """Abstract eigenvariables: e becomes Bound(depth + mapping[e])."""
+    if t.ground:
+        return t
     match t:
         case EVar():
             i = mapping.get(t)
@@ -533,7 +601,7 @@ def synthesize_obvious_invariants(
 # Fixed-point atoms name their definition, so reading a formula needs the
 # definition table it was written under; `%self` names the recursive marker.
 
-SExp = Union[str, list]
+SExp = Union[str, tuple]
 
 
 class TraceFormatError(Exception):
@@ -544,30 +612,27 @@ def _tokenize(line: str) -> list[str]:
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read(tokens: list[str], pos: int) -> tuple[SExp, int]:
-    if pos >= len(tokens):
-        raise TraceFormatError("unexpected end of record")
-    tok = tokens[pos]
-    if tok == "(":
-        out: list[SExp] = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
-            out.append(item)
-        if pos >= len(tokens):
-            raise TraceFormatError("unbalanced parentheses")
-        return out, pos + 1
-    if tok == ")":
-        raise TraceFormatError("unexpected ')'")
-    return tok, pos + 1
-
-
 def parse_sexp(line: str) -> SExp:
-    tokens = _tokenize(line)
-    out, pos = _read(tokens, 0)
-    if pos != len(tokens):
+    """Read one s-expression off an explicit stack.  Lists come back as
+    tuples, so an s-expression can key a memo."""
+    stack: list[list[SExp]] = [[]]
+    for tok in _tokenize(line):
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            done = tuple(stack.pop())
+            stack[-1].append(done)
+        else:
+            raise TraceFormatError("unexpected ')'")
+    if len(stack) > 1:
+        raise TraceFormatError("unbalanced parentheses")
+    if not stack[0]:
+        raise TraceFormatError("unexpected end of record")
+    if len(stack[0]) > 1:
         raise TraceFormatError(f"trailing tokens in record: {line!r}")
-    return out
+    return stack[0][0]
 
 
 def int_from_sexp(s: SExp) -> int:
@@ -579,41 +644,55 @@ def int_from_sexp(s: SExp) -> int:
         raise TraceFormatError(f"expected an integer, got {s!r}") from None
 
 
-def term_from_sexp(s: SExp) -> Term:
+def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
+    """Read a term.  Calls that read one trace share `memo`, which maps
+    every s-expression read so far to its term, so a numeral that many
+    records spell is built once."""
+    if memo is None:
+        memo = {}
+    t = memo.get(s)
+    if t is not None:
+        return t
     if isinstance(s, str):
-        return App(sym(s), ())
-    if not s or not isinstance(s[0], str):
+        t = App(sym(s), ())
+    elif not s or not isinstance(s[0], str):
         raise TraceFormatError(f"bad term: {s!r}")
-    head = s[0]
-    if head == "ev" and len(s) == 3:
-        return EVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    if head == "mv" and len(s) == 3:
-        return MVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    if head == "bv" and len(s) == 2:
-        return Bound(int_from_sexp(s[1]))
-    return App(sym(head), tuple(term_from_sexp(x) for x in s[1:]))
+    elif s[0] == "ev" and len(s) == 3:
+        t = EVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
+    elif s[0] == "mv" and len(s) == 3:
+        t = MVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
+    elif s[0] == "bv" and len(s) == 2:
+        t = Bound(int_from_sexp(s[1]))
+    else:
+        t = App(sym(s[0]), tuple(term_from_sexp(x, memo) for x in s[1:]))
+    memo[s] = t
+    return t
 
 
-def formula_from_sexp(s: SExp, defs: dict[str, Definition]) -> Formula:
+def formula_from_sexp(s: SExp, defs: dict[str, Definition],
+                      memo: Optional[dict[SExp, Term]] = None) -> Formula:
+    """Read a formula; `memo` is as for term_from_sexp."""
+    if memo is None:
+        memo = {}
     if s == "tt":
         return TT
     if s == "ff":
         return FF
-    if not isinstance(s, list) or not s or not isinstance(s[0], str):
+    if not isinstance(s, tuple) or not s or not isinstance(s[0], str):
         raise TraceFormatError(f"bad formula: {s!r}")
     head = s[0]
     if head == "eq" and len(s) == 3:
-        return Eq(term_from_sexp(s[1]), term_from_sexp(s[2]))
+        return Eq(term_from_sexp(s[1], memo), term_from_sexp(s[2], memo))
     if head in ("and", "or", "imp") and len(s) == 3:
-        a = formula_from_sexp(s[1], defs)
-        b = formula_from_sexp(s[2], defs)
+        a = formula_from_sexp(s[1], defs, memo)
+        b = formula_from_sexp(s[2], defs, memo)
         return {"and": And, "or": Or, "imp": Imp}[head](a, b)
     if head in ("all", "ex") and len(s) == 2:
-        body = formula_from_sexp(s[1], defs)
+        body = formula_from_sexp(s[1], defs, memo)
         return All(body) if head == "all" else Ex(body)
     if head == "mu" and len(s) >= 2 and isinstance(s[1], str):
         name = s[1]
-        args = tuple(term_from_sexp(x) for x in s[2:])
+        args = tuple(term_from_sexp(x, memo) for x in s[2:])
         if name == "%self":
             return MuAtom(SELF, args)
         d = defs.get(name)
@@ -624,14 +703,16 @@ def formula_from_sexp(s: SExp, defs: dict[str, Definition]) -> Formula:
 
 
 def index_from_sexp(s: SExp) -> Index:
-    if isinstance(s, list) and len(s) == 2 and s[0] == "lemma" and isinstance(s[1], str):
+    if isinstance(s, tuple) and len(s) == 2 and s[0] == "lemma" and isinstance(s[1], str):
         return LemmaName(sym(s[1]))
-    if isinstance(s, list) and len(s) == 2 and s[0] == "hyp":
+    if isinstance(s, tuple) and len(s) == 2 and s[0] == "hyp":
         return Hyp(int_from_sexp(s[1]))
     raise TraceFormatError(f"bad index: {s!r}")
 
 
-def invariant_from_sexp(s: SExp, defs: dict[str, Definition]) -> InvariantAbs:
-    if not (isinstance(s, list) and len(s) == 3 and s[0] == "inv"):
+def invariant_from_sexp(s: SExp, defs: dict[str, Definition],
+                        memo: Optional[dict[SExp, Term]] = None) -> InvariantAbs:
+    """Read an invariant; `memo` is as for term_from_sexp."""
+    if not (isinstance(s, tuple) and len(s) == 3 and s[0] == "inv"):
         raise TraceFormatError(f"bad invariant: {s!r}")
-    return InvariantAbs(int_from_sexp(s[1]), formula_from_sexp(s[2], defs))
+    return InvariantAbs(int_from_sexp(s[1]), formula_from_sexp(s[2], defs, memo))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import (
-    Definition, Formula, Index, InvariantAbs, Term, TraceFormatError,
+    Definition, Formula, Index, InvariantAbs, SExp, Term, TraceFormatError,
     formula_from_sexp, index_from_sexp, int_from_sexp, invariant_from_sexp,
     parse_sexp, term_from_sexp,
 )
@@ -76,9 +76,10 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
     """Read the records last to first: each takes its premises off a stack
     of the subtrees finished so far, first premise on top."""
     done: list[TraceNode] = []
+    memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
     for line in reversed([ln for ln in lines if ln.strip()]):
         rec = parse_sexp(line)
-        if not isinstance(rec, list) or len(rec) != 7 or not isinstance(rec[0], str):
+        if not isinstance(rec, tuple) or len(rec) != 7 or not isinstance(rec[0], str):
             raise TraceFormatError(f"bad record shape: {rec!r}")
         rule, ncs, fm, tm, ixs, invs, sds = rec
         if rule not in ALL_RULES:
@@ -91,10 +92,10 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
         del done[len(done) - n:]
         done.append(TraceNode(
             rule, children,
-            None if fm == "nil" else formula_from_sexp(fm, defs),
-            None if tm == "nil" else term_from_sexp(tm),
+            None if fm == "nil" else formula_from_sexp(fm, defs, memo),
+            None if tm == "nil" else term_from_sexp(tm, memo),
             None if ixs == "nil" else index_from_sexp(ixs),
-            None if invs == "nil" else invariant_from_sexp(invs, defs),
+            None if invs == "nil" else invariant_from_sexp(invs, defs, memo),
             None if sds == "nil" else int_from_sexp(sds)))
     if len(done) != 1:
         raise TraceFormatError("truncated trace" if not done

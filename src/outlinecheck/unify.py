@@ -78,8 +78,10 @@ class BindingStore:
 
     def resolve(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
         """Substitute all bindings, and sigma if given, recursively."""
+        if t.ground:
+            return t
         t = self.walk(t, sigma)
-        if isinstance(t, App) and t.args:
+        if isinstance(t, App) and not t.ground:
             return App(t.head, tuple(self.resolve(x, sigma) for x in t.args))
         return t
 
@@ -160,6 +162,8 @@ class BindingStore:
         return OK
 
     def _scan(self, v: MVar, t: Term, sigma: dict[EVar, Term] | None) -> str:
+        if t.ground:
+            return OK
         t = self.walk(t, sigma)
         match t:
             case MVar():
@@ -187,6 +191,8 @@ class BindingStore:
         return OK
 
     def _occurs_evar(self, e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
+        if t.ground:
+            return False
         t = self.walk(t, sigma)
         match t:
             case EVar():

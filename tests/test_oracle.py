@@ -12,6 +12,12 @@ from outlinecheck import (
 from _util import CORPUS, elab_plus, num
 
 
+@pytest.fixture(autouse=True)
+def cold_cache():
+    """Every test starts without saturations left by the tests before it."""
+    oracle._SAT_CACHE.clear()
+
+
 @pytest.fixture(scope="module")
 def el():
     return elab_plus()
@@ -67,10 +73,6 @@ def test_verdicts_never_flip_with_more_fuel(a, b, c, fuel):
     late = eval_ground(defs, atom, fuel + 10)
     if early is not UNKNOWN:
         assert late is early
-
-
-# the cache tests switch definition lists, which empties the cache, so they
-# run after the tests that share its saturations
 
 
 def test_redefined_name_is_not_served_from_cache():

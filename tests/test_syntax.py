@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from outlinecheck import (
     FF,
     SELF,
     TT,
+    Accepted,
     All,
     And,
     App,
@@ -24,15 +27,21 @@ from outlinecheck import (
     MVar,
     MuAtom,
     Or,
+    ResourceLimits,
     StructuralError,
     con,
     formula_subst_bound,
     fresh_evar,
     fresh_mvar,
     open_binder,
+    run_session,
     sym,
+    trace_from_lines,
+    trace_to_lines,
     unfold_mu,
+    verify_trace,
 )
+from outlinecheck import syntax
 from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
@@ -46,7 +55,7 @@ from outlinecheck.syntax import (
     term_subst_bound,
 )
 
-from _util import num
+from _util import check_outline, elab_plus, load_plus, num
 
 
 def test_sym_interning():
@@ -225,3 +234,103 @@ def test_readers_invert_reprs(t, f, ix, inv):
     assert formula_from_sexp(parse_sexp(repr(f)), _DEFS) == f
     assert index_from_sexp(parse_sexp(repr(ix))) == ix
     assert invariant_from_sexp(parse_sexp(repr(inv)), _DEFS) == inv
+
+
+# -- term representation: cached flags, shared ground terms
+
+
+def _check_flags(t) -> tuple[bool, bool]:
+    """closed and ground recomputed from scratch, checked at every node."""
+    if isinstance(t, App):
+        kids = [_check_flags(x) for x in t.args]
+        flags = (all(c for c, _ in kids), all(g for _, g in kids))
+    else:
+        flags = (not isinstance(t, Bound), False)
+    assert (t.closed, t.ground) == flags, t
+    return flags
+
+
+@given(_terms)
+def test_flags_match_a_fresh_recomputation(t):
+    _check_flags(t)
+
+
+def test_equal_ground_terms_are_one_object():
+    assert num(5) is num(5)
+    assert con("pair", num(1), con("z")) is con("pair", num(1), con("z"))
+    for build in (lambda: con("s", EVar(7, 0)), lambda: con("s", MVar(7, 0)),
+                  lambda: con("pair", num(2), Bound(0))):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_equality_does_not_rely_on_sharing():
+    old = num(3)
+    syntax._GROUND.clear()  # later builds no longer meet the old instances
+    new = num(3)
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert new != num(4) and con("s", new) == num(4)
+
+
+def test_terms_cannot_be_assigned():
+    t = con("s", con("z"))
+    with pytest.raises(FrozenInstanceError):
+        t.head = sym("z")
+    with pytest.raises(FrozenInstanceError):
+        t.ground = False
+    with pytest.raises(FrozenInstanceError):
+        del t.args
+    assert t == con("s", con("z")) and t.ground
+
+
+def _deep_trace(n: int):
+    el = elab_plus()
+    goal = MuAtom(el.definitions["plus"], (num(n), num(1), num(n + 1)))
+    res = check_outline(el, goal, f"(induction 0 0 {n + 2})")
+    assert isinstance(res, Accepted)
+    return el, goal, trace_to_lines(res.trace)
+
+
+def test_numeral_tampered_by_one_s_is_rejected():
+    el, goal, lines = _deep_trace(6)
+    tampered = 0
+    for i, line in enumerate(lines):
+        if "(s z)" not in line:
+            continue
+        bad = lines[:i] + [line.replace("(s z)", "(s (s z))", 1)] + lines[i + 1:]
+        assert not verify_trace((), goal, trace_from_lines(bad, el.definitions)), i
+        tampered += 1
+    assert tampered > 10
+    assert verify_trace((), goal, trace_from_lines(lines, el.definitions))
+
+
+def _terms_of(node):
+    """Every subterm of every record's formula and term field."""
+    out = []
+
+    def collect(t, _depth=0):
+        out.append(t)
+        for x in getattr(t, "args", ()):
+            collect(x)
+        return t
+
+    for n in node.walk():
+        if n.formula is not None:
+            map_terms(n.formula, collect)
+        if n.term is not None:
+            collect(n.term)
+    return out
+
+
+def test_read_trace_spells_each_term_once():
+    # within one read, a term that several records spell is one object:
+    # ground numerals, and non-ground terms over the same eigenvariables
+    el, _, lines = _deep_trace(12)
+    assert sum(repr(num(12)) in ln for ln in lines) > 5
+    traces = [lines] + [trace_to_lines(r.trace) for r in run_session(
+        load_plus(), ResourceLimits(max_steps=1_000_000))]
+    for tr in traces:
+        by_spelling: dict[str, set[int]] = {}
+        for t in _terms_of(trace_from_lines(tr, el.definitions)):
+            by_spelling.setdefault(repr(t), set()).add(id(t))
+        assert all(len(ids) == 1 for ids in by_spelling.values())
