@@ -37,14 +37,14 @@ import itertools
 import re
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
-    FF, SELF, TT, All, And, Definition, EVar, Eq, Ex, Formula, Imp, Index,
-    LemmaName, MuAtom, Or, Term, _chain, close_binders, con, sym,
+    FF, SELF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
+    LemmaName, MuAtom, Or, Term, Tt, _chain, close_binders, con, sym,
 )
 from .trace import TraceNode
 
@@ -71,46 +71,23 @@ class SEq:
 
 
 @dataclass(frozen=True)
-class SAnd:
+class SBin:
+    """A binary connective: `op` is the core And, Or or Imp."""
+    op: Callable[[Formula, Formula], Formula]
     a: "SFormula"
     b: "SFormula"
 
 
 @dataclass(frozen=True)
-class SOr:
-    a: "SFormula"
-    b: "SFormula"
-
-
-@dataclass(frozen=True)
-class SImp:
-    a: "SFormula"
-    b: "SFormula"
-
-
-@dataclass(frozen=True)
-class SAll:
+class SQuant:
+    """A quantifier over `names`: `binder` is the core All or Ex."""
+    binder: Callable[[Formula], Formula]
     names: tuple[str, ...]
     body: "SFormula"
 
 
-@dataclass(frozen=True)
-class SEx:
-    names: tuple[str, ...]
-    body: "SFormula"
-
-
-@dataclass(frozen=True)
-class STrue:
-    pass
-
-
-@dataclass(frozen=True)
-class SFalse:
-    pass
-
-
-SFormula = Union[SAtom, SEq, SAnd, SOr, SImp, SAll, SEx, STrue, SFalse]
+# `true` and `false` parse straight to the core TT and FF
+SFormula = Union[SAtom, SEq, SBin, SQuant, Tt, Ff]
 
 
 @dataclass(frozen=True)
@@ -350,35 +327,33 @@ class _Parser:
 
     def formula(self) -> SFormula:
         if self.at("ident", "forall") or self.at("ident", "exists"):
-            quant = self.next().text
+            binder = All if self.next().text == "forall" else Ex
             names = [self.name()]
             while not self.eat("punct", ","):
                 names.append(self.name())
-            body = self.formula()
-            cls = SAll if quant == "forall" else SEx
-            return cls(tuple(names), body)
+            return SQuant(binder, tuple(names), self.formula())
         a = self.f_or()
         if self.eat("punct", "->"):
-            return SImp(a, self.formula())
+            return SBin(Imp, a, self.formula())
         return a
 
     def f_or(self) -> SFormula:
         a = self.f_and()
         while self.eat("punct", "\\/"):
-            a = SOr(a, self.f_and())
+            a = SBin(Or, a, self.f_and())
         return a
 
     def f_and(self) -> SFormula:
         a = self.f_unit()
         while self.eat("punct", "/\\"):
-            a = SAnd(a, self.f_unit())
+            a = SBin(And, a, self.f_unit())
         return a
 
     def f_unit(self) -> SFormula:
         if self.eat("ident", "true"):
-            return STrue()
+            return TT
         if self.eat("ident", "false"):
-            return SFalse()
+            return FF
         if self.at("punct", "("):
             # a parenthesised formula, or a parenthesised term before '='
             save = self.pos
@@ -505,27 +480,19 @@ class _Elab:
     def formula(self, f: SFormula, env: ChainMap[str, EVar],
                 selfname: Optional[str]) -> Formula:
         match f:
-            case STrue():
-                return TT
-            case SFalse():
-                return FF
+            case Tt() | Ff():
+                return f
             case SEq(l=l, r=r):
                 s = self.term_sort(l, env) or self.term_sort(r, env)
                 lt = self.term(l, env, s, selfname)
                 return Eq(lt, self.term(r, env, s, selfname))
-            case SAnd(a=a, b=b):
-                return And(self.formula(a, env, selfname),
-                           self.formula(b, env, selfname))
-            case SOr(a=a, b=b):
-                return Or(self.formula(a, env, selfname),
+            case SBin(op=op, a=a, b=b):
+                return op(self.formula(a, env, selfname),
                           self.formula(b, env, selfname))
-            case SImp(a=a, b=b):
-                return Imp(self.formula(a, env, selfname),
-                           self.formula(b, env, selfname))
-            case SAll(names=ns, body=b) | SEx(names=ns, body=b):
+            case SQuant(binder=q, names=ns, body=b):
                 ps = [self.placeholder() for _ in ns]
                 inner = self.formula(b, env.new_child(dict(zip(ns, ps))), selfname)
-                return close_binders(inner, ps, All if isinstance(f, SAll) else Ex)
+                return close_binders(inner, ps, q)
             case SAtom(pred=p, args=ts):
                 if p in env and not ts:
                     raise ElabError(f"{p} is a term variable, not a predicate")

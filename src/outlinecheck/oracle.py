@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .syntax import (
     SELF, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
-    Term, Tt, open_binder, term_vars, unfold_mu,
+    Term, Tt, open_binder, unfold_mu,
 )
 
 UNKNOWN = "unknown"
@@ -33,10 +33,6 @@ def _subterms(t: Term, out: set[Term]) -> None:
     if isinstance(t, App):
         for a in t.args:
             _subterms(a, out)
-
-
-def _is_ground(t: Term) -> bool:
-    return not any(True for _ in term_vars(t))
 
 
 # Saturation is deterministic for a given definition list and universe, so
@@ -104,7 +100,7 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
 
 def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
     """Evaluate a ground atom by saturation; see the module docstring."""
-    if atom.defn is SELF or not all(_is_ground(a) for a in atom.args):
+    if atom.defn is SELF or not all(a.ground for a in atom.args):
         raise ValueError("the oracle evaluates ground atoms only")
 
     universe: set[Term] = set()

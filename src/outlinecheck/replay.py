@@ -342,7 +342,9 @@ def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
         _Replay().r_async(tuple(lemmas), (), ("un", goal), 0, trace)
     except ReplayError as e:
         return str(e)
-    except (RecursionError, TypeError, AttributeError) as e:
+    except RecursionError:
+        return "trace nests too deeply for this checker"
+    except (TypeError, AttributeError) as e:
         return f"malformed trace: {e}"
     return None
 

@@ -325,44 +325,20 @@ def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
     return App(t.head, tuple(term_subst_bound(x, args, depth) for x in t.args))
 
 
-def _subst(f: Formula, args: tuple[Term, ...], depth: int,
-           self_fn: Callable[[tuple[Term, ...]], Formula]) -> Formula:
-    match f:
-        case Eq(l=l, r=r):
-            return Eq(term_subst_bound(l, args, depth), term_subst_bound(r, args, depth))
-        case And(a=a, b=b):
-            return And(_subst(a, args, depth, self_fn), _subst(b, args, depth, self_fn))
-        case Or(a=a, b=b):
-            return Or(_subst(a, args, depth, self_fn), _subst(b, args, depth, self_fn))
-        case Imp(a=a, b=b):
-            return Imp(_subst(a, args, depth, self_fn), _subst(b, args, depth, self_fn))
-        case All(body=b):
-            return All(_subst(b, args, depth + 1, self_fn))
-        case Ex(body=b):
-            return Ex(_subst(b, args, depth + 1, self_fn))
-        case MuAtom(defn=d, args=ts):
-            ts2 = tuple(term_subst_bound(x, args, depth) for x in ts)
-            if d is SELF:
-                return self_fn(ts2)
-            return MuAtom(d, ts2)
-        case Tt() | Ff():
-            return f
-    raise TypeError(f"not a formula: {f!r}")
+def _instantiate(args: tuple[Term, ...]) -> Callable[[Term, int], Term]:
+    """map_terms' term function putting args[i] for Bound(depth + i)."""
+    return lambda t, depth: t if t.closed else term_subst_bound(t, args, depth)
 
 
 def _no_self(args: tuple[Term, ...]) -> Formula:
     raise StructuralError("unexpected recursive marker outside a definition body")
 
 
-def formula_subst_bound(f: Formula, args: tuple[Term, ...], depth: int = 0) -> Formula:
-    return _subst(f, args, depth, _no_self)
-
-
 def open_binder(f: Formula, t: Term) -> Formula:
     """Open a quantified formula with `t` for the bound variable."""
     match f:
         case All(body=b) | Ex(body=b):
-            return formula_subst_bound(b, (t,), 0)
+            return map_terms(b, _instantiate((t,)), _no_self)
     raise StructuralError(f"open_binder on non-binder: {f!r}")
 
 
@@ -370,7 +346,7 @@ def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
     """One unfolding of the fixed point: B (mu B) args."""
     if len(args) != d.arity:
         raise StructuralError(f"{d.name} expects {d.arity} arguments, got {len(args)}")
-    return _subst(d.body, args, 0, lambda ts: MuAtom(d, ts))
+    return map_terms(d.body, _instantiate(args), lambda ts: MuAtom(d, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +369,15 @@ class InvariantAbs:
 def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     if len(args) != s.arity:
         raise StructuralError(f"invariant expects {s.arity} arguments, got {len(args)}")
-    return _subst(s.body, args, 0, _no_self)
+    return map_terms(s.body, _instantiate(args), _no_self)
 
 
 def body_with_invariant(d: Definition, s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     """B S args: the definition body with the invariant for recursive calls."""
     if len(args) != d.arity:
         raise StructuralError(f"{d.name} expects {d.arity} arguments, got {len(args)}")
-    return _subst(d.body, args, 0, lambda ts: apply_invariant(s, ts))
+    return map_terms(d.body, _instantiate(args),
+                     lambda ts: apply_invariant(s, ts))
 
 
 def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
@@ -459,31 +436,34 @@ def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
                 yield from term_vars(t)
 
 
-def map_terms(f: Formula, fn: Callable[[Term, int], Term]) -> Formula:
+def map_terms(f: Formula, fn: Callable[[Term, int], Term],
+              self_fn: Optional[Callable[[tuple[Term, ...]], Formula]] = None,
+              depth: int = 0) -> Formula:
     """Rebuild `f` with every term t replaced by fn(t, depth), where depth
-    is the number of binders of `f` enclosing t."""
-
-    def go(g: Formula, depth: int) -> Formula:
-        match g:
-            case Eq(l=l, r=r):
-                return Eq(fn(l, depth), fn(r, depth))
-            case And(a=a, b=b):
-                return And(go(a, depth), go(b, depth))
-            case Or(a=a, b=b):
-                return Or(go(a, depth), go(b, depth))
-            case Imp(a=a, b=b):
-                return Imp(go(a, depth), go(b, depth))
-            case All(body=b):
-                return All(go(b, depth + 1))
-            case Ex(body=b):
-                return Ex(go(b, depth + 1))
-            case MuAtom(defn=d, args=ts):
-                return MuAtom(d, tuple(fn(x, depth) for x in ts))
-            case Tt() | Ff():
-                return g
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f, 0)
+    counts the binders enclosing t (`depth` of them enclose `f` itself).
+    With `self_fn`, a recursive atom MuAtom(SELF, ts) becomes self_fn(ts')
+    once its arguments are rewritten; without it, it stays an atom."""
+    match f:
+        case Eq(l=l, r=r):
+            return Eq(fn(l, depth), fn(r, depth))
+        case And(a=a, b=b):
+            return And(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
+        case Or(a=a, b=b):
+            return Or(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
+        case Imp(a=a, b=b):
+            return Imp(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
+        case All(body=b):
+            return All(map_terms(b, fn, self_fn, depth + 1))
+        case Ex(body=b):
+            return Ex(map_terms(b, fn, self_fn, depth + 1))
+        case MuAtom(defn=d, args=ts):
+            ts = tuple(fn(x, depth) for x in ts)
+            if d is SELF and self_fn is not None:
+                return self_fn(ts)
+            return MuAtom(d, ts)
+        case Tt() | Ff():
+            return f
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

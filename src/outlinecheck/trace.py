@@ -39,7 +39,6 @@ RULES: dict[str, tuple[int, tuple[str, ...]]] = {
     "eqR": (0, ()), "ttR": (0, ()), "unfoldR": (1, ()), "initial": (0, ("index",)),
     "allL": (1, ("term",)), "impL": (2, ()), "releaseL": (1, ()), "releaseR": (1, ()),
 }
-ALL_RULES = frozenset(RULES)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
         if not isinstance(rec, tuple) or len(rec) != 7 or not isinstance(rec[0], str):
             raise TraceFormatError(f"bad record shape: {rec!r}")
         rule, ncs, fm, tm, ixs, invs, sds = rec
-        if rule not in ALL_RULES:
+        if rule not in RULES:
             raise TraceFormatError(f"unknown rule: {rule}")
         n = int_from_sexp(ncs)
         if not 0 <= n <= len(done):

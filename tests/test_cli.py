@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import outlinecheck
 from outlinecheck import cli, trace_from_lines, verify_trace, elaborate, parse_file
 
 from _util import CORPUS
@@ -153,3 +159,72 @@ def test_verdicts_are_deterministic(capsys):
     first = run(capsys, CORPUS)
     second = run(capsys, CORPUS)
     assert first == second
+
+
+# -- the trace files of the four theorem files, byte for byte.  Eigenvariable
+# numbers depend on everything checked before in the process, so the files
+# are written by one fresh interpreter, checked in this order.
+
+_PINNED_FILES = ("corpus/plus.thm", "bench/theorems/list.thm",
+                 "bench/theorems/order.thm", "bench/theorems/parity.thm")
+_PINNED_SHA256 = {
+    "list.app_assoc.trace":
+        "6cb2391a89d0cf79698dba574538829e51e962e81b8ee84effa9aa0ebdc33128",
+    "list.app_determ.trace":
+        "c19ca8eccda01ba8a0f340959b75763c09c09c7188658cf185068ceaa8b8f1b5",
+    "list.app_nil.trace":
+        "ba8670c9cb29512534640efdffd8d8bb9c3f5b1f3f60edb0969aa773eece9a19",
+    "list.app_total.trace":
+        "82a527c52df9a71a5077c78459126f229c5c8c4dd392a74c514755d879e65263",
+    "order.le_refl.trace":
+        "e2216572c0a9dd129d988621355682d4fa130c124238db72e914d2ee775ca550",
+    "order.le_trans.trace":
+        "7f17cd3acf6f16b576d63aa7e1c982f0f81edba7231aa243b100a5995808dd40",
+    "order.lt_irrefl.trace":
+        "3471cffa6f0bfe1458c29e3c249c1ebf14af0123d1c9150319441412d72ac838",
+    "order.lt_le.trace":
+        "b34a73e7e860eca54f7a470bd82501bb22e880c50fad469ec654438109467a18",
+    "order.lt_succ.trace":
+        "a025ec4682c5ec9a359c0542d082dfad8d845d78d7ba2d73ec03913c4b323f84",
+    "order.lt_trans.trace":
+        "d06fa3c94221f934be22df30c5a0dfa213d138d12fc13e5d10b15ea736ad6646",
+    "order.lt_z_false.trace":
+        "7f6c6e7734e90793239816c5dd3d6c50a6ac8dbf55970912d2b97b35981028ae",
+    "parity.even_is_nat.trace":
+        "d04ba4bdcb63935984e975ce88c0c1ad07d32e5f0da2816a4744ceaa2917284e",
+    "parity.even_odd_false.trace":
+        "e2539003169b1d08a78cd4526cfcf4c754e7e5ebefae111dc4ade3c19b28faba",
+    "parity.even_or_odd.trace":
+        "ff1e8fb8caffbe70306cc326c37c684025ad996b76cf6b62944d45b621b47d3a",
+    "parity.even_s_odd.trace":
+        "79aec34fe891232a2668f6c52073127ad3ca85704ce96f68fc2c91d2db134fc4",
+    "parity.odd_s_even.trace":
+        "0736cf7337c597ef92bd74b8b1b7c9453d21d0c7c3c0af4ca5cbb409e4ccb045",
+    "plus.plus0com.trace":
+        "51b761e81707b6e463130e53b0f40af25514cb7e9f631e1da650aa88e6d31afd",
+    "plus.plus_determ.trace":
+        "ecca3cbe83361ce0ff1a349be37b436f38958dfa1e2380e896315daa7394018e",
+    "plus.plus_total.trace":
+        "12b18e12b7675f0c9f72917e9e15c3f8a533081f8d07f1dc0a15d906db537213",
+    "plus.pluscom.trace":
+        "cf84f68b057463ea192d9b975a2794cdbc718782f2c661d8f8da8cf05ed1c1dc",
+    "plus.plusscom.trace":
+        "9a02090325662e7450439c47b4e715ce2faaee541a0744a1aa37361bb6a07095",
+}
+
+
+def test_trace_bytes_pinned(tmp_path):
+    root = CORPUS.parent.parent
+    src = pathlib.Path(outlinecheck.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "outlinecheck.cli", "--trace", str(tmp_path),
+         *(str(root / f) for f in _PINNED_FILES)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1 and not proc.stderr, proc.stderr  # two negative controls
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(_PINNED_SHA256)
+    for name, digest in _PINNED_SHA256.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} differs from its pinned bytes"

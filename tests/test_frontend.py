@@ -13,9 +13,9 @@ from outlinecheck import (
     parse_file,
     run_session,
 )
-from outlinecheck.frontend import SAll, SAnd, SAtom, SEq, SImp, SOr, STerm
+from outlinecheck.frontend import SAtom, SBin, SEq, SQuant, STerm
 from outlinecheck.syntax import (
-    All, And, Bound, EVar, Eq, Ex, MuAtom, Or, SELF, con, formula_vars,
+    All, And, Bound, EVar, Eq, Ex, Imp, MuAtom, Or, SELF, con, formula_vars,
 )
 
 from _util import CORPUS, load_plus
@@ -82,8 +82,9 @@ def test_roundtrip_preserves_operator_structure():
     a, b = STerm("A"), STerm("B")
     pa, pb = SAtom("p", (a,)), SAtom("p", (b,))
     # -> is right-associative and binds loosest, then \/, then /\, then =
-    assert parse_file(src).decls[-1].statement == SAll(
-        ("A", "B"), SImp(SImp(pa, pb), SOr(pa, SAnd(pb, SEq(a, b)))))
+    assert parse_file(src).decls[-1].statement == SQuant(
+        All, ("A", "B"),
+        SBin(Imp, SBin(Imp, pa, pb), SBin(Or, pa, SBin(And, pb, SEq(a, b)))))
 
 
 # -- Clark completion

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outlinecheck import (
-    MuAtom, UNKNOWN, elaborate, eval_ground, fresh_mvar, oracle, parse_file,
+    Bound, MuAtom, UNKNOWN, elaborate, eval_ground, fresh_evar, fresh_mvar,
+    oracle, parse_file,
 )
 
 from _util import CORPUS, elab_plus, num
@@ -48,9 +49,10 @@ def test_fuel_exhaustion_reports_unknown(el):
 
 
 def test_non_ground_query_rejected(el):
-    bad = MuAtom(el.definitions["is_nat"], (fresh_mvar(0),))
-    with pytest.raises(ValueError):
-        eval_ground(el.definitions.values(), bad, 5)
+    for var in (fresh_mvar(0), fresh_evar(0), Bound(0)):
+        bad = MuAtom(el.definitions["is_nat"], (var,))
+        with pytest.raises(ValueError):
+            eval_ground(el.definitions.values(), bad, 5)
 
 
 @settings(deadline=None, max_examples=40)

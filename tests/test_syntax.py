@@ -30,7 +30,6 @@ from outlinecheck import (
     ResourceLimits,
     StructuralError,
     con,
-    formula_subst_bound,
     fresh_evar,
     fresh_mvar,
     open_binder,
@@ -90,10 +89,10 @@ def test_term_subst_shifts_higher_indices_down():
 def test_term_subst_lifts_args_under_binders():
     # An argument mentioning positional variables must be raised past the
     # binders it is pushed under, not captured by them.
-    # Parameter 0 sits at depth 1; inside the Ex it appears as Bound(2).
-    inner = Ex(Eq(Bound(2), Bound(0)))
-    f = formula_subst_bound(inner, (Bound(2),), 1)
-    assert f == Ex(Eq(Bound(4), Bound(0)))
+    # Under the All, parameter 0 is Bound(1); inside the Ex it is Bound(2).
+    inv = InvariantAbs(1, All(Ex(Eq(Bound(2), Bound(0)))))
+    f = apply_invariant(inv, (Bound(2),))
+    assert f == All(Ex(Eq(Bound(4), Bound(0))))
 
 
 def test_apply_invariant_under_own_binders():
@@ -160,7 +159,7 @@ def test_body_with_invariant_invariant_binders_do_not_capture():
 
 def test_self_outside_definition_rejected():
     with pytest.raises(StructuralError):
-        formula_subst_bound(MuAtom(SELF, (Bound(0),)), (con("z"),))
+        open_binder(All(MuAtom(SELF, (Bound(0),))), con("z"))
 
 
 def test_close_formula_abstracts_eigenvariables():

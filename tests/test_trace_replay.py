@@ -5,12 +5,14 @@ from __future__ import annotations
 import ast
 import pathlib
 import random
+import sys
 
 import pytest
 
 import outlinecheck
 from outlinecheck import (
     Accepted,
+    MuAtom,
     ResourceLimits,
     TraceFormatError,
     TraceNode,
@@ -24,7 +26,7 @@ from outlinecheck import (
     verify_trace,
 )
 from outlinecheck.syntax import App, Bound, FF, Hyp, InvariantAbs, TT, con, sym
-from outlinecheck.trace import ALL_RULES
+from outlinecheck.trace import RULES
 
 from _util import CORPUS, check_outline, elab_plus, load_plus, num
 
@@ -111,6 +113,24 @@ def test_trace_for_wrong_goal_rejected(session, el):
     assert not verify_trace(donor.lemmas, other, donor.trace)
 
 
+def test_too_deep_trace_reported_as_a_limit(el):
+    # a valid trace of 3,310 records: replay recurses along its spine, so it
+    # checks under a raised recursion limit and runs out at the default one
+    goal = MuAtom(el.definitions["plus"], (num(300), num(1), num(301)))
+    default = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        r = check_outline(el, goal, "(induction 0 0 302)", max_steps=1_000_000)
+        assert isinstance(r, Accepted)
+        lines = trace_to_lines(r.trace)
+        assert len(lines) == 3310
+        back = trace_from_lines(lines, el.definitions)
+        assert explain_failure((), goal, back) is None
+    finally:
+        sys.setrecursionlimit(default)
+    assert explain_failure((), goal, back) == "trace nests too deeply for this checker"
+
+
 def test_replay_catches_truncated_trace(session):
     r = session[0]
     cut = TraceNode(r.trace.rule, (), r.trace.formula, r.trace.term,
@@ -131,7 +151,7 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
     rule, formula, term = node.rule, node.formula, node.term
     index, invariant, side = node.index, node.invariant, node.side
     if field == "rule":
-        rule = rng.choice(sorted(ALL_RULES - {rule}))
+        rule = rng.choice(sorted(RULES.keys() - {rule}))
     elif field == "formula":
         formula = TT if formula is not None else con("z")
         if formula == node.formula:
