@@ -16,8 +16,8 @@ from .kernel import (
 )
 from .oracle import UNKNOWN, eval_ground
 from .outline import (
-    Induction, LemmaTree, OutlineError, OutlineFpc, OutlineState, WithLemmas,
-    OUTLINE_FPC, initial_state, parse_outline,
+    OUTLINE_FPC, OutlineError, OutlineFpc, OutlineState, initial_state,
+    parse_outline,
 )
 from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (

@@ -40,13 +40,6 @@ def _verdict_line(r: TheoremResult) -> str:
     return f"{r.name}: fail {r.detail}"
 
 
-def _check_file(path: Path, limits: ResourceLimits,
-                stop_on_failure: bool) -> tuple[list[str], list[TheoremResult]]:
-    text = path.read_text(encoding="utf-8")
-    results = run_session(parse_file(text), limits, stop_on_failure)
-    return [_verdict_line(r) for r in results], results
-
-
 def _error(msg: str) -> int:
     print(f"acheck: {msg}", file=sys.stderr)
     return 2
@@ -86,7 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     failed = False
     for path in args.files:
         try:
-            lines, results = _check_file(path, limits, args.stop_on_failure)
+            results = run_session(parse_file(path.read_text(encoding="utf-8")),
+                                  limits, args.stop_on_failure)
         except (ParseError, ElabError, OSError) as e:
             return _error(f"{path}: {e}")
         except UnicodeDecodeError as e:
@@ -96,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if len(args.files) > 1:
             print(f"== {path}")
-        for line in lines:
-            print(line)
+        for r in results:
+            print(_verdict_line(r))
         failed = failed or any(r.outcome != "ok" for r in results)
 
         accepted = [r for r in results if r.outcome == "ok"]

@@ -54,14 +54,9 @@ from .trace import TraceNode
 
 @dataclass(frozen=True)
 class STerm:
+    """A term, or as a formula an atom whose head names its predicate."""
     head: str
     args: tuple["STerm", ...] = ()
-
-
-@dataclass(frozen=True)
-class SAtom:
-    pred: str
-    args: tuple[STerm, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ class SQuant:
 
 
 # `true` and `false` parse straight to the core TT and FF
-SFormula = Union[SAtom, SEq, SBin, SQuant, Tt, Ff]
+SFormula = Union[STerm, SEq, SBin, SQuant, Tt, Ff]
 
 
 @dataclass(frozen=True)
@@ -301,16 +296,12 @@ class _Parser:
 
     def clause(self, defname: str) -> SClause:
         t = self.peek()
-        head = self.name()
-        if head != defname:
-            raise ParseError(f"clause head {head!r} does not match the "
+        head = self.term()
+        if head.head != defname:
+            raise ParseError(f"clause head {head.head!r} does not match the "
                              f"definition {defname!r}", t.line, t.col)
-        args: list[STerm] = []
-        while self.peek().kind == "ident" and self.peek().text not in _KEYWORDS \
-                or self.at("punct", "("):
-            args.append(self.term_primary())
         body = self.formula() if self.eat("punct", ":=") else None
-        return SClause(tuple(args), body)
+        return SClause(head.args, body)
 
     def theorem_decl(self) -> TheoremDecl:
         self.expect("ident", "Theorem")
@@ -369,7 +360,7 @@ class _Parser:
         l = self.term()
         if self.eat("punct", "="):
             return SEq(l, self.term())
-        return SAtom(l.head, l.args)
+        return l
 
     # -- terms: application by juxtaposition
 
@@ -493,7 +484,7 @@ class _Elab:
                 ps = [self.placeholder() for _ in ns]
                 inner = self.formula(b, env.new_child(dict(zip(ns, ps))), selfname)
                 return close_binders(inner, ps, q)
-            case SAtom(pred=p, args=ts):
+            case STerm(head=p, args=ts):
                 if p in env and not ts:
                     raise ElabError(f"{p} is a term variable, not a predicate")
                 if p == selfname:
@@ -626,26 +617,18 @@ def run_session(file: TheoremFile, limits: Optional[ResourceLimits] = None,
         try:
             cert = initial_state(parse_outline(thm.ship), table)
         except OutlineError as e:
-            results.append(TheoremResult(thm.name, "fail",
-                                         f"bad certificate: {e}", 0, goal))
-            if stop_on_failure:
-                break
-            continue
-        outcome = kernel.check(lemmas, goal, cert, OUTLINE_FPC, limits)
-        match outcome:
-            case Accepted(trace=tr, steps=n):
-                results.append(TheoremResult(thm.name, "ok", "", n, goal,
-                                             tr, tuple(lemmas)))
-                lemmas.append((LemmaName(sym(thm.name)), goal))
-            case Rejected(steps=n):
-                results.append(TheoremResult(
-                    thm.name, "fail", "no proof within the certificate",
-                    n, goal))
-                if stop_on_failure:
-                    break
-            case OutOfBudget(steps=n):
-                results.append(TheoremResult(thm.name, "budget",
-                                             "step limit reached", n, goal))
-                if stop_on_failure:
-                    break
+            r = TheoremResult(thm.name, "fail", f"bad certificate: {e}", 0, goal)
+        else:
+            match kernel.check(lemmas, goal, cert, OUTLINE_FPC, limits):
+                case Accepted(trace=tr, steps=n):
+                    r = TheoremResult(thm.name, "ok", "", n, goal, tr, tuple(lemmas))
+                    lemmas.append((LemmaName(sym(thm.name)), goal))
+                case Rejected(steps=n):
+                    r = TheoremResult(thm.name, "fail",
+                                      "no proof within the certificate", n, goal)
+                case OutOfBudget(steps=n):
+                    r = TheoremResult(thm.name, "budget", "step limit reached", n, goal)
+        results.append(r)
+        if stop_on_failure and r.outcome != "ok":
+            break
     return results

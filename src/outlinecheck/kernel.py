@@ -42,8 +42,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
-    SELF, YS_HEAD, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, Index,
-    InvariantAbs, MuAtom, Or, Rhs, Store, StructuralError, Term, Tt,
+    SELF, YS_HEAD, All, And, App, Eq, Ex, Ff, Formula, Imp, Index, MuAtom, Or,
+    Rhs, Store, StructuralError, Tt,
     apply_invariant, body_with_invariant, fresh_evar, fresh_mvar, map_sequent,
     map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
     unfold_mu,
@@ -149,7 +149,9 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                         store, (), rhs, lambda t, _: binds.resolve(t))
                     for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
                         ys = tuple(fresh_evar(level + 1) for _ in range(d.arity))
-                        for t2 in _invariance(ctx, store, d, inv, ys, kr, level):
+                        # the invariance premise: store ; B S ys |- S ys
+                        for t2 in _async(ctx, store, (body_with_invariant(d, inv, ys),),
+                                         ("un", apply_invariant(inv, ys)), kr, level + 1):
                             yield TraceNode("induct_obvious", (t2,), formula=c,
                                             term=App(YS_HEAD, ys), invariant=inv)
                 # freeze
@@ -198,15 +200,6 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
             yield TraceNode("decideL", (t,), formula=g, index=ix)
     for t in _right_focus(ctx, store, f, cert, level):
         yield TraceNode("decideR", (t,), formula=f)
-
-
-def _invariance(ctx: _Ctx, store: Store, d: Definition, inv: InvariantAbs,
-                ys: tuple[Term, ...], cert: Certificate, level: int
-                ) -> Iterator[TraceNode]:
-    """The invariance premise: store ; B S ys |- S ys, ys fresh."""
-    bsy = body_with_invariant(d, inv, ys)
-    sy = apply_invariant(inv, ys)
-    return _async(ctx, store, (bsy,), ("un", sy), cert, level + 1)
 
 
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,

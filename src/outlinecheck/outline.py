@@ -47,29 +47,18 @@ Tree = tuple[Sym, tuple["Tree", ...]]
 
 
 @dataclass(frozen=True)
-class Induction:
+class OutlineState:
+    """The certificate: what parse_outline reads, and what the kernel
+    threads through an outline check."""
     d: int
     uA: int
     uS: int
-
-
-@dataclass(frozen=True)
-class WithLemmas:
-    d: int
-    names: tuple[Sym, ...]
-    uA: int
-    uS: int
-
-
-@dataclass(frozen=True)
-class LemmaTree:
-    root: Tree
-    d: int
-    uA: int
-    uS: int
-
-
-OutlineCert = Union[Induction, WithLemmas, LemmaTree]
+    inducted: bool
+    hyps: int  # highest allocated hypothesis serial
+    # lemma supply: a tuple of names, or the exposed trees in tree mode;
+    # None until initial_state puts in the whole lemma table
+    supply: Union[None, tuple[Sym, ...], tuple[Tree, ...]]
+    tree_mode: bool
 
 
 def _budget(s: SExp, what: str) -> int:
@@ -92,8 +81,9 @@ def _tree(s: SExp) -> Tree:
     raise OutlineError(f"malformed lemma tree: {s!r}")
 
 
-def parse_outline(text: str) -> OutlineCert:
-    """Parse the concrete certificate syntax; see the module docstring."""
+def parse_outline(text: str) -> OutlineState:
+    """Parse the concrete certificate syntax (see the module docstring)
+    into the state a check starts from."""
     try:
         s = parse_sexp(text)
     except TraceFormatError as e:
@@ -102,64 +92,36 @@ def parse_outline(text: str) -> OutlineCert:
         raise OutlineError(f"unreadable certificate: {text!r}")
     head = s[0]
     if head == "induction" and len(s) == 4:
-        return Induction(_budget(s[1], "decide"), _budget(s[2], "async unfold"),
-                         _budget(s[3], "sync unfold"))
-    if head == "induction" and len(s) == 5:
+        d, a, u, supply = s[1], s[2], s[3], None
+    elif head == "induction" and len(s) == 5:
         names = s[2]
         if not (isinstance(names, tuple) and names and names[0] == "lemmas"
                 and all(isinstance(n, str) for n in names[1:])):
             raise OutlineError(f"malformed lemma list: {names!r}")
-        return WithLemmas(_budget(s[1], "decide"),
-                          tuple(sym(n) for n in names[1:]),
-                          _budget(s[3], "async unfold"),
-                          _budget(s[4], "sync unfold"))
-    if head == "tree" and len(s) == 5:
-        return LemmaTree(_tree(s[1]), _budget(s[2], "decide"),
-                         _budget(s[3], "async unfold"),
-                         _budget(s[4], "sync unfold"))
-    raise OutlineError(f"unrecognised certificate form: {text!r}")
+        d, a, u, supply = s[1], s[3], s[4], tuple(sym(n) for n in names[1:])
+    elif head == "tree" and len(s) == 5:
+        d, a, u, supply = s[2], s[3], s[4], (_tree(s[1]),)
+    else:
+        raise OutlineError(f"unrecognised certificate form: {text!r}")
+    return OutlineState(_budget(d, "decide"), _budget(a, "async unfold"),
+                        _budget(u, "sync unfold"), False, 0, supply, head == "tree")
 
 
-# ---------------------------------------------------------------------------
-# threaded state
-
-
-@dataclass(frozen=True)
-class OutlineState:
-    """The certificate the kernel threads through an outline check."""
-    d: int
-    uA: int
-    uS: int
-    inducted: bool
-    hyps: int  # highest allocated hypothesis serial
-    # lemma supply: a tuple of names, or the exposed trees in tree mode
-    supply: Union[tuple[Sym, ...], tuple[Tree, ...]]
-    tree_mode: bool
-
-
-def initial_state(cert: OutlineCert, table: Sequence[Sym]) -> OutlineState:
-    table = tuple(table)
+def initial_state(cert: OutlineState, table: Sequence[Sym]) -> OutlineState:
+    """Bind a parsed certificate to the lemma table: a supply of None
+    becomes the whole table, and any other may name only lemmas in it."""
+    if cert.supply is None:
+        return OutlineState(cert.d, cert.uA, cert.uS, False, 0, tuple(table), False)
     available = set(table)
-
-    def check_names(names) -> None:
-        for n in names:
-            if n not in available:
-                raise OutlineError(f"unknown lemma in certificate: {n.name}")
-
-    match cert:
-        case Induction(d=d, uA=a, uS=s):
-            return OutlineState(d, a, s, False, 0, table, False)
-        case WithLemmas(d=d, names=ns, uA=a, uS=s):
-            check_names(ns)
-            return OutlineState(d, a, s, False, 0, ns, False)
-        case LemmaTree(root=t, d=d, uA=a, uS=s):
-            def walk(node: Tree) -> None:
-                check_names((node[0],))
-                for c in node[1]:
-                    walk(c)
-            walk(t)
-            return OutlineState(d, a, s, False, 0, (t,), True)
-    raise OutlineError(f"not an outline certificate: {cert!r}")
+    todo = list(reversed(cert.supply))
+    while todo:
+        name = todo.pop()
+        if cert.tree_mode:
+            name, kids = name
+            todo.extend(reversed(kids))
+        if name not in available:
+            raise OutlineError(f"unknown lemma in certificate: {name.name}")
+    return cert
 
 
 class OutlineFpc(FpcDefinition):

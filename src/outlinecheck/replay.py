@@ -128,31 +128,33 @@ class _Replay:
     def expect(self, node: TraceNode, rules: tuple[str, ...],
                formula: Formula) -> None:
         """The record is one of `rules`, has the shape trace.RULES gives
-        that rule, and acts on `formula`."""
-        self.need(node.rule in rules,
-                  f"expected one of {rules}, found {node.rule}")
+        that rule, and acts on `formula`.  It carries exactly the fields
+        the rule uses: an extra one is tampering even if nothing reads it,
+        and past this check every field a rule reads is present."""
+        if node.rule not in rules:
+            raise ReplayError(f"expected one of {rules}, found {node.rule}")
         nchildren, fields = RULES[node.rule]
-        self.need(len(node.children) == nchildren,
-                  f"{node.rule}: expected {nchildren} premises,"
-                  f" found {len(node.children)}")
-        # a field the rule does not use is tampering even if nothing reads it
+        if len(node.children) != nchildren:
+            raise ReplayError(f"{node.rule}: expected {nchildren} premises,"
+                              f" found {len(node.children)}")
         for name in ("term", "index", "invariant", "side"):
-            self.need(getattr(node, name) is None or name in fields,
-                      f"{node.rule}: unexpected {name} field")
-        self.need(node.formula == formula,
-                  f"{node.rule}: principal formula mismatch")
+            if (getattr(node, name) is None) == (name in fields):
+                what = "missing" if name in fields else "unexpected"
+                raise ReplayError(f"{node.rule}: {what} {name} field")
+        if node.formula != formula:
+            raise ReplayError(f"{node.rule}: principal formula mismatch")
 
-    def fresh_eigen(self, t: Optional[Term], level: int) -> EVar:
+    def fresh_eigen(self, t: Term, level: int) -> EVar:
         self.need(isinstance(t, EVar), "missing eigenvariable record")
-        assert isinstance(t, EVar)
         self.need(t.level == level, f"eigenvariable level {t.level} != {level}")
         self.need(t.id not in self.used_evars, "eigenvariable reused")
         self.used_evars.add(t.id)
         return t
 
-    def scoped_witness(self, t: Optional[Term], level: int) -> Term:
-        self.need(t is not None, "missing witness record")
-        assert t is not None
+    def scoped_witness(self, t: Term, level: int) -> Term:
+        # a Bound here escapes every binder, and the binders that invariant
+        # synthesis adds would capture it
+        self.need(t.closed, "witness holds a bound variable")
         for v in term_vars(t):
             if isinstance(v, EVar):
                 self.need(v.id in self.used_evars and v.level <= level,
@@ -167,7 +169,6 @@ class _Replay:
         t = node.term
         self.need(isinstance(t, App) and t.head == YS_HEAD and len(t.args) == arity,
                   "malformed eigenvariable bundle on an induction record")
-        assert isinstance(t, App)
         return tuple(self.fresh_eigen(y, level + 1) for y in t.args)
 
     # -- phases
@@ -198,7 +199,6 @@ class _Replay:
                     self.expect(node, ("eqL",), c)
                     out, sigma = match_evars(l, r)
                     self.need(out is OK, "recorded equation does not unify")
-                    assert sigma is not None
                     if sigma:
                         store, rest, rhs = map_sequent(
                             store, rest, rhs, lambda t, _: _sigma_apply(t, sigma))
@@ -212,19 +212,15 @@ class _Replay:
                     self.need(d is not SELF, "recursive marker in a replayed atom")
                     self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
                     if node.rule == "freeze":
-                        ix = node.index
-                        self.need(ix is not None and store_lookup(store, ix) is None,
-                                  "freeze index missing or already used")
-                        assert ix is not None
-                        self.r_async(store + ((ix, c),), rest, rhs, level,
+                        self.need(store_lookup(store, node.index) is None,
+                                  "freeze index already used")
+                        self.r_async(store + ((node.index, c),), rest, rhs, level,
                                      node.children[0])
                     elif node.rule == "unfoldL":
                         self.r_async(store, (unfold_mu(d, ts),) + rest, rhs,
                                      level, node.children[0])
                     else:
                         inv = node.invariant
-                        self.need(inv is not None, "missing invariant record")
-                        assert inv is not None
                         good = synthesize_obvious_invariants(store, ts, rhs[1])
                         self.need(inv in good,
                                   "invariant is not one this sequent yields")
@@ -234,11 +230,9 @@ class _Replay:
                                      level + 1, node.children[0])
                 case Imp() | All():
                     self.expect(node, ("storeL",), c)
-                    ix = node.index
-                    self.need(ix is not None and store_lookup(store, ix) is None,
-                              "store index missing or already used")
-                    assert ix is not None
-                    self.r_async(store + ((ix, c),), rest, rhs, level,
+                    self.need(store_lookup(store, node.index) is None,
+                              "store index already used")
+                    self.r_async(store + ((node.index, c),), rest, rhs, level,
                                  node.children[0])
                 case _:
                     raise ReplayError(f"unexpected workbench formula: {c!r}")
@@ -261,13 +255,9 @@ class _Replay:
             return
 
         if node.rule == "decideL":
-            ix = node.index
-            self.need(ix is not None, "decideL without an index")
-            assert ix is not None
-            g = store_lookup(store, ix)
-            self.need(g is not None, f"decideL on an absent index {ix!r}")
-            assert g is not None
+            g = store_lookup(store, node.index)
             self.expect(node, ("decideL",), g)
+            self.need(g is not None, f"decideL on an absent index {node.index!r}")
             self.r_left(store, g, f, level, node.children[0])
         elif node.rule == "decideR":
             self.expect(node, ("decideR",), f)
@@ -297,7 +287,7 @@ class _Replay:
         match focus:
             case Or(a=a, b=b):
                 self.expect(node, ("orR",), focus)
-                self.need(node.side in (1, 2), "orR without a side")
+                self.need(node.side in (1, 2), "orR side is neither 1 nor 2")
                 sub = a if node.side == 1 else b
                 self.r_right(store, sub, level, node.children[0])
             case And(a=a, b=b):
@@ -318,10 +308,7 @@ class _Replay:
                 self.need(d is not SELF, "recursive marker in a replayed atom")
                 if node.rule == "initial":
                     self.expect(node, ("initial",), focus)
-                    ix = node.index
-                    self.need(ix is not None, "initial without an index")
-                    assert ix is not None
-                    g = store_lookup(store, ix)
+                    g = store_lookup(store, node.index)
                     self.need(isinstance(g, MuAtom) and g.defn is d
                               and g.args == ts,
                               "initial step does not match its store entry")

@@ -223,47 +223,44 @@ class Eq:
         return f"(eq {self.l!r} {self.r!r})"
 
 
+# A connective prints as (tag operands...), its tag the class name in lower
+# case; the formula reader looks the classes up by tag.
+
 @dataclass(frozen=True)
-class And:
+class _Binary:
     a: "Formula"
     b: "Formula"
 
     def __repr__(self) -> str:
-        return f"(and {self.a!r} {self.b!r})"
+        return f"({type(self).__name__.lower()} {self.a!r} {self.b!r})"
+
+
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Imp(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Or:
-    a: "Formula"
-    b: "Formula"
-
-    def __repr__(self) -> str:
-        return f"(or {self.a!r} {self.b!r})"
-
-
-@dataclass(frozen=True)
-class Imp:
-    a: "Formula"
-    b: "Formula"
-
-    def __repr__(self) -> str:
-        return f"(imp {self.a!r} {self.b!r})"
-
-
-@dataclass(frozen=True)
-class All:
+class _Quantifier:
     body: "Formula"
 
     def __repr__(self) -> str:
-        return f"(all {self.body!r})"
+        return f"({type(self).__name__.lower()} {self.body!r})"
 
 
-@dataclass(frozen=True)
-class Ex:
-    body: "Formula"
+class All(_Quantifier):
+    pass
 
-    def __repr__(self) -> str:
-        return f"(ex {self.body!r})"
+
+class Ex(_Quantifier):
+    pass
 
 
 @dataclass(frozen=True)
@@ -426,10 +423,10 @@ def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
         case Eq(l=l, r=r):
             yield from term_vars(l)
             yield from term_vars(r)
-        case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
+        case _Binary(a=a, b=b):
             yield from formula_vars(a)
             yield from formula_vars(b)
-        case All(body=b) | Ex(body=b):
+        case _Quantifier(body=b):
             yield from formula_vars(b)
         case MuAtom(args=ts):
             for t in ts:
@@ -446,16 +443,11 @@ def map_terms(f: Formula, fn: Callable[[Term, int], Term],
     match f:
         case Eq(l=l, r=r):
             return Eq(fn(l, depth), fn(r, depth))
-        case And(a=a, b=b):
-            return And(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
-        case Or(a=a, b=b):
-            return Or(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
-        case Imp(a=a, b=b):
-            return Imp(map_terms(a, fn, self_fn, depth), map_terms(b, fn, self_fn, depth))
-        case All(body=b):
-            return All(map_terms(b, fn, self_fn, depth + 1))
-        case Ex(body=b):
-            return Ex(map_terms(b, fn, self_fn, depth + 1))
+        case _Binary(a=a, b=b):
+            return type(f)(map_terms(a, fn, self_fn, depth),
+                           map_terms(b, fn, self_fn, depth))
+        case _Quantifier(body=b):
+            return type(f)(map_terms(b, fn, self_fn, depth + 1))
         case MuAtom(defn=d, args=ts):
             ts = tuple(fn(x, depth) for x in ts)
             if d is SELF and self_fn is not None:
@@ -588,6 +580,9 @@ class TraceFormatError(Exception):
     pass
 
 
+_CONNECTIVES = {c.__name__.lower(): c for c in (And, Or, Imp, All, Ex)}
+
+
 def _tokenize(line: str) -> list[str]:
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
@@ -663,13 +658,10 @@ def formula_from_sexp(s: SExp, defs: dict[str, Definition],
     head = s[0]
     if head == "eq" and len(s) == 3:
         return Eq(term_from_sexp(s[1], memo), term_from_sexp(s[2], memo))
-    if head in ("and", "or", "imp") and len(s) == 3:
+    cls = _CONNECTIVES.get(head)
+    if cls is not None and len(s) == 1 + len(cls.__match_args__):
         a = formula_from_sexp(s[1], defs, memo)
-        b = formula_from_sexp(s[2], defs, memo)
-        return {"and": And, "or": Or, "imp": Imp}[head](a, b)
-    if head in ("all", "ex") and len(s) == 2:
-        body = formula_from_sexp(s[1], defs, memo)
-        return All(body) if head == "all" else Ex(body)
+        return cls(a, formula_from_sexp(s[2], defs, memo)) if len(s) == 3 else cls(a)
     if head == "mu" and len(s) >= 2 and isinstance(s[1], str):
         name = s[1]
         args = tuple(term_from_sexp(x, memo) for x in s[2:])

@@ -213,6 +213,39 @@ _PINNED_SHA256 = {
 }
 
 
+# what the same run prints, `== FILE` headers cut to the file name: the
+# verdict lines in order, with their step counts and both negative controls
+_PINNED_STDOUT = """\
+== plus.thm
+plus_total: ok (decides=1, unfoldL=0, unfoldR=2, steps=56)
+plus_determ: ok (decides=2, unfoldL=2, unfoldR=0, steps=144)
+plus0com: ok (decides=2, unfoldL=0, unfoldR=3, steps=147)
+plusscom: ok (decides=2, unfoldL=0, unfoldR=2, steps=6801)
+pluscom: ok (decides=4, unfoldL=2, unfoldR=0, steps=3102)
+== list.thm
+app_total: ok (decides=1, unfoldL=0, unfoldR=2, steps=58)
+app_determ: ok (decides=2, unfoldL=2, unfoldR=0, steps=148)
+app_nil: ok (decides=2, unfoldL=0, unfoldR=3, steps=154)
+app_assoc: ok (decides=2, unfoldL=1, unfoldR=3, steps=648)
+app_comm_bad: fail no proof within the certificate
+== order.thm
+lt_trans_starved: fail no proof within the certificate
+lt_trans: ok (decides=2, unfoldL=2, unfoldR=2, steps=189)
+lt_succ: ok (decides=1, unfoldL=0, unfoldR=2, steps=105)
+lt_irrefl: ok (decides=1, unfoldL=0, unfoldR=0, steps=41)
+lt_z_false: ok (decides=0, unfoldL=0, unfoldR=0, steps=25)
+le_refl: ok (decides=2, unfoldL=0, unfoldR=3, steps=166)
+lt_le: ok (decides=2, unfoldL=0, unfoldR=3, steps=208)
+le_trans: ok (decides=2, unfoldL=1, unfoldR=3, steps=541)
+== parity.thm
+even_s_odd: ok (decides=1, unfoldL=0, unfoldR=2, steps=37)
+odd_s_even: ok (decides=2, unfoldL=0, unfoldR=4, steps=96)
+even_odd_false: ok (decides=2, unfoldL=2, unfoldR=0, steps=104)
+even_is_nat: ok (decides=2, unfoldL=0, unfoldR=4, steps=181)
+even_or_odd: ok (decides=5, unfoldL=0, unfoldR=3, steps=728)
+"""
+
+
 def test_trace_bytes_pinned(tmp_path):
     root = CORPUS.parent.parent
     src = pathlib.Path(outlinecheck.__file__).resolve().parent.parent
@@ -228,3 +261,6 @@ def test_trace_bytes_pinned(tmp_path):
     for name, digest in _PINNED_SHA256.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, f"{name} differs from its pinned bytes"
+    out = ["== " + pathlib.Path(ln[3:]).name if ln.startswith("== ") else ln
+           for ln in proc.stdout.splitlines()]
+    assert out == _PINNED_STDOUT.splitlines()

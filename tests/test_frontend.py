@@ -13,7 +13,7 @@ from outlinecheck import (
     parse_file,
     run_session,
 )
-from outlinecheck.frontend import SAtom, SBin, SEq, SQuant, STerm
+from outlinecheck.frontend import SBin, SEq, SQuant, STerm
 from outlinecheck.syntax import (
     All, And, Bound, EVar, Eq, Ex, Imp, MuAtom, Or, SELF, con, formula_vars,
 )
@@ -80,7 +80,7 @@ def test_roundtrip_preserves_operator_structure():
         "Theorem t : forall A B, (p A -> p B) -> p A \\/ p B /\\ A = B.\n"
         'ship "(induction 0 0 0)".\n')
     a, b = STerm("A"), STerm("B")
-    pa, pb = SAtom("p", (a,)), SAtom("p", (b,))
+    pa, pb = STerm("p", (a,)), STerm("p", (b,))
     # -> is right-associative and binds loosest, then \/, then /\, then =
     assert parse_file(src).decls[-1].statement == SQuant(
         All, ("A", "B"),

@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 
 from outlinecheck import (
     Accepted,
-    Induction,
-    LemmaTree,
     MuAtom,
     OUTLINE_FPC,
     OutlineError,
+    OutlineState,
     Rejected,
-    WithLemmas,
     count_rule,
     initial_state,
     parse_outline,
@@ -28,27 +26,32 @@ from _util import check_outline, elab_plus, num
 
 
 def test_parse_plain_induction():
-    assert parse_outline("(induction 1 0 1)") == Induction(1, 0, 1)
+    assert parse_outline("(induction 1 0 1)") == OutlineState(
+        1, 0, 1, False, 0, None, False)
 
 
 def test_parse_with_lemmas():
     c = parse_outline("(induction 2 (lemmas plus0com plusscom) 1 0)")
-    assert c == WithLemmas(2, (sym("plus0com"), sym("plusscom")), 1, 0)
+    assert c == OutlineState(
+        2, 1, 0, False, 0, (sym("plus0com"), sym("plusscom")), False)
 
 
 def test_parse_tree():
     c = parse_outline("(tree (a b (c d)) 1 2 3)")
-    assert isinstance(c, LemmaTree)
-    assert c.root == (sym("a"), ((sym("b"), ()), (sym("c"), ((sym("d"), ()),))))
+    assert c.tree_mode
+    assert c.supply == (
+        (sym("a"), ((sym("b"), ()), (sym("c"), ((sym("d"), ()),)))),)
     assert (c.d, c.uA, c.uS) == (1, 2, 3)
 
 
 def test_parse_empty_lemma_list_means_no_lemma_decides():
-    assert parse_outline("(induction 1 (lemmas) 0 1)") == WithLemmas(1, (), 0, 1)
+    assert parse_outline("(induction 1 (lemmas) 0 1)") == OutlineState(
+        1, 0, 1, False, 0, (), False)
 
 
 def test_parse_is_whitespace_insensitive():
-    assert parse_outline("  ( induction   1  0   1 ) ") == Induction(1, 0, 1)
+    assert parse_outline("  ( induction   1  0   1 ) ") == OutlineState(
+        1, 0, 1, False, 0, None, False)
 
 
 @pytest.mark.parametrize("bad", [
@@ -190,4 +193,5 @@ def test_lemma_list_refinement_on_corpus():
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9),
        st.integers(min_value=0, max_value=9))
 def test_parse_print_budget_roundtrip(d, a, s):
-    assert parse_outline(f"(induction {d} {a} {s})") == Induction(d, a, s)
+    c = parse_outline(f"(induction {d} {a} {s})")
+    assert (c.d, c.uA, c.uS, c.supply, c.tree_mode) == (d, a, s, None, False)

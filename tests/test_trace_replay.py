@@ -5,7 +5,9 @@ from __future__ import annotations
 import ast
 import pathlib
 import random
+import re
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -190,6 +192,56 @@ def test_hundred_random_mutations_rejected(session):
             r.name, path, field)
         rejected += 1
     assert rejected == 100
+
+
+# -- replay checks in one place that a record carries the fields its rule uses
+
+
+def _replace_at(node: TraceNode, path: list[int], **changes) -> TraceNode:
+    if not path:
+        return replace(node, **changes)
+    kids = list(node.children)
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], **changes)
+    return replace(node, children=tuple(kids))
+
+
+def test_missing_field_named_by_its_rule(session):
+    reached = set()
+    for r in session:
+        done = set()
+        for path in _all_paths(r.trace):
+            node = r.trace
+            for i in path:
+                node = node.children[i]
+            for field in RULES[node.rule][1]:
+                if (node.rule, field) in done:
+                    continue
+                done.add((node.rule, field))
+                mutant = _replace_at(r.trace, path, **{field: None})
+                assert explain_failure(r.lemmas, r.goal, mutant) == (
+                    f"{node.rule}: missing {field} field"), (r.name, path)
+        reached |= done
+    # the corpus reaches every rule that carries a field
+    assert reached == {(rule, f) for rule, (_, fs) in RULES.items() for f in fs}
+
+
+@pytest.mark.parametrize("statement, cert, rule", [
+    ("exists X, X = X", "(induction 0 0 0)", "exR"),
+    ("(forall X, X = X) -> z = z", "(induction 1 0 0)", "allL"),
+])
+def test_witness_holding_a_bound_variable_rejected(statement, cert, rule):
+    prelude = CORPUS.read_text().split("Define plus")[0]
+    file = parse_file(prelude + f'Theorem t : {statement}.\nship "{cert}".\n')
+    [r] = run_session(file)
+    assert r.outcome == "ok"
+    # the witness is a metavariable nothing constrains: write (bv 7) for it
+    # in the witness record and in every formula it reaches
+    lines = [re.sub(r"\(mv \d+ \d+\)", "(bv 7)", ln)
+             for ln in trace_to_lines(r.trace)]
+    assert any(ln.startswith(f"({rule} 1 ") and " (bv 7) nil nil nil)" in ln
+               for ln in lines)
+    forged = trace_from_lines(lines, elaborate(file).definitions)
+    assert explain_failure(r.lemmas, r.goal, forged) == "witness holds a bound variable"
 
 
 # -- rules the corpus never fires: each is traced, replays from its lines,
