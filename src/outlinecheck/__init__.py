@@ -23,8 +23,8 @@ from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (
     FF, SELF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff,
     Formula, Hyp, Imp, Index, InvariantAbs, LemmaName, MVar, MuAtom, Or,
-    StructuralError, Term, TraceFormatError, Tt, con, fresh_evar, fresh_mvar,
-    open_binder, sym, synthesize_obvious_invariants, unfold_mu,
+    StructuralError, Term, TraceFormatError, Tt, con, open_binder, sym,
+    synthesize_obvious_invariants, unfold_mu,
 )
 from .trace import TraceNode, count_rule, trace_from_lines, trace_to_lines
 from .unify import CLASH, OK, STUCK, BindingStore, StaleCheckpointError

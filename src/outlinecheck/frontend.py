@@ -233,15 +233,12 @@ class _Parser:
 
     def decl(self) -> Decl:
         t = self.peek()
-        if t.kind == "ident" and t.text == "Kind":
-            return self.kind_decl()
-        if t.kind == "ident" and t.text == "Type":
-            return self.type_decl()
-        if t.kind == "ident" and t.text == "Define":
-            return self.define_decl()
-        if t.kind == "ident" and t.text == "Theorem":
-            return self.theorem_decl()
-        raise self.fail("expected a declaration (Kind, Type, Define, Theorem)")
+        parse = {"Kind": self.kind_decl, "Type": self.type_decl,
+                 "Define": self.define_decl, "Theorem": self.theorem_decl}.get(t.text)
+        if t.kind != "ident" or parse is None:
+            raise self.fail("expected a declaration (Kind, Type, Define, Theorem)")
+        self.next()
+        return parse()
 
     def name(self) -> str:
         t = self.peek()
@@ -250,7 +247,6 @@ class _Parser:
         return self.next().text
 
     def kind_decl(self) -> KindDecl:
-        self.expect("ident", "Kind")
         n = self.name()
         self.expect("ident", "type")
         self.expect("punct", ".")
@@ -269,7 +265,6 @@ class _Parser:
         raise self.fail("expected a sort name")
 
     def type_decl(self) -> TypeDecl:
-        self.expect("ident", "Type")
         names = [self.name()]
         while self.eat("punct", ","):
             names.append(self.name())
@@ -278,7 +273,6 @@ class _Parser:
         return TypeDecl(tuple(names), args, res)
 
     def define_decl(self) -> DefineDecl:
-        self.expect("ident", "Define")
         n = self.name()
         self.expect("punct", ":")
         args, res = self.sort_arrow()
@@ -304,7 +298,6 @@ class _Parser:
         return SClause(head.args, body)
 
     def theorem_decl(self) -> TheoremDecl:
-        self.expect("ident", "Theorem")
         n = self.name()
         self.expect("punct", ":")
         stmt = self.formula()
@@ -411,9 +404,7 @@ class _Elab:
     binder, clause variable, definition parameter) is elaborated to a
     placeholder eigenvariable, whose sort var_sorts records, and
     syntax.close_binders turns the placeholders into positional binders
-    where the binder is built.  Placeholders come from this elaborator's
-    own counter: fresh_evar's counter numbers the eigenvariables written
-    into traces, and elaborating a file must not shift them."""
+    where the binder is built, so no placeholder reaches a check."""
 
     def __init__(self) -> None:
         self.sorts: set[str] = set()

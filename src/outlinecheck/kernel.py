@@ -37,14 +37,15 @@ records only the invariance premise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
-    SELF, YS_HEAD, All, And, App, Eq, Ex, Ff, Formula, Imp, Index, MuAtom, Or,
-    Rhs, Store, StructuralError, Tt,
-    apply_invariant, body_with_invariant, fresh_evar, fresh_mvar, map_sequent,
+    SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
+    MVar, Or, Rhs, Store, StructuralError, Tt,
+    apply_invariant, body_with_invariant, formula_vars, map_sequent,
     map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
     unfold_mu,
 )
@@ -115,7 +116,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                     for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level):
                         yield TraceNode("orL", (t1, t2), formula=c)
             case Ex():
-                e = fresh_evar(level + 1)
+                e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(c, e)
                 for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1):
                     yield TraceNode("exL", (t,), formula=c, term=e)
@@ -148,7 +149,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                     rstore, _, (_, goal_f) = map_sequent(
                         store, (), rhs, lambda t, _: binds.resolve(t))
                     for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
-                        ys = tuple(fresh_evar(level + 1) for _ in range(d.arity))
+                        ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
                         # the invariance premise: store ; B S ys |- S ys
                         for t2 in _async(ctx, store, (body_with_invariant(d, inv, ys),),
                                          ("un", apply_invariant(inv, ys)), kr, level + 1):
@@ -182,7 +183,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 for t in _async(ctx, store, (a,), ("un", b), cert, level):
                     yield TraceNode("impR", (t,), formula=f)
             case All():
-                e = fresh_evar(level + 1)
+                e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(f, e)
                 for t in _async(ctx, store, (), ("un", sub), cert, level + 1):
                     yield TraceNode("allR", (t,), formula=f, term=e)
@@ -207,7 +208,7 @@ def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
     ctx.tick()
     match focus:
         case All():
-            t = fresh_mvar(level)
+            t = MVar(next(ctx.binds.ids), level)
             sub = open_binder(focus, t)
             for tr in _left_focus(ctx, store, sub, goal, cert, level):
                 yield TraceNode("allL", (tr,), formula=focus, term=t)
@@ -235,7 +236,7 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
                 for t2 in _right_focus(ctx, store, b, cert, level):
                     yield TraceNode("andR", (t1, t2), formula=focus)
         case Ex():
-            t = fresh_mvar(level)
+            t = MVar(next(binds.ids), level)
             sub = open_binder(focus, t)
             for tr in _right_focus(ctx, store, sub, cert, level):
                 yield TraceNode("exR", (tr,), formula=focus, term=t)
@@ -296,8 +297,12 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     the step limit is hit first."""
     limits = limits or ResourceLimits()
     ctx = _Ctx(fpc, limits.max_steps)
+    store = tuple(lemmas)
+    # a variable free in the inputs is a constant that no rule may make again
+    ids = [v.id for f in (goal, *(g for _, g in store)) for v in formula_vars(f)]
+    ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
     try:
-        for tr in _async(ctx, tuple(lemmas), (), ("un", goal), cert, 0):
+        for tr in _async(ctx, store, (), ("un", goal), cert, 0):
             return Accepted(_finalize(ctx.binds, tr), ctx.steps)
     except OutOfBudgetError:
         return OutOfBudget(ctx.steps)

@@ -24,8 +24,8 @@ from typing import Optional
 from .syntax import (
     SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar,
     MuAtom, Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
-    map_sequent, open_binder, store_lookup, synthesize_obvious_invariants,
-    term_vars, unfold_mu,
+    formula_vars, map_sequent, open_binder, store_lookup,
+    synthesize_obvious_invariants, term_vars, unfold_mu,
 )
 from .trace import RULES, TraceNode
 
@@ -116,8 +116,11 @@ def match_evars(a: Term, b: Term) -> tuple[str, Optional[dict[EVar, Term]]]:
 
 
 class _Replay:
-    def __init__(self) -> None:
-        self.used_evars: set[int] = set()
+    def __init__(self, store: Store, goal: Formula) -> None:
+        # an eigenvariable free in the inputs is a constant no rule may make
+        self.used_evars: set[int] = {
+            v.id for f in (goal, *(g for _, g in store)) for v in formula_vars(f)
+            if isinstance(v, EVar)}
 
     # -- checks
 
@@ -326,7 +329,8 @@ class _Replay:
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
     """Replay a trace; None when it checks out, else a reason it does not."""
     try:
-        _Replay().r_async(tuple(lemmas), (), ("un", goal), 0, trace)
+        store = tuple(lemmas)
+        _Replay(store, goal).r_async(store, (), ("un", goal), 0, trace)
     except ReplayError as e:
         return str(e)
     except RecursionError:

@@ -20,7 +20,6 @@ at the end of the module read it back.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -56,11 +55,11 @@ def sym(name: str) -> Sym:
 # (no EVar, MVar or Bound inside).  A walk that only rewrites variables of
 # some kind returns a subterm whose flag rules them out as it is.
 
-_ids = itertools.count(1)
-
+# A variable prints as (tag id level).  An EVar never equals an MVar:
+# dataclass equality compares the classes first.
 
 @dataclass(frozen=True)
-class EVar:
+class _Var:
     id: int
     level: int
 
@@ -68,19 +67,15 @@ class EVar:
     ground = False
 
     def __repr__(self) -> str:
-        return f"(ev {self.id} {self.level})"
+        return f"({self.tag} {self.id} {self.level})"
 
 
-@dataclass(frozen=True)
-class MVar:
-    id: int
-    level: int
+class EVar(_Var):
+    tag = "ev"
 
-    closed = True
-    ground = False
 
-    def __repr__(self) -> str:
-        return f"(mv {self.id} {self.level})"
+class MVar(_Var):
+    tag = "mv"
 
 
 @dataclass(frozen=True)
@@ -173,15 +168,6 @@ def con(name: str, *args: Term) -> App:
     return App(sym(name), tuple(args))
 
 
-def fresh_evar(level: int) -> EVar:
-    """A globally unique eigenvariable at the given level."""
-    return EVar(next(_ids), level)
-
-
-def fresh_mvar(level: int) -> MVar:
-    return MVar(next(_ids), level)
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -223,8 +209,8 @@ class Eq:
         return f"(eq {self.l!r} {self.r!r})"
 
 
-# A connective prints as (tag operands...), its tag the class name in lower
-# case; the formula reader looks the classes up by tag.
+# A connective prints as (tag operands...); the formula reader looks the
+# classes up by tag.
 
 @dataclass(frozen=True)
 class _Binary:
@@ -232,19 +218,19 @@ class _Binary:
     b: "Formula"
 
     def __repr__(self) -> str:
-        return f"({type(self).__name__.lower()} {self.a!r} {self.b!r})"
+        return f"({self.tag} {self.a!r} {self.b!r})"
 
 
 class And(_Binary):
-    pass
+    tag = "and"
 
 
 class Or(_Binary):
-    pass
+    tag = "or"
 
 
 class Imp(_Binary):
-    pass
+    tag = "imp"
 
 
 @dataclass(frozen=True)
@@ -252,15 +238,15 @@ class _Quantifier:
     body: "Formula"
 
     def __repr__(self) -> str:
-        return f"({type(self).__name__.lower()} {self.body!r})"
+        return f"({self.tag} {self.body!r})"
 
 
 class All(_Quantifier):
-    pass
+    tag = "all"
 
 
 class Ex(_Quantifier):
-    pass
+    tag = "ex"
 
 
 @dataclass(frozen=True)
@@ -410,6 +396,8 @@ def close_binders(f: Formula, names: Sequence[EVar],
 # traversal helpers
 
 def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
+    if t.ground:
+        return
     match t:
         case EVar() | MVar():
             yield t
@@ -547,22 +535,24 @@ def synthesize_obvious_invariants(
                 return []
             hyps.append(f)
 
-    arity = len(target_args)
-    if any(isinstance(v, MVar) for t in target_args for v in term_vars(t)):
+    seen = [v for t in target_args for v in term_vars(t)]
+    seen += formula_vars(goal)
+    if any(isinstance(v, MVar) for v in seen):
         return []
-    if any(isinstance(v, MVar) for v in formula_vars(goal)):
-        return []
+    # the parameters xs take ids above the sequent's, so none is one of zs
+    seen += (v for h in hyps for v in formula_vars(h))
+    top = max((v.id for v in seen), default=0)
+    params = [EVar(top + i, 0) for i in range(1, len(target_args) + 1)]
+    eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
 
     out: list[InvariantAbs] = []
     for folded in (hyps, []):
         if folded and any(isinstance(v, MVar) for h in folded for v in formula_vars(h)):
             continue
-        params = [fresh_evar(0) for _ in range(arity)]
-        eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
         inner: Formula = Imp(_chain(And, eqs + folded, TT), goal)
         zs = sorted({v for v in formula_vars(inner) if isinstance(v, EVar)} - set(params),
                     key=lambda e: (e.id, e.level))
-        inv = InvariantAbs(arity, close_binders(inner, zs, All, params))
+        inv = InvariantAbs(len(params), close_binders(inner, zs, All, params))
         if inv not in out:
             out.append(inv)
     return out
@@ -580,7 +570,7 @@ class TraceFormatError(Exception):
     pass
 
 
-_CONNECTIVES = {c.__name__.lower(): c for c in (And, Or, Imp, All, Ex)}
+_CONNECTIVES = {c.tag: c for c in (And, Or, Imp, All, Ex)}
 
 
 def _tokenize(line: str) -> list[str]:

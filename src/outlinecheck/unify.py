@@ -21,7 +21,9 @@ in a candidate binding are pruned to fresh ones at the lower level.
 
 from __future__ import annotations
 
-from .syntax import App, Bound, EVar, MVar, StructuralError, Term, fresh_mvar
+import itertools
+
+from .syntax import App, Bound, EVar, MVar, StructuralError, Term
 
 OK = "ok"
 CLASH = "clash"
@@ -37,13 +39,17 @@ class BindingStore:
 
     Checkpoints from `mark` must be undone in LIFO order; rewinding past a
     checkpoint that has already been undone is a structural error.
+
+    `ids` numbers the variables a check makes, pruning's too: from 1 in a
+    bare store, and above every id its inputs hold under kernel.check.
     """
 
-    __slots__ = ("bindings", "trail")
+    __slots__ = ("bindings", "trail", "ids")
 
     def __init__(self) -> None:
         self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
+        self.ids = itertools.count(1)
 
     # -- checkpoints
 
@@ -170,7 +176,7 @@ class BindingStore:
                 if t.id == v.id:
                     return CLASH  # occurs check
                 if t.level > v.level:
-                    self._bind(t, fresh_mvar(v.level))
+                    self._bind(t, MVar(next(self.ids), v.level))
                 return OK
             case EVar(level=lv):
                 if lv > v.level:

@@ -161,55 +161,56 @@ def test_verdicts_are_deterministic(capsys):
     assert first == second
 
 
-# -- the trace files of the four theorem files, byte for byte.  Eigenvariable
-# numbers depend on everything checked before in the process, so the files
-# are written by one fresh interpreter, checked in this order.
+# -- the trace files of the four theorem files, byte for byte.  A check
+# numbers its variables above its own inputs' ids, so a trace depends only
+# on its file up to its theorem: the bytes do not move with what else a run
+# checks, in which order, or with --replay.
 
 _PINNED_FILES = ("corpus/plus.thm", "bench/theorems/list.thm",
                  "bench/theorems/order.thm", "bench/theorems/parity.thm")
 _PINNED_SHA256 = {
     "list.app_assoc.trace":
-        "6cb2391a89d0cf79698dba574538829e51e962e81b8ee84effa9aa0ebdc33128",
+        "f88b813e94d80ffe3224b25465057fe1871c0ac9a8ecb188cc9e3a78802a3bd0",
     "list.app_determ.trace":
-        "c19ca8eccda01ba8a0f340959b75763c09c09c7188658cf185068ceaa8b8f1b5",
+        "f6447f3097aef98dc88aa30b252fdce596ef1e97b96b9e666605bbea953d2ad8",
     "list.app_nil.trace":
-        "ba8670c9cb29512534640efdffd8d8bb9c3f5b1f3f60edb0969aa773eece9a19",
+        "67e8047300968c18b321c35684d62613e0adb3bc274f0002caadf36153f4c141",
     "list.app_total.trace":
-        "82a527c52df9a71a5077c78459126f229c5c8c4dd392a74c514755d879e65263",
+        "901fc8339921881feaab68a7ae3193e4012a9523208c6d9f584f9304d0f10022",
     "order.le_refl.trace":
-        "e2216572c0a9dd129d988621355682d4fa130c124238db72e914d2ee775ca550",
+        "11d33663b5cb58fbd966ff4a09d52ef6589188f3de8b142f1ee93a1896472603",
     "order.le_trans.trace":
-        "7f17cd3acf6f16b576d63aa7e1c982f0f81edba7231aa243b100a5995808dd40",
+        "90d5a1776459590982d5f731a676bd0df025b0d24a69d913ce657e30d0039423",
     "order.lt_irrefl.trace":
-        "3471cffa6f0bfe1458c29e3c249c1ebf14af0123d1c9150319441412d72ac838",
+        "b46fc5194a8b7e2a2b41fd0f751e1fb05a7856b0d211464834ed99f76606d128",
     "order.lt_le.trace":
-        "b34a73e7e860eca54f7a470bd82501bb22e880c50fad469ec654438109467a18",
+        "a06c0a27fd31bc4de9cc4d2408166d31e4a719b969990a6b8f6f4e64d69127ff",
     "order.lt_succ.trace":
-        "a025ec4682c5ec9a359c0542d082dfad8d845d78d7ba2d73ec03913c4b323f84",
+        "188f8e82b153da2f2d4e6661783462f88c8975b3739277200bcd7f6523367e76",
     "order.lt_trans.trace":
-        "d06fa3c94221f934be22df30c5a0dfa213d138d12fc13e5d10b15ea736ad6646",
+        "905ff34ca3fcc94e5a66b14c65eb3d2e74423862cb752c4925d9c902f1076572",
     "order.lt_z_false.trace":
-        "7f6c6e7734e90793239816c5dd3d6c50a6ac8dbf55970912d2b97b35981028ae",
+        "7030f224184e91b0fb2adbb2739c743cf2810b25a2eb16da5984d2060706dbe2",
     "parity.even_is_nat.trace":
-        "d04ba4bdcb63935984e975ce88c0c1ad07d32e5f0da2816a4744ceaa2917284e",
+        "2f0eec40a9a1ba75d51e54c5f3ae144f6ee1da42efaf7afae31f3029747c7f04",
     "parity.even_odd_false.trace":
-        "e2539003169b1d08a78cd4526cfcf4c754e7e5ebefae111dc4ade3c19b28faba",
+        "2f70c202f14984cb79975c67806d945dad4dc32094793591241d2c5989f059f4",
     "parity.even_or_odd.trace":
-        "ff1e8fb8caffbe70306cc326c37c684025ad996b76cf6b62944d45b621b47d3a",
+        "aef329d1edf7cc528dffbe74d4abee985fce49833b469510d4a1c72c718992de",
     "parity.even_s_odd.trace":
-        "79aec34fe891232a2668f6c52073127ad3ca85704ce96f68fc2c91d2db134fc4",
+        "da3fb9cd6d157d54a6bb124e6b38b9fd924258ab235470ff7370af2c188ed688",
     "parity.odd_s_even.trace":
-        "0736cf7337c597ef92bd74b8b1b7c9453d21d0c7c3c0af4ca5cbb409e4ccb045",
+        "3e38e511ee3da2489ed12200ca82ea1b239a257562e243e358b383f29a4e4347",
     "plus.plus0com.trace":
-        "51b761e81707b6e463130e53b0f40af25514cb7e9f631e1da650aa88e6d31afd",
+        "525f7cebb566727bba187d94a7ad81b73f91e59b86018d703d85261542c6a9f9",
     "plus.plus_determ.trace":
-        "ecca3cbe83361ce0ff1a349be37b436f38958dfa1e2380e896315daa7394018e",
+        "653ff434490960b3123de19b9c78b4cad9b57796d7b46804bdca54d87ac728e8",
     "plus.plus_total.trace":
-        "12b18e12b7675f0c9f72917e9e15c3f8a533081f8d07f1dc0a15d906db537213",
+        "42a75180a643e1c90f205057c34ed1f151cd12bc163bda1dd6480f2887ff4ee4",
     "plus.pluscom.trace":
-        "cf84f68b057463ea192d9b975a2794cdbc718782f2c661d8f8da8cf05ed1c1dc",
+        "814e463f8c28c7ae80061040fcd51dfedeb7056a48735c0d0fe56be0af51282b",
     "plus.plusscom.trace":
-        "9a02090325662e7450439c47b4e715ce2faaee541a0744a1aa37361bb6a07095",
+        "e8742bb3a8cd5c43422f35c5e58200c1ccab925f91de44deb4563e50cb38b753",
 }
 
 
@@ -246,21 +247,33 @@ even_or_odd: ok (decides=5, unfoldL=0, unfoldR=3, steps=728)
 """
 
 
-def test_trace_bytes_pinned(tmp_path):
-    root = CORPUS.parent.parent
+def _acheck(*argv):
     src = pathlib.Path(outlinecheck.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "outlinecheck.cli", "--trace", str(tmp_path),
-         *(str(root / f) for f in _PINNED_FILES)],
-        env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 1 and not proc.stderr, proc.stderr  # two negative controls
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(_PINNED_SHA256)
-    for name, digest in _PINNED_SHA256.items():
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == digest, f"{name} differs from its pinned bytes"
+    proc = subprocess.run([sys.executable, "-m", "outlinecheck.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode in (0, 1) and not proc.stderr, proc.stderr
+    return proc
+
+
+def test_trace_bytes_pinned(tmp_path):
+    root = CORPUS.parent.parent
+    files = [root / f for f in _PINNED_FILES]
+    proc = _acheck("--trace", tmp_path / "together", *files)
+    assert proc.returncode == 1  # two negative controls
     out = ["== " + pathlib.Path(ln[3:]).name if ln.startswith("== ") else ln
            for ln in proc.stdout.splitlines()]
     assert out == _PINNED_STDOUT.splitlines()
+    for f in files:
+        _acheck("--trace", tmp_path / "alone", f)
+    proc = _acheck("--trace", tmp_path / "reversed", "--replay", *reversed(files))
+    replays = [ln for ln in proc.stdout.splitlines() if ln.startswith("replay")]
+    assert len(replays) == 4
+    assert all(re.fullmatch(r"replay: (\d+)/\1 ok", ln) for ln in replays), replays
+    for shape in ("together", "alone", "reversed"):
+        written = sorted(p.name for p in (tmp_path / shape).iterdir())
+        assert written == sorted(_PINNED_SHA256), shape
+        for name, digest in _PINNED_SHA256.items():
+            got = hashlib.sha256((tmp_path / shape / name).read_bytes()).hexdigest()
+            assert got == digest, f"{name} differs from its pinned bytes ({shape})"

@@ -25,7 +25,7 @@ from outlinecheck import (
     kernel,
     synthesize_obvious_invariants,
 )
-from outlinecheck.syntax import Hyp, InvariantAbs, apply_invariant, fresh_evar
+from outlinecheck.syntax import EVar, Hyp, InvariantAbs, apply_invariant
 
 from _util import check_outline, elab_plus, num
 
@@ -97,6 +97,13 @@ def test_universal_introduces_eigenvariable():
     assert count_rule(r.trace, "allR") == 1
 
 
+def test_eigenvariable_of_the_goal_is_never_made_again():
+    # forall X, X = (ev 1 1) is false: (ev 1 1) is a fixed constant, so the
+    # eigenvariable that allR makes must be another one
+    goal = All(Eq(Bound(0), EVar(1, 1)))
+    assert isinstance(check_outline(None, goal, "(induction 0 0 0)"), Rejected)
+
+
 # -- fixed points
 
 
@@ -157,8 +164,8 @@ def test_induction_node_records_invariant(el):
 def test_synthesized_invariant_applies_to_target(el):
     # For goal  is_nat m ⊢ exists p, plus m n p  the folded invariant at the
     # target arguments must reproduce the sequent.
-    m = fresh_evar(1)
-    n = fresh_evar(1)
+    m = EVar(1, 1)
+    n = EVar(2, 1)
     d = _defs(el)["plus"]
     goal = Ex(MuAtom(d, (m, n, Bound(0))))
     invs = synthesize_obvious_invariants((), (m,), goal)
@@ -169,7 +176,7 @@ def test_synthesized_invariant_applies_to_target(el):
 
 def test_obvious_induction_refused_with_non_atomic_hypothesis(el):
     store = ((Hyp(1), Imp(TT, TT)),)
-    invs = synthesize_obvious_invariants(store, (fresh_evar(1),), TT)
+    invs = synthesize_obvious_invariants(store, (EVar(1, 1),), TT)
     assert invs == []
 
 

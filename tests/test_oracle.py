@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outlinecheck import (
-    Bound, MuAtom, UNKNOWN, elaborate, eval_ground, fresh_evar, fresh_mvar,
-    oracle, parse_file,
+    Bound, EVar, MVar, MuAtom, UNKNOWN, elaborate, eval_ground, oracle,
+    parse_file,
 )
 
 from _util import CORPUS, elab_plus, num
@@ -49,7 +49,7 @@ def test_fuel_exhaustion_reports_unknown(el):
 
 
 def test_non_ground_query_rejected(el):
-    for var in (fresh_mvar(0), fresh_evar(0), Bound(0)):
+    for var in (MVar(1, 0), EVar(2, 0), Bound(0)):
         bad = MuAtom(el.definitions["is_nat"], (var,))
         with pytest.raises(ValueError):
             eval_ground(el.definitions.values(), bad, 5)

@@ -30,11 +30,10 @@ from outlinecheck import (
     ResourceLimits,
     StructuralError,
     con,
-    fresh_evar,
-    fresh_mvar,
     open_binder,
     run_session,
     sym,
+    synthesize_obvious_invariants,
     trace_from_lines,
     trace_to_lines,
     unfold_mu,
@@ -63,14 +62,16 @@ def test_sym_interning():
 
 
 def test_fresh_vars_are_distinct():
-    a, b = fresh_evar(1), fresh_evar(1)
+    a, b = EVar(1, 1), EVar(2, 1)
     assert a != b
-    assert fresh_mvar(2).level == 2
+    assert MVar(3, 2).level == 2
+    # the two kinds never meet, even with equal fields
+    assert EVar(1, 1) != MVar(1, 1)
 
 
 def test_open_binder_substitutes_innermost():
     f = All(Ex(Eq(Bound(0), Bound(1))))
-    e = fresh_evar(1)
+    e = EVar(1, 1)
     opened = open_binder(f, e)
     assert opened == Ex(Eq(Bound(0), e))
 
@@ -98,7 +99,7 @@ def test_term_subst_lifts_args_under_binders():
 def test_apply_invariant_under_own_binders():
     # Invariant with parameters x0 x1, body forall w. x0 = x1.
     inv = InvariantAbs(2, All(Eq(Bound(1), Bound(2))))
-    a, b = fresh_evar(1), fresh_evar(1)
+    a, b = EVar(1, 1), EVar(2, 1)
     assert apply_invariant(inv, (a, b)) == All(Eq(a, b))
 
 
@@ -162,8 +163,17 @@ def test_self_outside_definition_rejected():
         open_binder(All(MuAtom(SELF, (Bound(0),))), con("z"))
 
 
+def test_synthesis_parameters_avoid_the_sequent_eigenvariables():
+    # the parameter for the target (ev 1 0) must not be (ev 1 0) itself,
+    # which the invariant abstracts as one of the sequent's eigenvariables
+    goal = Eq(EVar(1, 0), EVar(2, 0))
+    want = "[(inv 1 (all (all (imp (eq (bv 2) (bv 1)) (eq (bv 1) (bv 0))))))]"
+    for _ in range(2):
+        assert repr(synthesize_obvious_invariants((), (EVar(1, 0),), goal)) == want
+
+
 def test_close_formula_abstracts_eigenvariables():
-    a, b = fresh_evar(1), fresh_evar(2)
+    a, b = EVar(1, 1), EVar(2, 2)
     f = Imp(Eq(a, b), All(Eq(a, Bound(0))))
     closed = map_terms(f, lambda t, depth: close_term(t, {a: 1, b: 0}, depth))
     assert closed == Imp(Eq(Bound(1), Bound(0)), All(Eq(Bound(2), Bound(0))))

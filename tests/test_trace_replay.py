@@ -27,7 +27,9 @@ from outlinecheck import (
     trace_to_lines,
     verify_trace,
 )
-from outlinecheck.syntax import App, Bound, FF, Hyp, InvariantAbs, TT, con, sym
+from outlinecheck.syntax import (
+    All, App, Bound, EVar, Eq, FF, Hyp, InvariantAbs, TT, con, sym,
+)
 from outlinecheck.trace import RULES
 
 from _util import CORPUS, check_outline, elab_plus, load_plus, num
@@ -290,6 +292,17 @@ def test_clash_claims_require_rigid_disagreement(session, el):
                 return
 
 
+def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
+    # forall X, X = (ev 1 1) is false: (ev 1 1) is a fixed constant that no
+    # rule may introduce again, so allR may not claim it for X
+    lines = ["(allR 1 (all (eq (bv 0) (ev 1 1))) (ev 1 1) nil nil nil)",
+             "(storeR 1 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)",
+             "(decideR 1 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)",
+             "(eqR 0 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)"]
+    goal = All(Eq(Bound(0), EVar(1, 1)))
+    assert explain_failure((), goal, trace_from_lines(lines, {})) == "eigenvariable reused"
+
+
 # -- the trusted base stands alone
 
 
@@ -313,6 +326,28 @@ def _package_imports(path: pathlib.Path):
                 yield from (alias.name for alias in node.names)
 
 
+def _import_time_counters(path: pathlib.Path):
+    """Lines where a source file makes an itertools.count when it is
+    imported: anywhere but inside a function body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             and n.module == "itertools" for a in n.names if a.name == "count"}
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.append(node.args)  # defaults run at import
+            todo.extend(getattr(node, "decorator_list", ()))
+            continue
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in names
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "count"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "itertools"):
+            yield node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+
+
 def test_trusted_base_imports_only_itself():
     # read the source: importing any module runs the package __init__,
     # which loads the kernel, so sys.modules cannot show this
@@ -321,3 +356,6 @@ def test_trusted_base_imports_only_itself():
     for name in sorted(trusted):
         imported = set(_package_imports(pkg / f"{name}.py"))
         assert imported <= trusted, (name, imported - trusted)
+        # a counter shared by the whole process would make what a check
+        # outputs depend on the checks before it
+        assert not list(_import_time_counters(pkg / f"{name}.py")), name
