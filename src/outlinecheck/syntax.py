@@ -97,14 +97,14 @@ _GROUND: dict[tuple, "App"] = {}
 
 class App:
     """A constructor application, immutable like the other terms.  Its
-    flags are computed once, from its arguments' flags, and its hash is
-    cached.  A ground application is interned: building an equal one
-    returns the shared instance.  Identity is only a fast path of equality,
-    which falls back to comparing structure, so nothing relies on the
-    sharing.  Non-ground terms hold fresh variables and are not interned.
+    flags are computed once, from its arguments' flags; its hash, and a
+    ground one's printed form, are kept once computed.  A ground
+    application is interned: building an equal one returns the shared
+    instance.  Identity is only a fast path of equality, which falls back
+    to comparing structure.  Non-ground terms are not interned.
     """
 
-    __slots__ = ("head", "args", "closed", "ground", "_hash")
+    __slots__ = ("head", "args", "closed", "ground", "_hash", "_repr")
     __match_args__ = ("head", "args")
 
     def __new__(cls, head: Sym, args: tuple["Term", ...] = ()) -> "App":
@@ -127,6 +127,7 @@ class App:
         _init(t, "closed", closed)
         _init(t, "ground", ground)
         _init(t, "_hash", None)
+        _init(t, "_repr", None if args else head.name)
         if ground:
             _GROUND[key] = t
         return t
@@ -155,9 +156,12 @@ class App:
         return h
 
     def __repr__(self) -> str:
-        if not self.args:
-            return self.head.name
-        return f"({self.head.name} {' '.join(map(repr, self.args))})"
+        s = self._repr
+        if s is None:
+            s = f"({self.head.name} {' '.join(map(repr, self.args))})"
+            if self.ground:
+                object.__setattr__(self, "_repr", s)
+        return s
 
 
 Term = Union[EVar, MVar, Bound, App]
@@ -428,21 +432,20 @@ def map_terms(f: Formula, fn: Callable[[Term, int], Term],
     counts the binders enclosing t (`depth` of them enclose `f` itself).
     With `self_fn`, a recursive atom MuAtom(SELF, ts) becomes self_fn(ts')
     once its arguments are rewritten; without it, it stays an atom."""
-    match f:
-        case Eq(l=l, r=r):
-            return Eq(fn(l, depth), fn(r, depth))
-        case _Binary(a=a, b=b):
-            return type(f)(map_terms(a, fn, self_fn, depth),
-                           map_terms(b, fn, self_fn, depth))
-        case _Quantifier(body=b):
-            return type(f)(map_terms(b, fn, self_fn, depth + 1))
-        case MuAtom(defn=d, args=ts):
-            ts = tuple(fn(x, depth) for x in ts)
-            if d is SELF and self_fn is not None:
-                return self_fn(ts)
-            return MuAtom(d, ts)
-        case Tt() | Ff():
-            return f
+    c = f.__class__
+    if c is Eq:
+        return Eq(fn(f.l, depth), fn(f.r, depth))
+    if c is And or c is Or or c is Imp:
+        return c(map_terms(f.a, fn, self_fn, depth), map_terms(f.b, fn, self_fn, depth))
+    if c is All or c is Ex:
+        return c(map_terms(f.body, fn, self_fn, depth + 1))
+    if c is MuAtom:
+        ts = tuple(fn(x, depth) for x in f.args)
+        if f.defn is SELF and self_fn is not None:
+            return self_fn(ts)
+        return MuAtom(f.defn, ts)
+    if c is Tt or c is Ff:
+        return f
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -482,12 +485,16 @@ def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
 def map_sequent(store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 fn: Callable[[Term, int], Term]
                 ) -> tuple[Store, tuple[Formula, ...], Rhs]:
-    """Rewrite every term of a sequent (store, workbench and right-hand
+    """Rewrite the variables of a sequent (store, workbench and right-hand
     side) with map_terms; the left equality rule applies its case-split
-    substitution this way."""
-    return (tuple((ix, map_terms(f, fn)) for ix, f in store),
-            tuple(map_terms(f, fn) for f in theta),
-            (rhs[0], map_terms(rhs[1], fn)))
+    substitution this way.  `fn` rewrites only variables, so a formula
+    that holds none comes back as the same object."""
+    def go(f: Formula) -> Formula:
+        if not hasattr(f, "_no_var"):  # one walk per formula object
+            object.__setattr__(f, "_no_var", next(formula_vars(f), None) is None)
+        return f if f._no_var else map_terms(f, fn)
+    return (tuple((ix, go(f)) for ix, f in store),
+            tuple(go(f) for f in theta), (rhs[0], go(rhs[1])))
 
 
 # ---------------------------------------------------------------------------

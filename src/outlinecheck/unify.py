@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import App, Bound, EVar, MVar, StructuralError, Term
+from .syntax import App, Bound, EVar, MVar, StructuralError, Term, term_vars
 
 OK = "ok"
 CLASH = "clash"
@@ -42,14 +42,16 @@ class BindingStore:
 
     `ids` numbers the variables a check makes, pruning's too: from 1 in a
     bare store, and above every id its inputs hold under kernel.check.
+    Pruning skips past every id the current inputs and bindings hold.
     """
 
-    __slots__ = ("bindings", "trail", "ids")
+    __slots__ = ("bindings", "trail", "ids", "_inputs")
 
     def __init__(self) -> None:
         self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
         self.ids = itertools.count(1)
+        self._inputs: tuple[Term, ...] = ()
 
     # -- checkpoints
 
@@ -100,6 +102,7 @@ class BindingStore:
     def unify(self, a: Term, b: Term) -> bool:
         """Rigid-eigenvariable unification; restores the store on failure."""
         cp = self.mark()
+        self._inputs = (a, b)
         out = self._unify(a, b, None)
         if out is not OK:
             self.undo(cp)
@@ -114,6 +117,7 @@ class BindingStore:
         is restored.
         """
         cp = self.mark()
+        self._inputs = (a, b)
         sigma: dict[EVar, Term] = {}
         out = self._unify(a, b, sigma)
         if out is not OK:
@@ -176,7 +180,7 @@ class BindingStore:
                 if t.id == v.id:
                     return CLASH  # occurs check
                 if t.level > v.level:
-                    self._bind(t, MVar(next(self.ids), v.level))
+                    self._bind(t, MVar(self._fresh_id(), v.level))
                 return OK
             case EVar(level=lv):
                 if lv > v.level:
@@ -189,6 +193,19 @@ class BindingStore:
                         return out
                 return OK
         raise StructuralError("positional variable reached the unifier")
+
+    def _fresh_id(self) -> int:
+        """The next id of `ids`, or one above every id the inputs of this
+        unification and the bindings hold when `ids` has not passed them."""
+        i = next(self.ids)
+        held = list(self.bindings)
+        held += (v.id for t in (*self._inputs, *self.bindings.values())
+                 for v in term_vars(t))
+        top = max(held, default=0)
+        if i <= top:
+            i = top + 1
+            self.ids = itertools.count(i + 1)
+        return i
 
     def _bind_evar(self, e: EVar, t: Term, sigma: dict[EVar, Term]) -> str:
         if self._occurs_evar(e, t, sigma):

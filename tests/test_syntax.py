@@ -39,7 +39,8 @@ from outlinecheck import (
     unfold_mu,
     verify_trace,
 )
-from outlinecheck import syntax
+from outlinecheck import BindingStore, syntax
+from outlinecheck.replay import _sigma_apply
 from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
@@ -47,6 +48,7 @@ from outlinecheck.syntax import (
     formula_from_sexp,
     index_from_sexp,
     invariant_from_sexp,
+    map_sequent,
     map_terms,
     parse_sexp,
     term_from_sexp,
@@ -279,6 +281,52 @@ def test_equality_does_not_rely_on_sharing():
     new = num(3)
     assert new is not old and new == old and hash(new) == hash(old)
     assert new != num(4) and con("s", new) == num(4)
+
+
+_ground_terms = st.recursive(
+    _NAMES.map(lambda n: App(sym(n))),
+    lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),
+                           _NAMES, st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=8)
+
+
+def _spell(t) -> str:
+    """Reference printer: a ground term's trace spelling, from scratch."""
+    if not t.args:
+        return t.head.name
+    return "(" + " ".join([t.head.name] + [_spell(x) for x in t.args]) + ")"
+
+
+def _rebuild(t):
+    return App(t.head, tuple(_rebuild(x) for x in t.args))
+
+
+@given(_ground_terms, st.booleans())
+def test_kept_printed_form_matches_a_fresh_spelling(t, print_first):
+    if print_first:
+        assert repr(t) == _spell(t)
+    syntax._GROUND.clear()  # the rebuilt term shares no node with t
+    u = _rebuild(t)
+    for term in (u, con("pair", t, u), t):
+        assert repr(term) == _spell(term)
+        assert repr(term) is repr(term)  # kept, not spelled again
+
+
+def test_map_sequent_returns_variable_free_formulas_as_they_are():
+    p = _DEFS["p"]
+    x, e = MVar(9, 0), EVar(8, 0)
+    lemma = All(Imp(MuAtom(p, (Bound(0), num(2))), Eq(Bound(0), num(2))))
+    open_f = MuAtom(p, (x, e))
+    store = ((LemmaName(sym("l")), lemma), (Hyp(1), open_f))
+    binds = BindingStore()
+    assert binds.unify(x, num(1))
+    sigma = {e: num(3)}
+    for fn, want in ((lambda t, _: binds.resolve(t, sigma), MuAtom(p, (num(1), num(3)))),
+                     (lambda t, _: _sigma_apply(t, sigma), MuAtom(p, (x, num(3))))):
+        for _ in range(2):  # the second call meets the kept answer
+            (l2, o2), theta, (_, r) = map_sequent(store, (lemma, open_f), ("st", lemma), fn)
+            assert l2[1] is lemma and theta[0] is lemma and r is lemma
+            assert o2[1] == want and theta[1] == want and o2[1] is not open_f
 
 
 def test_terms_cannot_be_assigned():

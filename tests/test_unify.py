@@ -108,6 +108,28 @@ def test_case_split_eigenvariable_clash_under_constructor():
     assert verdict is CLASH
 
 
+def _unify_either(b: BindingStore, split: bool, x: Term, y: Term) -> bool:
+    return b.unify_case_split(x, y)[0] is OK if split else b.unify(x, y)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_pruning_takes_no_id_an_input_or_binding_holds(split):
+    # binding X (level 0) to s(Y) with Y at level 1 prunes Y to a fresh
+    # level-0 metavariable; a bare store counts from 1, which X holds
+    b = BindingStore()
+    x = mv(1, lv=0)
+    assert _unify_either(b, split, x, con("s", mv(5)))
+    out = b.resolve(x)  # no cycle X = s(X), so this terminates
+    assert out.head is con("s").head
+    (y,) = out.args
+    assert isinstance(y, MVar) and y.level == 0 and y.id not in (1, 5)
+    # a later pruning skips ids that only the bindings hold
+    b = BindingStore()
+    assert b.unify(mv(1, lv=0), con("z"))
+    assert _unify_either(b, split, mv(2, lv=0), con("s", mv(3)))
+    assert b.resolve(mv(2, lv=0)) != con("s", con("z"))
+
+
 # -- randomized checkpoint-replay oracle -------------------------------------
 #
 # Run a long random sequence of unify / mark / undo operations against the
