@@ -1,14 +1,17 @@
 """Produce a proof trace, replay it, and show that tampering is caught.
 
 Every accepted check returns a preorder trace of the full proof.  The
-replayer re-runs the proof without any search: each record must name the
-formula it acts on, so a verifier can audit an accepted run in one linear
-pass.  Run from the repository root:
+replayer re-runs the proof without any search: it computes the formula
+each record acts on, and the record must name the rule that applies and
+the choices it made, so a verifier can audit an accepted run in one
+linear pass.  A rejection names the record by its line.  Run from the
+repository root:
 
     python3 demos/02_trace_and_replay.py
 """
 
 import pathlib
+from dataclasses import replace
 
 from outlinecheck import (
     ResourceLimits, TraceNode, explain_failure, parse_file, run_session,
@@ -31,16 +34,12 @@ def main() -> None:
     print("\nreplay of the honest trace:",
           "accepted" if verify_trace(r.lemmas, r.goal, r.trace) else "rejected")
 
-    # Tamper with one field: claim a different witness on the first record
-    # that carries a term.
+    # Tamper with one field: claim a different witness on the first witness
+    # record of each branch.  Replay fails where a wrong witness shows.
     def tamper(node: TraceNode) -> TraceNode:
-        if node.term is not None:
-            return TraceNode(node.rule, node.children, node.formula,
-                             con("s", node.term), node.index,
-                             node.invariant, node.side)
-        kids = tuple(tamper(c) for c in node.children)
-        return TraceNode(node.rule, kids, node.formula, node.term,
-                         node.index, node.invariant, node.side)
+        if node.rule in ("exR", "allL"):
+            return replace(node, term=con("s", node.term))
+        return replace(node, children=tuple(tamper(c) for c in node.children))
 
     bad = tamper(r.trace)
     print("replay of the tampered trace:",

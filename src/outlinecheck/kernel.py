@@ -46,8 +46,7 @@ from .syntax import (
     SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
     MVar, Or, Rhs, Store, StructuralError, Tt,
     apply_invariant, body_with_invariant, formula_vars, map_sequent,
-    map_terms, open_binder, store_lookup, synthesize_obvious_invariants,
-    unfold_mu,
+    open_binder, store_lookup, synthesize_obvious_invariants, unfold_mu,
 )
 from .trace import TraceNode
 from .unify import CLASH, OK, BindingStore
@@ -110,21 +109,21 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         match c:
             case And(a=a, b=b):
                 for t in _async(ctx, store, (a, b) + rest, rhs, cert, level):
-                    yield TraceNode("andL", (t,), formula=c)
+                    yield TraceNode("andL", (t,))
             case Or(a=a, b=b):
                 for t1 in _async(ctx, store, (a,) + rest, rhs, cert, level):
                     for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level):
-                        yield TraceNode("orL", (t1, t2), formula=c)
+                        yield TraceNode("orL", (t1, t2))
             case Ex():
                 e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(c, e)
                 for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1):
-                    yield TraceNode("exL", (t,), formula=c, term=e)
+                    yield TraceNode("exL", (t,), term=e)
             case Eq(l=l, r=r):
                 cp = binds.mark()
                 out, sigma = binds.unify_case_split(l, r)
                 if out is CLASH:
-                    yield TraceNode("eqL_clash", formula=c)
+                    yield TraceNode("eqL_clash")
                 elif out is OK:
                     if sigma:
                         store2, rest2, rhs2 = map_sequent(
@@ -132,14 +131,14 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                     else:
                         store2, rest2, rhs2 = store, rest, rhs
                     for t in _async(ctx, store2, rest2, rhs2, cert, level):
-                        yield TraceNode("eqL", (t,), formula=c)
+                        yield TraceNode("eqL", (t,))
                     binds.undo(cp)
                 # a scope-indeterminate equation fails the branch
             case Tt():
                 for t in _async(ctx, store, rest, rhs, cert, level):
-                    yield TraceNode("ttL", (t,), formula=c)
+                    yield TraceNode("ttL", (t,))
             case Ff():
-                yield TraceNode("ffL", formula=c)
+                yield TraceNode("ffL")
             case MuAtom(defn=d, args=ts):
                 if d is SELF:
                     raise StructuralError("recursive marker escaped a definition body")
@@ -153,25 +152,25 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                         # the invariance premise: store ; B S ys |- S ys
                         for t2 in _async(ctx, store, (body_with_invariant(d, inv, ys),),
                                          ("un", apply_invariant(inv, ys)), kr, level + 1):
-                            yield TraceNode("induct_obvious", (t2,), formula=c,
+                            yield TraceNode("induct_obvious", (t2,),
                                             term=App(YS_HEAD, ys), invariant=inv)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
                     for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level):
-                        yield TraceNode("freeze", (t,), formula=c, index=ix)
+                        yield TraceNode("freeze", (t,), index=ix)
                 # unfold
                 for k1 in fpc.unfold_left_expert(cert):
                     sub = unfold_mu(d, ts)
                     for t in _async(ctx, store, (sub,) + rest, rhs, k1, level):
-                        yield TraceNode("unfoldL", (t,), formula=c)
+                        yield TraceNode("unfoldL", (t,))
             case Imp() | All():
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
                     for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level):
-                        yield TraceNode("storeL", (t,), formula=c, index=ix)
+                        yield TraceNode("storeL", (t,), index=ix)
             case _:
                 raise StructuralError(f"unexpected workbench formula: {c!r}")
         return
@@ -181,15 +180,15 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         match f:
             case Imp(a=a, b=b):
                 for t in _async(ctx, store, (a,), ("un", b), cert, level):
-                    yield TraceNode("impR", (t,), formula=f)
+                    yield TraceNode("impR", (t,))
             case All():
                 e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(f, e)
                 for t in _async(ctx, store, (), ("un", sub), cert, level + 1):
-                    yield TraceNode("allR", (t,), formula=f, term=e)
+                    yield TraceNode("allR", (t,), term=e)
             case _:
                 for t in _async(ctx, store, (), ("st", f), cert, level):
-                    yield TraceNode("storeR", (t,), formula=f)
+                    yield TraceNode("storeR", (t,))
         return
 
     # border sequent: decide
@@ -198,9 +197,9 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         if g is None:
             continue
         for t in _left_focus(ctx, store, g, f, k1, level):
-            yield TraceNode("decideL", (t,), formula=g, index=ix)
+            yield TraceNode("decideL", (t,), index=ix)
     for t in _right_focus(ctx, store, f, cert, level):
-        yield TraceNode("decideR", (t,), formula=f)
+        yield TraceNode("decideR", (t,))
 
 
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
@@ -211,15 +210,15 @@ def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
             t = MVar(next(ctx.binds.ids), level)
             sub = open_binder(focus, t)
             for tr in _left_focus(ctx, store, sub, goal, cert, level):
-                yield TraceNode("allL", (tr,), formula=focus, term=t)
+                yield TraceNode("allL", (tr,), term=t)
         case Imp(a=a, b=b):
             for t1 in _right_focus(ctx, store, a, cert, level):
                 for t2 in _left_focus(ctx, store, b, goal, cert, level):
-                    yield TraceNode("impL", (t1, t2), formula=focus)
+                    yield TraceNode("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
             for t in _async(ctx, store, (focus,), ("st", goal), cert, level):
-                yield TraceNode("releaseL", (t,), formula=focus)
+                yield TraceNode("releaseL", (t,))
 
 
 def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
@@ -230,23 +229,23 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
         case Or(a=a, b=b):
             for side, sub in ((1, a), (2, b)):
                 for t in _right_focus(ctx, store, sub, cert, level):
-                    yield TraceNode("orR", (t,), formula=focus, side=side)
+                    yield TraceNode("orR", (t,), side=side)
         case And(a=a, b=b):
             for t1 in _right_focus(ctx, store, a, cert, level):
                 for t2 in _right_focus(ctx, store, b, cert, level):
-                    yield TraceNode("andR", (t1, t2), formula=focus)
+                    yield TraceNode("andR", (t1, t2))
         case Ex():
             t = MVar(next(binds.ids), level)
             sub = open_binder(focus, t)
             for tr in _right_focus(ctx, store, sub, cert, level):
-                yield TraceNode("exR", (tr,), formula=focus, term=t)
+                yield TraceNode("exR", (tr,), term=t)
         case Eq(l=l, r=r):
             cp = binds.mark()
             if binds.unify(l, r):
-                yield TraceNode("eqR", formula=focus)
+                yield TraceNode("eqR")
                 binds.undo(cp)
         case Tt():
-            yield TraceNode("ttR", formula=focus)
+            yield TraceNode("ttR")
         case Ff():
             return
         case MuAtom(defn=d, args=ts):
@@ -258,15 +257,15 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
                 ctx.tick()
                 cp = binds.mark()
                 if all(binds.unify(x, y) for x, y in zip(ts, g.args)):
-                    yield TraceNode("initial", formula=focus, index=ix)
+                    yield TraceNode("initial", index=ix)
                 binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
                 sub = unfold_mu(d, ts)
                 for t in _right_focus(ctx, store, sub, k1, level):
-                    yield TraceNode("unfoldR", (t,), formula=focus)
+                    yield TraceNode("unfoldR", (t,))
         case Imp() | All():
             for t in _async(ctx, store, (), ("un", focus), cert, level):
-                yield TraceNode("releaseR", (t,), formula=focus)
+                yield TraceNode("releaseR", (t,))
         case _:
             raise StructuralError(f"unexpected focus: {focus!r}")
 
@@ -279,8 +278,6 @@ def _finalize(binds: BindingStore, node: TraceNode) -> TraceNode:
     return TraceNode(
         node.rule,
         tuple(_finalize(binds, c) for c in node.children),
-        map_terms(node.formula, lambda t, _: binds.resolve(t))
-        if node.formula is not None else None,
         binds.resolve(node.term) if node.term is not None else None,
         node.index,
         node.invariant,

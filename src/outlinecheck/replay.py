@@ -1,12 +1,13 @@
 """Search-free verification of proof traces.
 
-A trace produced by the kernel records, for every rule, the principal
-formula and the choice data the rule consumed, with all metavariable
-bindings of the final solution already substituted in.  Replaying is
-therefore deterministic: starting from the original lemmas and goal, each
-record must name exactly the rule that applies, its principal formula must
-equal the one the replayer computed, witnesses are read from the record
+A trace produced by the kernel records, for every rule, the choice data
+the rule consumed, with all metavariable bindings of the final solution
+already substituted in.  Replaying is therefore deterministic: starting
+from the original lemmas and goal, the replayer computes each rule's
+principal formula from the sequent it has reached, each record must name
+exactly the rule that applies to it, witnesses are read from the record
 (after scope checks), and leaves are closed by syntactic comparisons.
+A failure names its record by its line in the trace file.
 
 Metavariables that survive in a finished trace were never constrained; the
 replayer treats them as inert constants.  The left equality rule is the
@@ -116,7 +117,8 @@ def match_evars(a: Term, b: Term) -> tuple[str, Optional[dict[EVar, Term]]]:
 
 
 class _Replay:
-    def __init__(self, store: Store, goal: Formula) -> None:
+    def __init__(self, store: Store, goal: Formula, trace: TraceNode) -> None:
+        self.node = trace  # the record being replayed, for a failure to name
         # an eigenvariable free in the inputs is a constant no rule may make
         self.used_evars: set[int] = {
             v.id for f in (goal, *(g for _, g in store)) for v in formula_vars(f)
@@ -130,25 +132,21 @@ class _Replay:
 
     def expect(self, node: TraceNode, rules: tuple[str, ...],
                formula: Formula) -> None:
-        """The record is one of `rules`, has the shape trace.RULES gives
-        that rule, and acts on `formula`.  It carries exactly the fields
-        the rule uses: an extra one is tampering even if nothing reads it,
-        and past this check every field a rule reads is present."""
+        """The record is one of `rules`, those that apply to `formula`, with
+        the premises and exactly the fields trace.RULES gives it: an extra
+        field is tampering even if nothing reads it."""
         if node.rule not in rules:
-            raise ReplayError(f"expected one of {rules}, found {node.rule}")
+            raise ReplayError(f"expected {' or '.join(rules)} on the principal formula {formula!r}")
         nchildren, fields = RULES[node.rule]
         if len(node.children) != nchildren:
-            raise ReplayError(f"{node.rule}: expected {nchildren} premises,"
-                              f" found {len(node.children)}")
+            raise ReplayError(f"expected {nchildren} premises, found {len(node.children)}")
         for name in ("term", "index", "invariant", "side"):
             if (getattr(node, name) is None) == (name in fields):
                 what = "missing" if name in fields else "unexpected"
-                raise ReplayError(f"{node.rule}: {what} {name} field")
-        if node.formula != formula:
-            raise ReplayError(f"{node.rule}: principal formula mismatch")
+                raise ReplayError(f"{what} {name} field")
 
     def fresh_eigen(self, t: Term, level: int) -> EVar:
-        self.need(isinstance(t, EVar), "missing eigenvariable record")
+        self.need(isinstance(t, EVar), "term is not an eigenvariable")
         self.need(t.level == level, f"eigenvariable level {t.level} != {level}")
         self.need(t.id not in self.used_evars, "eigenvariable reused")
         self.used_evars.add(t.id)
@@ -178,6 +176,7 @@ class _Replay:
 
     def r_async(self, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 level: int, node: TraceNode) -> None:
+        self.node = node
         if theta:
             c, rest = theta[0], theta[1:]
             match c:
@@ -194,13 +193,11 @@ class _Replay:
                     self.r_async(store, (open_binder(c, e),) + rest, rhs,
                                  level + 1, node.children[0])
                 case Eq(l=l, r=r):
+                    self.expect(node, ("eqL", "eqL_clash"), c)
+                    out, sigma = match_evars(l, r)
                     if node.rule == "eqL_clash":
-                        self.expect(node, ("eqL_clash",), c)
-                        out, _ = match_evars(l, r)
                         self.need(out is CLASH, "recorded clash is not rigid")
                         return
-                    self.expect(node, ("eqL",), c)
-                    out, sigma = match_evars(l, r)
                     self.need(out is OK, "recorded equation does not unify")
                     if sigma:
                         store, rest, rhs = map_sequent(
@@ -215,28 +212,22 @@ class _Replay:
                     self.need(d is not SELF, "recursive marker in a replayed atom")
                     self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
                     if node.rule == "freeze":
-                        self.need(store_lookup(store, node.index) is None,
-                                  "freeze index already used")
-                        self.r_async(store + ((node.index, c),), rest, rhs, level,
-                                     node.children[0])
+                        self.r_store(store, c, rest, rhs, level, node)
                     elif node.rule == "unfoldL":
                         self.r_async(store, (unfold_mu(d, ts),) + rest, rhs,
                                      level, node.children[0])
                     else:
-                        inv = node.invariant
                         good = synthesize_obvious_invariants(store, ts, rhs[1])
-                        self.need(inv in good,
+                        self.need(node.invariant in good,
                                   "invariant is not one this sequent yields")
+                        inv = good[good.index(node.invariant)]  # ours, not the reader's
                         ys = self.invariance_eigen(node, d.arity, level)
                         self.r_async(store, (body_with_invariant(d, inv, ys),),
                                      ("un", apply_invariant(inv, ys)),
                                      level + 1, node.children[0])
                 case Imp() | All():
                     self.expect(node, ("storeL",), c)
-                    self.need(store_lookup(store, node.index) is None,
-                              "store index already used")
-                    self.r_async(store + ((node.index, c),), rest, rhs, level,
-                                 node.children[0])
+                    self.r_store(store, c, rest, rhs, level, node)
                 case _:
                     raise ReplayError(f"unexpected workbench formula: {c!r}")
             return
@@ -257,19 +248,22 @@ class _Replay:
                     self.r_async(store, (), ("st", f), level, node.children[0])
             return
 
-        if node.rule == "decideL":
-            g = store_lookup(store, node.index)
-            self.expect(node, ("decideL",), g)
-            self.need(g is not None, f"decideL on an absent index {node.index!r}")
-            self.r_left(store, g, f, level, node.children[0])
-        elif node.rule == "decideR":
-            self.expect(node, ("decideR",), f)
+        self.expect(node, ("decideL", "decideR"), f)
+        if node.rule == "decideR":
             self.r_right(store, f, level, node.children[0])
-        else:
-            raise ReplayError(f"expected a decide record, found {node.rule}")
+            return
+        g = store_lookup(store, node.index)
+        self.need(g is not None, "decide on an absent index")
+        self.r_left(store, g, f, level, node.children[0])
+
+    def r_store(self, store: Store, c: Formula, theta: tuple[Formula, ...], rhs: Rhs,
+                level: int, node: TraceNode) -> None:
+        self.need(store_lookup(store, node.index) is None, "store index already used")
+        self.r_async(store + ((node.index, c),), theta, rhs, level, node.children[0])
 
     def r_left(self, store: Store, focus: Formula, goal: Formula,
                level: int, node: TraceNode) -> None:
+        self.node = node
         match focus:
             case All():
                 self.expect(node, ("allL",), focus)
@@ -287,6 +281,7 @@ class _Replay:
 
     def r_right(self, store: Store, focus: Formula, level: int,
                 node: TraceNode) -> None:
+        self.node = node
         match focus:
             case Or(a=a, b=b):
                 self.expect(node, ("orR",), focus)
@@ -309,14 +304,13 @@ class _Replay:
                 self.expect(node, ("ttR",), focus)
             case MuAtom(defn=d, args=ts):
                 self.need(d is not SELF, "recursive marker in a replayed atom")
+                self.expect(node, ("initial", "unfoldR"), focus)
                 if node.rule == "initial":
-                    self.expect(node, ("initial",), focus)
                     g = store_lookup(store, node.index)
                     self.need(isinstance(g, MuAtom) and g.defn is d
                               and g.args == ts,
                               "initial step does not match its store entry")
                 else:
-                    self.expect(node, ("unfoldR",), focus)
                     self.r_right(store, unfold_mu(d, ts), level,
                                  node.children[0])
             case Imp() | All():
@@ -327,17 +321,26 @@ class _Replay:
 
 
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
-    """Replay a trace; None when it checks out, else a reason it does not."""
+    """Replay a trace; None when it checks out, else a reason it does not,
+    naming the failing record by its line in the trace file (preorder)."""
+    store = tuple(lemmas)
+    replay = _Replay(store, goal, trace)
     try:
-        store = tuple(lemmas)
-        _Replay(store, goal).r_async(store, (), ("un", goal), 0, trace)
+        replay.r_async(store, (), ("un", goal), 0, trace)
     except ReplayError as e:
-        return str(e)
+        reason = str(e)
     except RecursionError:
         return "trace nests too deeply for this checker"
     except (TypeError, AttributeError) as e:
-        return f"malformed trace: {e}"
-    return None
+        reason = f"malformed trace: {e}"
+    else:
+        return None
+    node = replay.node
+    if not isinstance(node, TraceNode):  # no record to name
+        return reason
+    # the records before the failing one in preorder have all replayed
+    n = next(i for i, m in enumerate(trace.walk(), 1) if m is node)
+    return f"record {n} ({node.rule}): {reason}"
 
 
 def verify_trace(lemmas, goal: Formula, trace: TraceNode) -> bool:

@@ -55,8 +55,8 @@ def sym(name: str) -> Sym:
 # (no EVar, MVar or Bound inside).  A walk that only rewrites variables of
 # some kind returns a subterm whose flag rules them out as it is.
 
-# A variable prints as (tag id level).  An EVar never equals an MVar:
-# dataclass equality compares the classes first.
+# A variable prints as (%tag id level): no constructor name starts with `%`.
+# An EVar never equals an MVar: dataclass equality compares classes first.
 
 @dataclass(frozen=True)
 class _Var:
@@ -71,11 +71,11 @@ class _Var:
 
 
 class EVar(_Var):
-    tag = "ev"
+    tag = "%ev"
 
 
 class MVar(_Var):
-    tag = "mv"
+    tag = "%mv"
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class Bound:
     ground = False
 
     def __repr__(self) -> str:
-        return f"(bv {self.index})"
+        return f"(%bv {self.index})"
 
 
 # the one shared instance of each ground application built so far
@@ -629,11 +629,11 @@ def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
         t = App(sym(s), ())
     elif not s or not isinstance(s[0], str):
         raise TraceFormatError(f"bad term: {s!r}")
-    elif s[0] == "ev" and len(s) == 3:
+    elif s[0] == "%ev" and len(s) == 3:
         t = EVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    elif s[0] == "mv" and len(s) == 3:
+    elif s[0] == "%mv" and len(s) == 3:
         t = MVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    elif s[0] == "bv" and len(s) == 2:
+    elif s[0] == "%bv" and len(s) == 2:
         t = Bound(int_from_sexp(s[1]))
     else:
         t = App(sym(s[0]), tuple(term_from_sexp(x, memo) for x in s[1:]))

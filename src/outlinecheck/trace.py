@@ -1,18 +1,18 @@
 """Proof traces: replayable records of accepted checks.
 
-A trace is a tree of rule records.  Each record names the rule, the
-principal formula it acted on (fully resolved), and whatever choice data
-the rule consumed: a witness term, a store index, a disjunct side, or an
-induction invariant.  Traces are serialised one record per line, in
-preorder, with an explicit child count, so a file can be parsed without
-lookahead:
+A trace is a tree of rule records.  Each record names the rule and the
+choice data it consumed: a witness term (fully resolved), a store index,
+a disjunct side, or an induction invariant; replay computes the principal
+formula itself.  Traces are serialised one record per line, in preorder,
+with an explicit child count, so a file can be parsed without lookahead:
 
-    (rule NCHILDREN PRINCIPAL TERM INDEX INVARIANT SIDE)
+    (rule NCHILDREN TERM INDEX INVARIANT SIDE)
 
 Absent fields are written as `nil`; every other field is written as its
-repr, the concrete syntax that `syntax` owns and reads back.  Fixed-point
-atoms reference their definition by name, so deserialising needs the
-definition table of the session that produced the trace.
+repr, the concrete syntax that `syntax` owns and reads back.  An
+invariant's fixed-point atoms reference their definition by name, so
+deserialising needs the definition table of the session that produced
+the trace.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import (
-    Definition, Formula, Index, InvariantAbs, SExp, Term, TraceFormatError,
-    formula_from_sexp, index_from_sexp, int_from_sexp, invariant_from_sexp,
-    parse_sexp, term_from_sexp,
+    Definition, Index, InvariantAbs, SExp, Term, TraceFormatError, index_from_sexp,
+    int_from_sexp, invariant_from_sexp, parse_sexp, term_from_sexp,
 )
 
-# every rule's premise count and the fields its record carries besides the
-# principal formula: asynchronous, border, then synchronous rules
+# every rule's premise count and the fields its record carries:
+# asynchronous, border, then synchronous rules
 RULES: dict[str, tuple[int, tuple[str, ...]]] = {
     "andL": (1, ()), "orL": (2, ()), "exL": (1, ("term",)), "eqL": (1, ()),
     "eqL_clash": (0, ()), "ttL": (1, ()), "ffL": (0, ()),
@@ -45,7 +44,6 @@ RULES: dict[str, tuple[int, tuple[str, ...]]] = {
 class TraceNode:
     rule: str
     children: tuple["TraceNode", ...] = ()
-    formula: Optional[Formula] = None
     term: Optional[Term] = None
     index: Optional[Index] = None
     invariant: Optional[InvariantAbs] = None
@@ -67,7 +65,7 @@ def count_rule(trace: TraceNode, rule: str) -> int:
 def trace_to_lines(trace: TraceNode) -> list[str]:
     return [f"({n.rule} {len(n.children)} "
             + " ".join("nil" if v is None else repr(v)
-                       for v in (n.formula, n.term, n.index, n.invariant, n.side))
+                       for v in (n.term, n.index, n.invariant, n.side))
             + ")" for n in trace.walk()]
 
 
@@ -78,9 +76,9 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
     for line in reversed([ln for ln in lines if ln.strip()]):
         rec = parse_sexp(line)
-        if not isinstance(rec, tuple) or len(rec) != 7 or not isinstance(rec[0], str):
+        if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
             raise TraceFormatError(f"bad record shape: {rec!r}")
-        rule, ncs, fm, tm, ixs, invs, sds = rec
+        rule, ncs, tm, ixs, invs, sds = rec
         if rule not in RULES:
             raise TraceFormatError(f"unknown rule: {rule}")
         n = int_from_sexp(ncs)
@@ -91,7 +89,6 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
         del done[len(done) - n:]
         done.append(TraceNode(
             rule, children,
-            None if fm == "nil" else formula_from_sexp(fm, defs, memo),
             None if tm == "nil" else term_from_sexp(tm, memo),
             None if ixs == "nil" else index_from_sexp(ixs),
             None if invs == "nil" else invariant_from_sexp(invs, defs, memo),

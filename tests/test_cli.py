@@ -170,47 +170,47 @@ _PINNED_FILES = ("corpus/plus.thm", "bench/theorems/list.thm",
                  "bench/theorems/order.thm", "bench/theorems/parity.thm")
 _PINNED_SHA256 = {
     "list.app_assoc.trace":
-        "f88b813e94d80ffe3224b25465057fe1871c0ac9a8ecb188cc9e3a78802a3bd0",
+        "d11521279ff877080197313cce75ceaf8fea4c62bc8fa842e074af3b08a338d4",
     "list.app_determ.trace":
-        "f6447f3097aef98dc88aa30b252fdce596ef1e97b96b9e666605bbea953d2ad8",
+        "44bb2b36e9201316748e737298276d40a00d0262fdfefc31bbd5fd07ce21b802",
     "list.app_nil.trace":
-        "67e8047300968c18b321c35684d62613e0adb3bc274f0002caadf36153f4c141",
+        "0fb81cc3eeaf709334f38e214bf6843b37afdb2b01104121865f95750fb9a42a",
     "list.app_total.trace":
-        "901fc8339921881feaab68a7ae3193e4012a9523208c6d9f584f9304d0f10022",
+        "3b1c3a09aea5e323a6b96ba1afba3a1dea398fcde0d2a6cca6aebe16b8a6bfdb",
     "order.le_refl.trace":
-        "11d33663b5cb58fbd966ff4a09d52ef6589188f3de8b142f1ee93a1896472603",
+        "62927a772bd0cc5ab7901bbff4a083f6bdcfc7bbc105866b3caa6bdcda8ffa6e",
     "order.le_trans.trace":
-        "90d5a1776459590982d5f731a676bd0df025b0d24a69d913ce657e30d0039423",
+        "2015ba5af7755b02775605a045c981ada4ad08916dfa8f149763232af2f4e128",
     "order.lt_irrefl.trace":
-        "b46fc5194a8b7e2a2b41fd0f751e1fb05a7856b0d211464834ed99f76606d128",
+        "9f5493eeef84123c93e76533f3e9e816e8983f9db660ddb9236cb3065ee5ae97",
     "order.lt_le.trace":
-        "a06c0a27fd31bc4de9cc4d2408166d31e4a719b969990a6b8f6f4e64d69127ff",
+        "a720199e864239e76655cb5c9c85a8ebf6f9e14073131d7a97afeb46c6feafda",
     "order.lt_succ.trace":
-        "188f8e82b153da2f2d4e6661783462f88c8975b3739277200bcd7f6523367e76",
+        "fd9f9113cb2f66a4ce0218f38b5039ce9c5ebab67832f2eb2b937dac6aa26da6",
     "order.lt_trans.trace":
-        "905ff34ca3fcc94e5a66b14c65eb3d2e74423862cb752c4925d9c902f1076572",
+        "a497ee9fe7944d18b685a733f507d2780510d573b8f3f1dc3e785760080c0fb3",
     "order.lt_z_false.trace":
-        "7030f224184e91b0fb2adbb2739c743cf2810b25a2eb16da5984d2060706dbe2",
+        "205c00d30e838f13651e12a90e8e3bb2c97eb6998f9342de1e97b819cbfa0ce3",
     "parity.even_is_nat.trace":
-        "2f0eec40a9a1ba75d51e54c5f3ae144f6ee1da42efaf7afae31f3029747c7f04",
+        "13411c86a98f0d73a8fac3748f104a7f73af082cbc6eb3d26f72a4534cd3f7ed",
     "parity.even_odd_false.trace":
-        "2f70c202f14984cb79975c67806d945dad4dc32094793591241d2c5989f059f4",
+        "a66760b72090895becdd470921e2bc3da2c951202f611ddcc25d4eb0e7dc5c46",
     "parity.even_or_odd.trace":
-        "aef329d1edf7cc528dffbe74d4abee985fce49833b469510d4a1c72c718992de",
+        "f5163c1de0e6bbfad58fe4fa959dcc27edaef923d645a4f5c5827e76f70edcb3",
     "parity.even_s_odd.trace":
-        "da3fb9cd6d157d54a6bb124e6b38b9fd924258ab235470ff7370af2c188ed688",
+        "1b302dba2651945d911dfdc15ff76ea131ee6e755ddd0a863310857f4cad0020",
     "parity.odd_s_even.trace":
-        "3e38e511ee3da2489ed12200ca82ea1b239a257562e243e358b383f29a4e4347",
+        "477481d97a07cbb5009aa36848033671f12d6419ad330db0bb88309e69fd40dd",
     "plus.plus0com.trace":
-        "525f7cebb566727bba187d94a7ad81b73f91e59b86018d703d85261542c6a9f9",
+        "6958e7e327aa04310ecc353bd779bf9fcfd4ec7c68cfa2ac933045c00e3a765d",
     "plus.plus_determ.trace":
-        "653ff434490960b3123de19b9c78b4cad9b57796d7b46804bdca54d87ac728e8",
+        "2b0ac8fc6d16b39e522cb08e197f758e3d964802991555764dd249757e5d7eed",
     "plus.plus_total.trace":
-        "42a75180a643e1c90f205057c34ed1f151cd12bc163bda1dd6480f2887ff4ee4",
+        "64d71cf3ade715fcbddff587e150eea498f9226fb07a77c376715bd632bcbf4b",
     "plus.pluscom.trace":
-        "814e463f8c28c7ae80061040fcd51dfedeb7056a48735c0d0fe56be0af51282b",
+        "892c89776e59710f83216fb3f0d7e8b71588e97deffc997a3b66ebbd86ed32ea",
     "plus.plusscom.trace":
-        "e8742bb3a8cd5c43422f35c5e58200c1ccab925f91de44deb4563e50cb38b753",
+        "93e10245ec4f825c399d1572d978c5d23b10fe3a6dccd80b609c412af3c8fb9c",
 }
 
 
@@ -277,3 +277,7 @@ def test_trace_bytes_pinned(tmp_path):
         for name, digest in _PINNED_SHA256.items():
             got = hashlib.sha256((tmp_path / shape / name).read_bytes()).hexdigest()
             assert got == digest, f"{name} differs from its pinned bytes ({shape})"
+    # records carry choices, not principal formulas: the 21 files took
+    # 137,819 bytes while they held them
+    total = sum(p.stat().st_size for p in (tmp_path / "together").iterdir())
+    assert total <= 0.3 * 137_819, total

@@ -143,7 +143,7 @@ def test_clause_variable_first_met_under_a_quantifier_is_one_variable():
         "Theorem u : forall X, t X -> exists Y, le Y X.\n"
         'ship "(induction 0 0 0)".\n')))
     le = el.definitions["le"]
-    # two outer existentials, X (bv 1) and Z (bv 0); the parameter is (bv 2)
+    # two outer existentials, X (%bv 1) and Z (%bv 0); the parameter is (%bv 2)
     assert el.definitions["t"].body == Ex(Ex(And(
         Eq(Bound(2), Bound(1)),
         And(Ex(MuAtom(le, (Bound(0), Bound(1)))), MuAtom(le, (Bound(1), Bound(0)))))))

@@ -98,7 +98,7 @@ def test_universal_introduces_eigenvariable():
 
 
 def test_eigenvariable_of_the_goal_is_never_made_again():
-    # forall X, X = (ev 1 1) is false: (ev 1 1) is a fixed constant, so the
+    # forall X, X = (%ev 1 1) is false: (%ev 1 1) is a fixed constant, so the
     # eigenvariable that allR makes must be another one
     goal = All(Eq(Bound(0), EVar(1, 1)))
     assert isinstance(check_outline(None, goal, "(induction 0 0 0)"), Rejected)

@@ -28,7 +28,7 @@ from outlinecheck import (
     verify_trace,
 )
 from outlinecheck.syntax import (
-    All, App, Bound, EVar, Eq, FF, Hyp, InvariantAbs, TT, con, sym,
+    All, App, Bound, EVar, Eq, Hyp, InvariantAbs, TT, parse_sexp, sym,
 )
 from outlinecheck.trace import RULES
 
@@ -57,37 +57,65 @@ def test_round_trip_on_all_corpus_traces(session, el):
         assert back == r.trace
 
 
-def test_records_have_seven_fields(session):
+def test_records_have_six_fields(session):
+    # rule, premise count, term, index, invariant, side: no principal formula
     for r in session:
         for ln in trace_to_lines(r.trace):
-            assert ln.startswith("(") and ln.endswith(")")
+            rec = parse_sexp(ln)
+            assert len(rec) == 6 and rec[0] in RULES, ln
 
 
 def test_malformed_records_rejected(el):
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(eqR 0 nil nil nil nil)"], el.definitions)  # 6 fields
+        trace_from_lines(["(eqR 0 nil nil nil)"], el.definitions)  # 5 fields
+    with pytest.raises(TraceFormatError):  # 7 fields: a principal formula
+        trace_from_lines(["(eqR 0 (eq z z) nil nil nil nil)"], el.definitions)
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(mystery 0 nil nil nil nil nil)"], el.definitions)
+        trace_from_lines(["(mystery 0 nil nil nil nil)"], el.definitions)
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(impR 1 nil nil nil nil nil)"], el.definitions)  # truncated
+        trace_from_lines(["(impR 1 nil nil nil nil)"], el.definitions)  # truncated
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(eqR -1 nil nil nil nil nil)"], el.definitions)
+        trace_from_lines(["(eqR -1 nil nil nil nil)"], el.definitions)
     with pytest.raises(TraceFormatError):
         trace_from_lines(
-            ["(eqR 0 nil nil nil nil nil)", "(eqR 0 nil nil nil nil nil)"],
+            ["(eqR 0 nil nil nil nil)", "(eqR 0 nil nil nil nil)"],
             el.definitions)  # extra record
 
 
 def test_unknown_definition_name_rejected(el):
-    with pytest.raises(TraceFormatError):
-        trace_from_lines(["(freeze 0 (mu ghost z) nil (hyp 1) nil nil)"],
-                         el.definitions)
+    with pytest.raises(TraceFormatError, match="unknown definition in trace: ghost"):
+        trace_from_lines(
+            ["(induct_obvious 0 nil nil (inv 1 (mu ghost (%bv 0))) nil)"],
+            el.definitions)
+
+
+def test_traces_read_under_another_elaboration_replay(session, el):
+    # the table a trace is read under is an elaboration of its own: replay
+    # goes on with the invariants it synthesizes, not the ones it read
+    for r in session:
+        tree = trace_from_lines(trace_to_lines(r.trace), el.definitions)
+        assert explain_failure(r.lemmas, r.goal, tree) is None, r.name
+
+
+@pytest.mark.parametrize("name", ["ev", "mv"])
+def test_constructor_named_like_a_variable_round_trips(name):
+    # variables print with a `%` sigil, so a constructor may take their tags
+    text = (CORPUS.parent.parent / "bench" / "theorems" / "list.thm").read_text()
+    file = parse_file(text.replace("cons", name))
+    defs = elaborate(file).definitions
+    done = [r for r in run_session(file) if r.outcome == "ok"]
+    assert len(done) == 4
+    for r in done:
+        lines = trace_to_lines(r.trace)
+        tree = trace_from_lines(lines, defs)
+        assert tree == r.trace and verify_trace(r.lemmas, r.goal, tree), r.name
+    assert any(f"({name} " in ln for r in done for ln in trace_to_lines(r.trace))
 
 
 def test_twenty_thousand_record_chain_needs_no_recursion():
     chain = TraceNode("eqR")
     for _ in range(19_999):
-        chain = TraceNode("ttL", (chain,), TT)
+        chain = TraceNode("ttL", (chain,))
     lines = trace_to_lines(chain)
     assert len(lines) == 20_000
     back = trace_from_lines(lines, {})
@@ -137,9 +165,12 @@ def test_too_deep_trace_reported_as_a_limit(el):
 
 def test_replay_catches_truncated_trace(session):
     r = session[0]
-    cut = TraceNode(r.trace.rule, (), r.trace.formula, r.trace.term,
-                    r.trace.index, r.trace.invariant, r.trace.side)
-    assert not verify_trace(r.lemmas, r.goal, cut)
+    cut = replace(r.trace, children=())
+    assert explain_failure(r.lemmas, r.goal, cut) == (
+        f"record 1 ({r.trace.rule}): expected 1 premises, found 0")
+    # a premise that is no record at all has no line to name
+    junk = replace(r.trace, children=(None,))
+    assert explain_failure(r.lemmas, r.goal, junk).startswith("malformed trace: ")
 
 
 # -- random single-field mutations must all be rejected
@@ -150,16 +181,11 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
         i, rest = path[0], path[1:]
         kids = list(node.children)
         kids[i] = _mutate(kids[i], rest, field, rng)
-        return TraceNode(node.rule, tuple(kids), node.formula, node.term,
-                         node.index, node.invariant, node.side)
-    rule, formula, term = node.rule, node.formula, node.term
+        return replace(node, children=tuple(kids))
+    rule, term = node.rule, node.term
     index, invariant, side = node.index, node.invariant, node.side
     if field == "rule":
         rule = rng.choice(sorted(RULES.keys() - {rule}))
-    elif field == "formula":
-        formula = TT if formula is not None else con("z")
-        if formula == node.formula:
-            formula = con("s", con("z"))
     elif field == "term":
         term = num(9) if term is None or term != num(9) else num(8)
     elif field == "index":
@@ -168,7 +194,7 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
         invariant = InvariantAbs(1, TT)
     elif field == "side":
         side = 1 if side != 1 else 2
-    return TraceNode(rule, node.children, formula, term, index, invariant, side)
+    return TraceNode(rule, node.children, term, index, invariant, side)
 
 
 def _all_paths(node: TraceNode, prefix=()):
@@ -185,7 +211,7 @@ def test_hundred_random_mutations_rejected(session):
         r = rng.choice(session)
         paths = list(_all_paths(r.trace))
         path = rng.choice(paths)
-        field = rng.choice(["rule", "formula", "term", "index", "invariant", "side"])
+        field = rng.choice(["rule", "term", "index", "invariant", "side"])
         mutant = _mutate(r.trace, path, field, rng)
         if mutant == r.trace:
             continue
@@ -211,7 +237,7 @@ def test_missing_field_named_by_its_rule(session):
     reached = set()
     for r in session:
         done = set()
-        for path in _all_paths(r.trace):
+        for k, path in enumerate(_all_paths(r.trace), 1):
             node = r.trace
             for i in path:
                 node = node.children[i]
@@ -221,7 +247,7 @@ def test_missing_field_named_by_its_rule(session):
                 done.add((node.rule, field))
                 mutant = _replace_at(r.trace, path, **{field: None})
                 assert explain_failure(r.lemmas, r.goal, mutant) == (
-                    f"{node.rule}: missing {field} field"), (r.name, path)
+                    f"record {k} ({node.rule}): missing {field} field"), (r.name, path)
         reached |= done
     # the corpus reaches every rule that carries a field
     assert reached == {(rule, f) for rule, (_, fs) in RULES.items() for f in fs}
@@ -236,18 +262,17 @@ def test_witness_holding_a_bound_variable_rejected(statement, cert, rule):
     file = parse_file(prelude + f'Theorem t : {statement}.\nship "{cert}".\n')
     [r] = run_session(file)
     assert r.outcome == "ok"
-    # the witness is a metavariable nothing constrains: write (bv 7) for it
-    # in the witness record and in every formula it reaches
-    lines = [re.sub(r"\(mv \d+ \d+\)", "(bv 7)", ln)
+    # the witness is a metavariable nothing constrains: write (%bv 7) for it
+    lines = [re.sub(r"\(%mv \d+ \d+\)", "(%bv 7)", ln)
              for ln in trace_to_lines(r.trace)]
-    assert any(ln.startswith(f"({rule} 1 ") and " (bv 7) nil nil nil)" in ln
-               for ln in lines)
+    k = lines.index(f"({rule} 1 (%bv 7) nil nil nil)") + 1
     forged = trace_from_lines(lines, elaborate(file).definitions)
-    assert explain_failure(r.lemmas, r.goal, forged) == "witness holds a bound variable"
+    assert explain_failure(r.lemmas, r.goal, forged) == (
+        f"record {k} ({rule}): witness holds a bound variable")
 
 
 # -- rules the corpus never fires: each is traced, replays from its lines,
-# and is rejected once its principal formula is changed
+# and is rejected once its record names another rule of the same shape
 
 _RARE_RULES = {
     "ffL": ("false -> is_nat (s z)", "(induction 0 0 0)"),
@@ -268,11 +293,12 @@ def test_rare_rule_traced_replayed_and_guarded(rule):
     defs = elaborate(file).definitions
     lines = trace_to_lines(r.trace)
     assert verify_trace(r.lemmas, r.goal, trace_from_lines(lines, defs))
-    i, node = next((i, n) for i, n in enumerate(r.trace.walk()) if n.rule == rule)
-    head = f"({rule} {len(node.children)} "
-    other = TT if node.formula == FF else FF
-    lines[i] = head + repr(other) + lines[i][len(head) + len(repr(node.formula)):]
-    assert not verify_trace(r.lemmas, r.goal, trace_from_lines(lines, defs))
+    i = next(i for i, n in enumerate(r.trace.walk()) if n.rule == rule)
+    other = next(o for o in RULES if o != rule and RULES[o] == RULES[rule])
+    lines[i] = lines[i].replace(f"({rule} ", f"({other} ", 1)
+    reason = explain_failure(r.lemmas, r.goal, trace_from_lines(lines, defs))
+    assert reason.startswith(
+        f"record {i + 1} ({other}): expected {rule} on the principal formula ")
 
 
 # -- tampering with recorded equality reasoning is caught
@@ -293,14 +319,31 @@ def test_clash_claims_require_rigid_disagreement(session, el):
 
 
 def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
-    # forall X, X = (ev 1 1) is false: (ev 1 1) is a fixed constant that no
-    # rule may introduce again, so allR may not claim it for X
-    lines = ["(allR 1 (all (eq (bv 0) (ev 1 1))) (ev 1 1) nil nil nil)",
-             "(storeR 1 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)",
-             "(decideR 1 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)",
-             "(eqR 0 (eq (ev 1 1) (ev 1 1)) nil nil nil nil)"]
+    # forall X, X = (%ev 1 1) is false: (%ev 1 1) is a fixed constant that
+    # no rule may introduce again, so allR may not claim it for X
+    lines = ["(allR 1 (%ev 1 1) nil nil nil)",
+             "(storeR 1 nil nil nil nil)",
+             "(decideR 1 nil nil nil nil)",
+             "(eqR 0 nil nil nil nil)"]
     goal = All(Eq(Bound(0), EVar(1, 1)))
-    assert explain_failure((), goal, trace_from_lines(lines, {})) == "eigenvariable reused"
+    assert explain_failure((), goal, trace_from_lines(lines, {})) == (
+        "record 1 (allR): eigenvariable reused")
+
+
+def test_failure_names_the_tampered_line(session, el):
+    # a record renamed to a rule that does not apply fails at its own line:
+    # every record before it in the file has replayed
+    for r in session:
+        lines = trace_to_lines(r.trace)
+        for k in range(1, len(lines) + 1, 7):
+            rule = lines[k - 1][1:].split(" ", 1)[0]
+            other = "ttR" if rule != "ttR" else "ffL"
+            bad = list(lines)
+            bad[k - 1] = bad[k - 1].replace(f"({rule} ", f"({other} ", 1)
+            reason = explain_failure(r.lemmas, r.goal,
+                                     trace_from_lines(bad, el.definitions))
+            assert reason.startswith(f"record {k} ({other}): expected "), (
+                r.name, k, reason)
 
 
 # -- the trusted base stands alone
