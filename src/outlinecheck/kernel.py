@@ -22,7 +22,19 @@ function is a generator of trace nodes, so an exhausted inner premise can
 pull the next solution of an outer one.  Metavariable bindings live in a
 single trailed store shared along a branch; the case-analysis substitution
 of the left equality rule is applied structurally to its premise instead,
-so it cannot leak into sibling branches.
+so it cannot leak into sibling branches.  That rewrite, and the one that
+resolves the sequent for the induction, rebuild only the formulas holding
+a variable that can move; every other formula is kept as it is.
+
+The focus phases never substitute into a formula.  They read it under an
+environment: the closed terms that its free positional variables stand
+for, and the definition that a recursive atom stands for.  exR and allL
+push their fresh metavariable onto the environment, and unfoldR continues
+into the definition body with the atom's arguments as the environment.
+Only the terms that eqR and initial unify are instantiated, and a formula
+is built in full only where focus is released to the asynchronous phase,
+so that phase and the store only ever see concrete formulas.  Replay
+opens and unfolds eagerly, so it checks these paths independently.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
@@ -38,15 +50,17 @@ records only the invariance premise.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
-    SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
-    MVar, Or, Rhs, Store, StructuralError, Tt,
-    apply_invariant, body_with_invariant, formula_vars, map_sequent,
-    open_binder, store_lookup, synthesize_obvious_invariants, unfold_mu,
+    SELF, YS_HEAD, All, And, App, Definition, EVar, Eq, Ex, Ff, Formula, Imp,
+    Index, MuAtom, MVar, Or, Rhs, Store, StructuralError, Term, Tt,
+    apply_invariant, body_with_invariant, check_arity, formula_vars,
+    map_sequent, map_terms, open_binder, store_lookup,
+    synthesize_obvious_invariants, term_subst_bound, unfold_mu,
 )
 from .trace import TraceNode
 from .unify import CLASH, OK, BindingStore
@@ -196,52 +210,96 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         g = store_lookup(store, ix)
         if g is None:
             continue
-        for t in _left_focus(ctx, store, g, f, k1, level):
+        for t in _left_focus(ctx, store, g, (), None, f, k1, level):
             yield TraceNode("decideL", (t,), index=ix)
-    for t in _right_focus(ctx, store, f, cert, level):
+    for t in _right_focus(ctx, store, f, (), None, cert, level):
         yield TraceNode("decideR", (t,))
 
 
-def _left_focus(ctx: _Ctx, store: Store, focus: Formula, goal: Formula,
+# The focus phases read a formula under an environment instead of
+# substituting into it: `env[i]` is the closed term for Bound(i) at the
+# formula's top, and `rec` is the definition that a recursive atom
+# MuAtom(SELF, ..) stands for, or None outside a definition body.
+
+
+def _inst(t: Term, env: tuple[Term, ...], depth: int = 0) -> Term:
+    """The term t denotes under env, beneath `depth` binders of its own."""
+    return t if t.closed else term_subst_bound(t, env, depth)
+
+
+def _inst_formula(f: Formula, env: tuple[Term, ...],
+                  rec: Optional[Definition]) -> Formula:
+    """The concrete formula that f denotes under the environment."""
+    if not env and rec is None:
+        return f
+    return map_terms(f, lambda t, depth: _inst(t, env, depth),
+                     None if rec is None else lambda ts: MuAtom(rec, ts))
+
+
+def _holds_self(f: Formula) -> bool:
+    """Whether a recursive atom MuAtom(SELF, ..) occurs in f."""
+    match f:
+        case MuAtom(defn=d):
+            return d is SELF
+        case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
+            return _holds_self(a) or _holds_self(b)
+        case All(body=b) | Ex(body=b):
+            return _holds_self(b)
+    return False
+
+
+def _check_binder(f: Formula, env: tuple[Term, ...],
+                  rec: Optional[Definition]) -> None:
+    """Raise open_binder's error where opening f meets a recursive atom.
+    Only an outermost binder outside a definition body needs the walk: an
+    inner one lies in a body already walked, and unfolding leaves no atom."""
+    if not env and rec is None and _holds_self(f):
+        open_binder(f, MVar(0, 0))  # raises
+
+
+def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
+                rec: Optional[Definition], goal: Formula,
                 cert: Certificate, level: int) -> Iterator[TraceNode]:
     ctx.tick()
     match focus:
-        case All():
+        case All(body=b):
+            _check_binder(focus, env, rec)
             t = MVar(next(ctx.binds.ids), level)
-            sub = open_binder(focus, t)
-            for tr in _left_focus(ctx, store, sub, goal, cert, level):
+            for tr in _left_focus(ctx, store, b, (t,) + env, rec, goal, cert, level):
                 yield TraceNode("allL", (tr,), term=t)
         case Imp(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, cert, level):
-                for t2 in _left_focus(ctx, store, b, goal, cert, level):
+            for t1 in _right_focus(ctx, store, a, env, rec, cert, level):
+                for t2 in _left_focus(ctx, store, b, env, rec, goal, cert, level):
                     yield TraceNode("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
-            for t in _async(ctx, store, (focus,), ("st", goal), cert, level):
+            f = _inst_formula(focus, env, rec)
+            for t in _async(ctx, store, (f,), ("st", goal), cert, level):
                 yield TraceNode("releaseL", (t,))
 
 
-def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
-                 cert: Certificate, level: int) -> Iterator[TraceNode]:
+def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
+                 rec: Optional[Definition], cert: Certificate,
+                 level: int) -> Iterator[TraceNode]:
     ctx.tick()
     binds = ctx.binds
     match focus:
         case Or(a=a, b=b):
             for side, sub in ((1, a), (2, b)):
-                for t in _right_focus(ctx, store, sub, cert, level):
+                for t in _right_focus(ctx, store, sub, env, rec, cert, level):
                     yield TraceNode("orR", (t,), side=side)
         case And(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, cert, level):
-                for t2 in _right_focus(ctx, store, b, cert, level):
+            for t1 in _right_focus(ctx, store, a, env, rec, cert, level):
+                for t2 in _right_focus(ctx, store, b, env, rec, cert, level):
                     yield TraceNode("andR", (t1, t2))
-        case Ex():
+        case Ex(body=b):
+            _check_binder(focus, env, rec)
             t = MVar(next(binds.ids), level)
-            sub = open_binder(focus, t)
-            for tr in _right_focus(ctx, store, sub, cert, level):
+            for tr in _right_focus(ctx, store, b, (t,) + env, rec, cert, level):
                 yield TraceNode("exR", (tr,), term=t)
         case Eq(l=l, r=r):
             cp = binds.mark()
-            if binds.unify(l, r):
+            if binds.unify(_inst(l, env), _inst(r, env)):
                 yield TraceNode("eqR")
                 binds.undo(cp)
         case Tt():
@@ -250,7 +308,10 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
             return
         case MuAtom(defn=d, args=ts):
             if d is SELF:
-                raise StructuralError("recursive marker escaped a definition body")
+                if rec is None:
+                    raise StructuralError("recursive marker escaped a definition body")
+                d = rec
+            ts = tuple(_inst(x, env) for x in ts)
             for ix, g in store:
                 if not (isinstance(g, MuAtom) and g.defn is d):
                     continue
@@ -260,11 +321,12 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
                     yield TraceNode("initial", index=ix)
                 binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
-                sub = unfold_mu(d, ts)
-                for t in _right_focus(ctx, store, sub, k1, level):
+                check_arity(d, ts)
+                for t in _right_focus(ctx, store, d.body, ts, d, k1, level):
                     yield TraceNode("unfoldR", (t,))
         case Imp() | All():
-            for t in _async(ctx, store, (), ("un", focus), cert, level):
+            f = _inst_formula(focus, env, rec)
+            for t in _async(ctx, store, (), ("un", f), cert, level):
                 yield TraceNode("releaseR", (t,))
         case _:
             raise StructuralError(f"unexpected focus: {focus!r}")
@@ -274,15 +336,28 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula,
 # finalisation and entry point
 
 
-def _finalize(binds: BindingStore, node: TraceNode) -> TraceNode:
-    return TraceNode(
-        node.rule,
-        tuple(_finalize(binds, c) for c in node.children),
-        binds.resolve(node.term) if node.term is not None else None,
-        node.index,
-        node.invariant,
-        node.side,
-    )
+def _finalize(binds: BindingStore, root: TraceNode) -> TraceNode:
+    """Resolve the metavariables in the term fields of a trace.  A record
+    whose term resolves to itself and whose premises come back as they were
+    is kept; the walk runs off an explicit stack, premises first."""
+    done: list[TraceNode] = []
+    stack = [(root, False)]
+    while stack:
+        node, premises_done = stack.pop()
+        if not premises_done:
+            stack.append((node, True))
+            stack += ((c, False) for c in reversed(node.children))
+            continue
+        n = len(node.children)
+        kids = tuple(done[len(done) - n:])
+        del done[len(done) - n:]
+        term = node.term if node.term is None else binds.resolve(node.term)
+        if term is node.term and all(map(operator.is_, kids, node.children)):
+            done.append(node)
+        else:
+            done.append(TraceNode(node.rule, kids, term, node.index,
+                                  node.invariant, node.side))
+    return done[0]
 
 
 def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,

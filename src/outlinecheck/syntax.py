@@ -329,10 +329,14 @@ def open_binder(f: Formula, t: Term) -> Formula:
     raise StructuralError(f"open_binder on non-binder: {f!r}")
 
 
-def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
-    """One unfolding of the fixed point: B (mu B) args."""
+def check_arity(d: Definition, args: tuple[Term, ...]) -> None:
     if len(args) != d.arity:
         raise StructuralError(f"{d.name} expects {d.arity} arguments, got {len(args)}")
+
+
+def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
+    """One unfolding of the fixed point: B (mu B) args."""
+    check_arity(d, args)
     return map_terms(d.body, _instantiate(args), lambda ts: MuAtom(d, ts))
 
 
@@ -361,8 +365,7 @@ def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
 
 def body_with_invariant(d: Definition, s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     """B S args: the definition body with the invariant for recursive calls."""
-    if len(args) != d.arity:
-        raise StructuralError(f"{d.name} expects {d.arity} arguments, got {len(args)}")
+    check_arity(d, args)
     return map_terms(d.body, _instantiate(args),
                      lambda ts: apply_invariant(s, ts))
 
@@ -487,12 +490,14 @@ def map_sequent(store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 ) -> tuple[Store, tuple[Formula, ...], Rhs]:
     """Rewrite the variables of a sequent (store, workbench and right-hand
     side) with map_terms; the left equality rule applies its case-split
-    substitution this way.  `fn` rewrites only variables, so a formula
-    that holds none comes back as the same object."""
+    substitution this way.  `fn` rewrites only variables and hands back a
+    variable it leaves alone as itself, so a formula none of whose
+    variables moves comes back as the same object.  A formula's distinct
+    variables are kept on it."""
     def go(f: Formula) -> Formula:
-        if not hasattr(f, "_no_var"):  # one walk per formula object
-            object.__setattr__(f, "_no_var", next(formula_vars(f), None) is None)
-        return f if f._no_var else map_terms(f, fn)
+        if not hasattr(f, "_vars"):  # one walk per formula object
+            object.__setattr__(f, "_vars", tuple(set(formula_vars(f))))
+        return map_terms(f, fn) if any(fn(v, 0) is not v for v in f._vars) else f
     return (tuple((ix, go(f)) for ix, f in store),
             tuple(go(f) for f in theta), (rhs[0], go(rhs[1])))
 

@@ -14,7 +14,7 @@ import pytest
 import outlinecheck
 from outlinecheck import cli, trace_from_lines, verify_trace, elaborate, parse_file
 
-from _util import CORPUS
+from _util import CORPUS, check_outline
 
 
 OK_LINE = re.compile(
@@ -104,12 +104,18 @@ def test_non_utf8_file_exit_two(capsys, tmp_path):
 
 
 def test_recursion_overflow_exit_two(capsys, tmp_path):
+    # 300 layers: the front end reads them, the kernel's nested focus
+    # generators do not
+    text = ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+            "Define is_nat : nat -> prop by\n"
+            "  is_nat z ;\n  is_nat (s N) := is_nat N.\n"
+            f"Theorem deep : is_nat {'(s ' * 300}z{')' * 300}.\n"
+            'ship "(induction 0 0 302)".\n')
+    el = elaborate(parse_file(text))
+    with pytest.raises(RecursionError):
+        check_outline(el, el.goals["deep"], "(induction 0 0 302)")
     deep = tmp_path / "deep.thm"
-    deep.write_text("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
-                    "Define is_nat : nat -> prop by\n"
-                    "  is_nat z ;\n  is_nat (s N) := is_nat N.\n"
-                    f"Theorem deep : is_nat {'(s ' * 200}z{')' * 200}.\n"
-                    'ship "(induction 0 0 202)".\n')
+    deep.write_text(text)
     code, _, err = run(capsys, deep)
     assert code == 2
     assert err.count("\n") == 1 and "deep.thm" in err

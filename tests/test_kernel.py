@@ -2,28 +2,43 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+from collections import Counter
+
 import pytest
 
 from outlinecheck import (
     FF,
+    SELF,
     TT,
     Accepted,
     All,
     And,
     Bound,
+    Definition,
     Eq,
     Ex,
     FpcDefinition,
     Imp,
+    LemmaName,
     MuAtom,
     Or,
     Rejected,
     OutOfBudget,
     ResourceLimits,
+    StructuralError,
     con,
     count_rule,
+    elaborate,
     kernel,
+    parse_file,
+    sym,
     synthesize_obvious_invariants,
+    trace_from_lines,
+    trace_to_lines,
+    unfold_mu,
+    verify_trace,
 )
 from outlinecheck.syntax import EVar, Hyp, InvariantAbs, apply_invariant
 
@@ -200,3 +215,136 @@ def test_default_fpc_forbids_everything(el):
     r = kernel.check((), Eq(num(0), num(0)), object(), FpcDefinition(), limits)
     assert isinstance(r, Accepted)
     assert r.steps == 3
+
+
+# -- the focus phases read formulas under an environment: exR and allL push
+# their metavariable, unfoldR enters the definition body with the atom's
+# arguments, and only unified leaves and released formulas are instantiated
+
+_ENV_THM = """
+Kind nat type.
+Type z nat.
+Type s nat -> nat.
+
+Define is_nat : nat -> prop by
+  is_nat z ;
+  is_nat (s N) := is_nat N.
+
+% the recursive call sits under two existentials, next to a call of is_nat
+Define half : nat -> nat -> prop by
+  half z z ;
+  half (s z) z ;
+  half (s (s N)) (s H) := is_nat N /\\ half N H.
+
+Define edge : nat -> nat -> prop by
+  edge z (s z) ;
+  edge z (s (s z)) ;
+  edge (s (s z)) (s (s (s z))).
+
+Define path : nat -> nat -> prop by
+  path X Z := edge X Y /\\ edge Y Z.
+
+Theorem half_five : half (s (s (s (s (s z))))) (s (s z)).
+ship "(induction 0 0 9)".
+
+Theorem two_step : forall X Y Z, edge X Y -> edge Y Z -> path X Z.
+ship "(induction 1 0 1)".
+
+Theorem reach : path z (s (s (s z))).
+ship "(induction 1 0 1)".
+"""
+
+
+@pytest.fixture(scope="module")
+def env_el():
+    return elaborate(parse_file(_ENV_THM))
+
+
+def _accepted_and_replayed(el, name, cert, lemmas=()):
+    lemmas = [(LemmaName(sym(n)), el.goals[n]) for n in lemmas]
+    r = check_outline(el, el.goals[name], cert, lemmas)
+    assert isinstance(r, Accepted), r
+    back = trace_from_lines(trace_to_lines(r.trace), el.definitions)
+    assert back == r.trace
+    assert verify_trace(lemmas, el.goals[name], back)
+    return r.trace
+
+
+def test_unfold_right_under_two_existentials(env_el):
+    trace = _accepted_and_replayed(env_el, "half_five", "(induction 0 0 9)")
+    # half 5 2 -> half 3 1 -> half 1 0, each through the recursive clause's
+    # two existentials, with is_nat unfolded inside half's body
+    witnesses = [n.term for n in trace.walk() if n.rule == "exR"]
+    assert witnesses[:2] == [num(3), num(1)]
+    assert count_rule(trace, "unfoldR") == 9
+
+
+def test_lemma_with_three_foralls_backtracks_into_its_consequent(env_el):
+    _accepted_and_replayed(env_el, "two_step", "(induction 1 0 1)")
+    trace = _accepted_and_replayed(env_el, "reach", "(induction 1 0 1)", ["two_step"])
+    # edge z Y first gives Y = 1, and edge 1 3 fails; impL backtracks into
+    # its first premise for Y = 2
+    assert [n.term for n in trace.walk() if n.rule == "allL"] == [num(0), num(2), num(3)]
+    assert count_rule(trace, "impL") == 2
+
+
+def test_recursive_marker_escaping_either_focus_side():
+    escaped = "recursive marker escaped a definition body"
+    with pytest.raises(StructuralError, match=f"^{escaped}$"):
+        check_outline(None, Or(FF, MuAtom(SELF, ())), "(induction 0 0 0)")
+    lemma = (LemmaName(sym("l")), Imp(TT, MuAtom(SELF, ())))
+    with pytest.raises(StructuralError, match=f"^{escaped}$"):
+        check_outline(None, FF, "(induction 1 0 0)", [lemma])
+    # under a binder the marker is caught where open_binder would catch it
+    outside = "unexpected recursive marker outside a definition body"
+    with pytest.raises(StructuralError, match=f"^{outside}$"):
+        check_outline(None, Ex(Or(TT, MuAtom(SELF, (Bound(0),)))), "(induction 0 0 0)")
+    lemma = (LemmaName(sym("l")), All(Imp(TT, MuAtom(SELF, (Bound(0),)))))
+    with pytest.raises(StructuralError, match=f"^{outside}$"):
+        check_outline(None, FF, "(induction 1 0 0)", [lemma])
+    # beneath two binders, the outer one already meets it
+    with pytest.raises(StructuralError, match=f"^{outside}$"):
+        check_outline(None, Ex(Ex(MuAtom(SELF, (Bound(1),)))), "(induction 0 0 0)")
+
+
+def test_unfold_right_arity_mismatch_keeps_unfold_mus_message(el):
+    is_nat = _defs(el)["is_nat"]
+    # a recursive call of the wrong arity is met only once the body is entered
+    p = Definition(sym("p"), 1, MuAtom(SELF, (Bound(0), Bound(0))))
+    for d, goal, cert in ((is_nat, MuAtom(is_nat, (num(0), num(0))), "(induction 0 0 1)"),
+                          (p, MuAtom(p, (num(0),)), "(induction 0 0 2)")):
+        with pytest.raises(StructuralError) as want:
+            unfold_mu(d, (num(0), num(0)))
+        with pytest.raises(StructuralError) as got:
+            check_outline(el, goal, cert)
+        assert str(got.value) == str(want.value)
+
+# -- search pinned beyond the shipped certificates: every outline cell of the
+# corpus, verdict, step count and trace text, under one digest
+
+# the digest of the kernel that opened binders and unfolded definitions
+# eagerly: reading formulas under an environment must not move it
+_GRID_SHA256 = "4ce204f1da4637ff4985967047c6552148259cf444ee88878b1524ff5b1123de"
+
+
+def _grid_digest() -> tuple[str, Counter]:
+    el = elab_plus()
+    names = [t.name for t in el.theorems]
+    h = hashlib.sha256()
+    classes: Counter = Counter()
+    for i, name in enumerate(names):
+        lemmas = [(LemmaName(sym(n)), el.goals[n]) for n in names[:i]]
+        for d, a, s in itertools.product(range(4), repeat=3):
+            r = check_outline(el, el.goals[name], f"(induction {d} {a} {s})",
+                              lemmas, max_steps=500)
+            text = "\n".join(trace_to_lines(r.trace)) if isinstance(r, Accepted) else ""
+            cls = type(r).__name__
+            h.update(repr((name, d, a, s, cls, r.steps, text)).encode())
+            classes[cls] += 1
+    return h.hexdigest(), classes
+
+
+def test_grid_search_pinned():
+    digest, classes = _grid_digest()
+    assert classes == {"Accepted": 71, "Rejected": 69, "OutOfBudget": 180}
+    assert digest == _GRID_SHA256

@@ -317,15 +317,18 @@ def test_map_sequent_returns_variable_free_formulas_as_they_are():
     x, e = MVar(9, 0), EVar(8, 0)
     lemma = All(Imp(MuAtom(p, (Bound(0), num(2))), Eq(Bound(0), num(2))))
     open_f = MuAtom(p, (x, e))
-    store = ((LemmaName(sym("l")), lemma), (Hyp(1), open_f))
+    still = MuAtom(p, (MVar(7, 0), EVar(6, 0)))  # neither variable moves
+    store = ((LemmaName(sym("l")), lemma), (Hyp(1), open_f), (Hyp(2), still))
     binds = BindingStore()
     assert binds.unify(x, num(1))
     sigma = {e: num(3)}
     for fn, want in ((lambda t, _: binds.resolve(t, sigma), MuAtom(p, (num(1), num(3)))),
                      (lambda t, _: _sigma_apply(t, sigma), MuAtom(p, (x, num(3))))):
         for _ in range(2):  # the second call meets the kept answer
-            (l2, o2), theta, (_, r) = map_sequent(store, (lemma, open_f), ("st", lemma), fn)
+            (l2, o2, s2), theta, (_, r) = map_sequent(
+                store, (lemma, open_f, still), ("st", lemma), fn)
             assert l2[1] is lemma and theta[0] is lemma and r is lemma
+            assert s2[1] is still and theta[2] is still
             assert o2[1] == want and theta[1] == want and o2[1] is not open_f
 
 
