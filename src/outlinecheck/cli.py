@@ -58,8 +58,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="write a replayable trace per accepted theorem")
     ap.add_argument("--replay", action="store_true",
                     help="re-verify every accepted proof from its trace")
-    ap.add_argument("--max-steps", metavar="N", type=int, default=1_000_000,
-                    help="per-theorem search step limit (default 10^6)")
+    ap.add_argument("--max-steps", metavar="N", type=int,
+                    default=ResourceLimits.max_steps,
+                    help="per-theorem search step limit (default %(default)s)")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop a file at its first non-accepted theorem")
     args = ap.parse_args(argv)

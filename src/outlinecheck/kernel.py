@@ -58,7 +58,7 @@ from .fpc import Certificate, FpcDefinition
 from .syntax import (
     SELF, YS_HEAD, All, And, App, Definition, EVar, Eq, Ex, Ff, Formula, Imp,
     Index, MuAtom, MVar, Or, Rhs, Store, StructuralError, Term, Tt,
-    apply_invariant, body_with_invariant, check_arity, formula_vars,
+    apply_invariant, body_with_invariant, check_arity, input_vars,
     map_sequent, map_terms, open_binder, store_lookup,
     synthesize_obvious_invariants, term_subst_bound, unfold_mu,
 )
@@ -154,8 +154,6 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
             case Ff():
                 yield TraceNode("ffL")
             case MuAtom(defn=d, args=ts):
-                if d is SELF:
-                    raise StructuralError("recursive marker escaped a definition body")
                 # induction
                 for kr in fpc.ind_expert(cert):
                     targs = tuple(binds.resolve(x) for x in ts)
@@ -185,8 +183,6 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                         raise StructuralError(f"duplicate store index {ix!r}")
                     for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level):
                         yield TraceNode("storeL", (t,), index=ix)
-            case _:
-                raise StructuralError(f"unexpected workbench formula: {c!r}")
         return
 
     kind, f = rhs
@@ -210,7 +206,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         g = store_lookup(store, ix)
         if g is None:
             continue
-        for t in _left_focus(ctx, store, g, (), None, f, k1, level):
+        for t in _left_focus(ctx, store, g, (), f, k1, level):
             yield TraceNode("decideL", (t,), index=ix)
     for t in _right_focus(ctx, store, f, (), None, cert, level):
         yield TraceNode("decideR", (t,))
@@ -218,8 +214,9 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
 
 # The focus phases read a formula under an environment instead of
 # substituting into it: `env[i]` is the closed term for Bound(i) at the
-# formula's top, and `rec` is the definition that a recursive atom
-# MuAtom(SELF, ..) stands for, or None outside a definition body.
+# formula's top, and right focus's `rec` is the definition that a
+# recursive atom MuAtom(SELF, ..) stands for, or None outside a definition
+# body.  Left focus starts only on a store entry, so it never has one.
 
 
 def _inst(t: Term, env: tuple[Term, ...], depth: int = 0) -> Term:
@@ -236,44 +233,21 @@ def _inst_formula(f: Formula, env: tuple[Term, ...],
                      None if rec is None else lambda ts: MuAtom(rec, ts))
 
 
-def _holds_self(f: Formula) -> bool:
-    """Whether a recursive atom MuAtom(SELF, ..) occurs in f."""
-    match f:
-        case MuAtom(defn=d):
-            return d is SELF
-        case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
-            return _holds_self(a) or _holds_self(b)
-        case All(body=b) | Ex(body=b):
-            return _holds_self(b)
-    return False
-
-
-def _check_binder(f: Formula, env: tuple[Term, ...],
-                  rec: Optional[Definition]) -> None:
-    """Raise open_binder's error where opening f meets a recursive atom.
-    Only an outermost binder outside a definition body needs the walk: an
-    inner one lies in a body already walked, and unfolding leaves no atom."""
-    if not env and rec is None and _holds_self(f):
-        open_binder(f, MVar(0, 0))  # raises
-
-
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
-                rec: Optional[Definition], goal: Formula,
-                cert: Certificate, level: int) -> Iterator[TraceNode]:
+                goal: Formula, cert: Certificate, level: int) -> Iterator[TraceNode]:
     ctx.tick()
     match focus:
         case All(body=b):
-            _check_binder(focus, env, rec)
             t = MVar(next(ctx.binds.ids), level)
-            for tr in _left_focus(ctx, store, b, (t,) + env, rec, goal, cert, level):
+            for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level):
                 yield TraceNode("allL", (tr,), term=t)
         case Imp(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, rec, cert, level):
-                for t2 in _left_focus(ctx, store, b, env, rec, goal, cert, level):
+            for t1 in _right_focus(ctx, store, a, env, None, cert, level):
+                for t2 in _left_focus(ctx, store, b, env, goal, cert, level):
                     yield TraceNode("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
-            f = _inst_formula(focus, env, rec)
+            f = _inst_formula(focus, env, None)
             for t in _async(ctx, store, (f,), ("st", goal), cert, level):
                 yield TraceNode("releaseL", (t,))
 
@@ -293,7 +267,6 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
                 for t2 in _right_focus(ctx, store, b, env, rec, cert, level):
                     yield TraceNode("andR", (t1, t2))
         case Ex(body=b):
-            _check_binder(focus, env, rec)
             t = MVar(next(binds.ids), level)
             for tr in _right_focus(ctx, store, b, (t,) + env, rec, cert, level):
                 yield TraceNode("exR", (tr,), term=t)
@@ -308,8 +281,6 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
             return
         case MuAtom(defn=d, args=ts):
             if d is SELF:
-                if rec is None:
-                    raise StructuralError("recursive marker escaped a definition body")
                 d = rec
             ts = tuple(_inst(x, env) for x in ts)
             for ix, g in store:
@@ -328,8 +299,6 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
             f = _inst_formula(focus, env, rec)
             for t in _async(ctx, store, (), ("un", f), cert, level):
                 yield TraceNode("releaseR", (t,))
-        case _:
-            raise StructuralError(f"unexpected focus: {focus!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +340,7 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     ctx = _Ctx(fpc, limits.max_steps)
     store = tuple(lemmas)
     # a variable free in the inputs is a constant that no rule may make again
-    ids = [v.id for f in (goal, *(g for _, g in store)) for v in formula_vars(f)]
+    ids = [v.id for v in input_vars(store, goal)]
     ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
     try:
         for tr in _async(ctx, store, (), ("un", goal), cert, 0):

@@ -75,8 +75,6 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
             case All():
                 return all(holds(open_binder(f, t)) for t in terms)
             case MuAtom(defn=d, args=ts):
-                if d is SELF:
-                    raise ValueError("recursive marker outside its definition")
                 return (d.name.name, ts) in first
         raise TypeError(f"not a formula: {f!r}")
 

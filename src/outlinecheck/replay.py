@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    SELF, YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar,
-    MuAtom, Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
-    formula_vars, map_sequent, open_binder, store_lookup,
+    YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
+    Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
+    input_vars, map_sequent, open_binder, store_lookup,
     synthesize_obvious_invariants, term_vars, unfold_mu,
 )
 from .trace import RULES, TraceNode
@@ -120,9 +120,7 @@ class _Replay:
     def __init__(self, store: Store, goal: Formula, trace: TraceNode) -> None:
         self.node = trace  # the record being replayed, for a failure to name
         # an eigenvariable free in the inputs is a constant no rule may make
-        self.used_evars: set[int] = {
-            v.id for f in (goal, *(g for _, g in store)) for v in formula_vars(f)
-            if isinstance(v, EVar)}
+        self.used_evars = {v.id for v in input_vars(store, goal) if isinstance(v, EVar)}
 
     # -- checks
 
@@ -209,7 +207,6 @@ class _Replay:
                 case Ff():
                     self.expect(node, ("ffL",), c)
                 case MuAtom(defn=d, args=ts):
-                    self.need(d is not SELF, "recursive marker in a replayed atom")
                     self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
                     if node.rule == "freeze":
                         self.r_store(store, c, rest, rhs, level, node)
@@ -228,8 +225,6 @@ class _Replay:
                 case Imp() | All():
                     self.expect(node, ("storeL",), c)
                     self.r_store(store, c, rest, rhs, level, node)
-                case _:
-                    raise ReplayError(f"unexpected workbench formula: {c!r}")
             return
 
         kind, f = rhs
@@ -303,7 +298,6 @@ class _Replay:
             case Tt():
                 self.expect(node, ("ttR",), focus)
             case MuAtom(defn=d, args=ts):
-                self.need(d is not SELF, "recursive marker in a replayed atom")
                 self.expect(node, ("initial", "unfoldR"), focus)
                 if node.rule == "initial":
                     g = store_lookup(store, node.index)
@@ -316,8 +310,8 @@ class _Replay:
             case Imp() | All():
                 self.expect(node, ("releaseR",), focus)
                 self.r_async(store, (), ("un", focus), level, node.children[0])
-            case _:
-                raise ReplayError(f"unexpected focus: {focus!r}")
+            case Ff():
+                raise ReplayError("ff has no right rule")
 
 
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:

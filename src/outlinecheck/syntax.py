@@ -193,12 +193,17 @@ class Definition:
     The body is a formula over `arity` parameters; parameter i appears as
     Bound(depth + i) under `depth` intervening binders, and recursive calls
     appear as MuAtom(SELF, args).  The body takes no part in equality so a
-    definition can be compared and hashed cheaply by name.
+    definition can be compared and hashed cheaply by name.  A body that is
+    no formula, or that holds an eigenvariable or metavariable, is refused.
     """
 
     name: Sym
     arity: int
     body: "Formula" = field(compare=False)
+
+    def __post_init__(self) -> None:
+        if next(formula_vars(map_terms(self.body, lambda t, _: t)), None):
+            raise StructuralError(f"the body of {self.name} holds a free variable")
 
     def __repr__(self) -> str:
         return f"<def {self.name}/{self.arity}>"
@@ -426,6 +431,18 @@ def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
         case MuAtom(args=ts):
             for t in ts:
                 yield from term_vars(t)
+
+
+def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
+               ) -> set[Union[EVar, MVar]]:
+    """The variables free in a check's goal and lemmas.  Search and replay
+    call this before any step or record, so no rule meets an ill-formed
+    input: map_terms raises TypeError on a node that is no formula, and
+    StructuralError on a recursive marker, which belongs only in a body."""
+    fs = (goal, *(g for _, g in lemmas))
+    for f in fs:
+        map_terms(f, lambda t, _: t, _no_self)
+    return {v for f in fs for v in formula_vars(f)}
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],

@@ -28,9 +28,11 @@ from outlinecheck import (
     OutOfBudget,
     ResourceLimits,
     StructuralError,
+    TraceNode,
     con,
     count_rule,
     elaborate,
+    explain_failure,
     kernel,
     parse_file,
     sym,
@@ -40,7 +42,7 @@ from outlinecheck import (
     unfold_mu,
     verify_trace,
 )
-from outlinecheck.syntax import EVar, Hyp, InvariantAbs, apply_invariant
+from outlinecheck.syntax import EVar, Hyp, InvariantAbs, MVar, apply_invariant
 
 from _util import check_outline, elab_plus, num
 
@@ -288,23 +290,42 @@ def test_lemma_with_three_foralls_backtracks_into_its_consequent(env_el):
     assert count_rule(trace, "impL") == 2
 
 
-def test_recursive_marker_escaping_either_focus_side():
-    escaped = "recursive marker escaped a definition body"
-    with pytest.raises(StructuralError, match=f"^{escaped}$"):
-        check_outline(None, Or(FF, MuAtom(SELF, ())), "(induction 0 0 0)")
-    lemma = (LemmaName(sym("l")), Imp(TT, MuAtom(SELF, ())))
-    with pytest.raises(StructuralError, match=f"^{escaped}$"):
-        check_outline(None, FF, "(induction 1 0 0)", [lemma])
-    # under a binder the marker is caught where open_binder would catch it
-    outside = "unexpected recursive marker outside a definition body"
-    with pytest.raises(StructuralError, match=f"^{outside}$"):
-        check_outline(None, Ex(Or(TT, MuAtom(SELF, (Bound(0),)))), "(induction 0 0 0)")
-    lemma = (LemmaName(sym("l")), All(Imp(TT, MuAtom(SELF, (Bound(0),)))))
-    with pytest.raises(StructuralError, match=f"^{outside}$"):
-        check_outline(None, FF, "(induction 1 0 0)", [lemma])
-    # beneath two binders, the outer one already meets it
-    with pytest.raises(StructuralError, match=f"^{outside}$"):
-        check_outline(None, Ex(Ex(MuAtom(SELF, (Bound(1),)))), "(induction 0 0 0)")
+_OUTSIDE = "^unexpected recursive marker outside a definition body$"
+
+
+def _lemma(f):
+    return [(LemmaName(sym("l")), f)]
+
+
+@pytest.mark.parametrize("goal, lemmas, error, match", [
+    (Or(FF, MuAtom(SELF, ())), [], StructuralError, _OUTSIDE),
+    (FF, _lemma(Imp(TT, MuAtom(SELF, ()))), StructuralError, _OUTSIDE),
+    (Ex(Or(TT, MuAtom(SELF, (Bound(0),)))), [], StructuralError, _OUTSIDE),
+    (FF, _lemma(All(Imp(TT, MuAtom(SELF, (Bound(0),))))), StructuralError, _OUTSIDE),
+    (Ex(Ex(MuAtom(SELF, (Bound(1),)))), [], StructuralError, _OUTSIDE),
+    # search never reaches the marker: orR proves tt on side 1
+    (Or(TT, MuAtom(SELF, ())), [], StructuralError, _OUTSIDE),
+    # a lemma that the proof of tt never decides on
+    (TT, _lemma(MuAtom(SELF, ())), StructuralError, _OUTSIDE),
+    (con("z"), [], TypeError, "^not a formula: z$"),
+], ids=["or-ff", "lemma-imp", "under-ex", "lemma-under-all", "under-two-ex",
+        "or-tt", "lemma-never-decided", "term-goal"])
+def test_ill_formed_input_raises_before_any_step_or_record(goal, lemmas, error, match):
+    # with a step limit of 0 the first step ends the search as OutOfBudget
+    with pytest.raises(error, match=match):
+        check_outline(None, goal, "(induction 1 0 0)", lemmas, max_steps=0)
+    # a first record that fits no goal here would be named as the failure
+    for replay in (explain_failure, verify_trace):
+        with pytest.raises(error, match=match):
+            replay(lemmas, goal, TraceNode("ffL"))
+
+
+@pytest.mark.parametrize("var", [EVar(1, 1), MVar(1, 0)])
+def test_definition_body_holds_no_free_variable(var):
+    # a rule may make a body's variable again as its fresh one: allR opens
+    # forall X, c X with (%ev 1 1), which would then prove c X := X = (%ev 1 1)
+    with pytest.raises(StructuralError, match="^the body of c holds a free variable$"):
+        Definition(sym("c"), 1, Eq(Bound(0), var))
 
 
 def test_unfold_right_arity_mismatch_keeps_unfold_mus_message(el):

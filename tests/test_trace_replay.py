@@ -28,7 +28,8 @@ from outlinecheck import (
     verify_trace,
 )
 from outlinecheck.syntax import (
-    All, App, Bound, EVar, Eq, Hyp, InvariantAbs, TT, parse_sexp, sym,
+    FF, TT, All, And, App, Bound, EVar, Eq, Ex, Hyp, Imp, InvariantAbs,
+    LemmaName, Or, parse_sexp, sym,
 )
 from outlinecheck.trace import RULES
 
@@ -330,6 +331,30 @@ def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
         "record 1 (allR): eigenvariable reused")
 
 
+def _node(rule, *children, **fields):
+    return TraceNode(rule, children, **fields)
+
+
+_L = LemmaName(sym("l"))
+
+
+@pytest.mark.parametrize("lemmas, goal, focus", [
+    ((), FF, _node("ttR")),
+    ((), Or(FF, FF), _node("orR", _node("ttR"), side=1)),
+    ((), And(TT, FF), _node("andR", _node("ttR"), _node("ttR"))),
+    ((), Ex(FF), _node("exR", _node("ttR"), term=App(sym("z"), ()))),
+    # the lemma ff => ff holds, but its antecedent has no proof
+    (((_L, Imp(FF, FF)),), FF,
+     _node("impL", _node("ttR"), _node("releaseL", _node("ffL")))),
+], ids=["goal", "orR", "andR", "exR", "impL"])
+def test_right_focus_on_ff_rejected(lemmas, goal, focus):
+    # ff has no right rule: whatever record claims one, replay refuses it
+    decide = (_node("decideR", focus) if focus.rule != "impL"
+              else _node("decideL", focus, index=_L))
+    reason = explain_failure(lemmas, goal, _node("storeR", decide))
+    assert reason is not None and reason.endswith("ff has no right rule"), reason
+
+
 def test_failure_names_the_tampered_line(session, el):
     # a record renamed to a rule that does not apply fails at its own line:
     # every record before it in the file has replayed
@@ -402,3 +427,6 @@ def test_trusted_base_imports_only_itself():
         # a counter shared by the whole process would make what a check
         # outputs depend on the checks before it
         assert not list(_import_time_counters(pkg / f"{name}.py")), name
+    # the oracle is the tests' ground truth: it shares no code with search
+    # or replay, only the formulas they all read
+    assert set(_package_imports(pkg / "oracle.py")) <= {"syntax"}
