@@ -20,11 +20,13 @@ initial tries each stored atom of the same definition, in store order.
 Alternatives are explored depth first with full backtracking: every prove
 function is a generator of trace nodes, so an exhausted inner premise can
 pull the next solution of an outer one.  Metavariable bindings live in a
-single trailed store shared along a branch; the case-analysis substitution
-of the left equality rule is applied structurally to its premise instead,
-so it cannot leak into sibling branches.  That rewrite, and the one that
-resolves the sequent for the induction, rebuild only the formulas holding
-a variable that can move; every other formula is kept as it is.
+single trailed store shared along a branch.  The case-analysis
+substitution of the left equality rule is an argument of the prove
+functions instead, `sigma`: its premise goes on with the same store,
+workbench and goal, and every unification reads their terms under it, so
+it cannot leak into sibling branches.  Only the induction builds the
+sequent under it, resolving the formulas that hold a variable that can
+move and keeping every other formula as it is.
 
 The focus phases never substitute into a formula.  They read it under an
 environment: the closed terms that its free positional variables stand
@@ -63,7 +65,7 @@ from .syntax import (
     synthesize_obvious_invariants, term_subst_bound, unfold_mu,
 )
 from .trace import TraceNode
-from .unify import CLASH, OK, BindingStore
+from .unify import CLASH, OK, BindingStore, Sigma
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class _Ctx:
 
 
 def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
-           cert: Certificate, level: int) -> Iterator[TraceNode]:
+           cert: Certificate, level: int, sigma: Sigma) -> Iterator[TraceNode]:
     ctx.tick()
     fpc = ctx.fpc
     binds = ctx.binds
@@ -122,66 +124,62 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         c, rest = theta[0], theta[1:]
         match c:
             case And(a=a, b=b):
-                for t in _async(ctx, store, (a, b) + rest, rhs, cert, level):
+                for t in _async(ctx, store, (a, b) + rest, rhs, cert, level, sigma):
                     yield TraceNode("andL", (t,))
             case Or(a=a, b=b):
-                for t1 in _async(ctx, store, (a,) + rest, rhs, cert, level):
-                    for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level):
+                for t1 in _async(ctx, store, (a,) + rest, rhs, cert, level, sigma):
+                    for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level, sigma):
                         yield TraceNode("orL", (t1, t2))
             case Ex():
                 e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(c, e)
-                for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1):
+                for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1, sigma):
                     yield TraceNode("exL", (t,), term=e)
             case Eq(l=l, r=r):
                 cp = binds.mark()
-                out, sigma = binds.unify_case_split(l, r)
+                out, sigma2 = binds.unify_case_split(l, r, sigma)
                 if out is CLASH:
                     yield TraceNode("eqL_clash")
                 elif out is OK:
-                    if sigma:
-                        store2, rest2, rhs2 = map_sequent(
-                            store, rest, rhs, lambda t, _: binds.resolve(t, sigma))
-                    else:
-                        store2, rest2, rhs2 = store, rest, rhs
-                    for t in _async(ctx, store2, rest2, rhs2, cert, level):
+                    for t in _async(ctx, store, rest, rhs, cert, level, sigma2):
                         yield TraceNode("eqL", (t,))
                     binds.undo(cp)
                 # a scope-indeterminate equation fails the branch
             case Tt():
-                for t in _async(ctx, store, rest, rhs, cert, level):
+                for t in _async(ctx, store, rest, rhs, cert, level, sigma):
                     yield TraceNode("ttL", (t,))
             case Ff():
                 yield TraceNode("ffL")
             case MuAtom(defn=d, args=ts):
                 # induction
                 for kr in fpc.ind_expert(cert):
-                    targs = tuple(binds.resolve(x) for x in ts)
+                    targs = tuple(binds.resolve(x, sigma) for x in ts)
                     rstore, _, (_, goal_f) = map_sequent(
-                        store, (), rhs, lambda t, _: binds.resolve(t))
+                        store, (), rhs, lambda t, _: binds.resolve(t, sigma))
                     for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
                         ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
                         # the invariance premise: store ; B S ys |- S ys
                         for t2 in _async(ctx, store, (body_with_invariant(d, inv, ys),),
-                                         ("un", apply_invariant(inv, ys)), kr, level + 1):
+                                         ("un", apply_invariant(inv, ys)), kr, level + 1,
+                                         sigma):
                             yield TraceNode("induct_obvious", (t2,),
                                             term=App(YS_HEAD, ys), invariant=inv)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level):
+                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level, sigma):
                         yield TraceNode("freeze", (t,), index=ix)
                 # unfold
                 for k1 in fpc.unfold_left_expert(cert):
                     sub = unfold_mu(d, ts)
-                    for t in _async(ctx, store, (sub,) + rest, rhs, k1, level):
+                    for t in _async(ctx, store, (sub,) + rest, rhs, k1, level, sigma):
                         yield TraceNode("unfoldL", (t,))
             case Imp() | All():
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level):
+                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level, sigma):
                         yield TraceNode("storeL", (t,), index=ix)
         return
 
@@ -189,15 +187,15 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
     if kind == "un":
         match f:
             case Imp(a=a, b=b):
-                for t in _async(ctx, store, (a,), ("un", b), cert, level):
+                for t in _async(ctx, store, (a,), ("un", b), cert, level, sigma):
                     yield TraceNode("impR", (t,))
             case All():
                 e = EVar(next(binds.ids), level + 1)
                 sub = open_binder(f, e)
-                for t in _async(ctx, store, (), ("un", sub), cert, level + 1):
+                for t in _async(ctx, store, (), ("un", sub), cert, level + 1, sigma):
                     yield TraceNode("allR", (t,), term=e)
             case _:
-                for t in _async(ctx, store, (), ("st", f), cert, level):
+                for t in _async(ctx, store, (), ("st", f), cert, level, sigma):
                     yield TraceNode("storeR", (t,))
         return
 
@@ -206,9 +204,9 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         g = store_lookup(store, ix)
         if g is None:
             continue
-        for t in _left_focus(ctx, store, g, (), f, k1, level):
+        for t in _left_focus(ctx, store, g, (), f, k1, level, sigma):
             yield TraceNode("decideL", (t,), index=ix)
-    for t in _right_focus(ctx, store, f, (), None, cert, level):
+    for t in _right_focus(ctx, store, f, (), None, cert, level, sigma):
         yield TraceNode("decideR", (t,))
 
 
@@ -234,45 +232,46 @@ def _inst_formula(f: Formula, env: tuple[Term, ...],
 
 
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
-                goal: Formula, cert: Certificate, level: int) -> Iterator[TraceNode]:
+                goal: Formula, cert: Certificate, level: int,
+                sigma: Sigma) -> Iterator[TraceNode]:
     ctx.tick()
     match focus:
         case All(body=b):
             t = MVar(next(ctx.binds.ids), level)
-            for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level):
+            for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level, sigma):
                 yield TraceNode("allL", (tr,), term=t)
         case Imp(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, None, cert, level):
-                for t2 in _left_focus(ctx, store, b, env, goal, cert, level):
+            for t1 in _right_focus(ctx, store, a, env, None, cert, level, sigma):
+                for t2 in _left_focus(ctx, store, b, env, goal, cert, level, sigma):
                     yield TraceNode("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
             f = _inst_formula(focus, env, None)
-            for t in _async(ctx, store, (f,), ("st", goal), cert, level):
+            for t in _async(ctx, store, (f,), ("st", goal), cert, level, sigma):
                 yield TraceNode("releaseL", (t,))
 
 
 def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
                  rec: Optional[Definition], cert: Certificate,
-                 level: int) -> Iterator[TraceNode]:
+                 level: int, sigma: Sigma) -> Iterator[TraceNode]:
     ctx.tick()
     binds = ctx.binds
     match focus:
         case Or(a=a, b=b):
             for side, sub in ((1, a), (2, b)):
-                for t in _right_focus(ctx, store, sub, env, rec, cert, level):
+                for t in _right_focus(ctx, store, sub, env, rec, cert, level, sigma):
                     yield TraceNode("orR", (t,), side=side)
         case And(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, rec, cert, level):
-                for t2 in _right_focus(ctx, store, b, env, rec, cert, level):
+            for t1 in _right_focus(ctx, store, a, env, rec, cert, level, sigma):
+                for t2 in _right_focus(ctx, store, b, env, rec, cert, level, sigma):
                     yield TraceNode("andR", (t1, t2))
         case Ex(body=b):
             t = MVar(next(binds.ids), level)
-            for tr in _right_focus(ctx, store, b, (t,) + env, rec, cert, level):
+            for tr in _right_focus(ctx, store, b, (t,) + env, rec, cert, level, sigma):
                 yield TraceNode("exR", (tr,), term=t)
         case Eq(l=l, r=r):
             cp = binds.mark()
-            if binds.unify(_inst(l, env), _inst(r, env)):
+            if binds.unify(_inst(l, env), _inst(r, env), sigma):
                 yield TraceNode("eqR")
                 binds.undo(cp)
         case Tt():
@@ -288,16 +287,16 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
                     continue
                 ctx.tick()
                 cp = binds.mark()
-                if all(binds.unify(x, y) for x, y in zip(ts, g.args)):
+                if all(binds.unify(x, y, sigma) for x, y in zip(ts, g.args)):
                     yield TraceNode("initial", index=ix)
                 binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
                 check_arity(d, ts)
-                for t in _right_focus(ctx, store, d.body, ts, d, k1, level):
+                for t in _right_focus(ctx, store, d.body, ts, d, k1, level, sigma):
                     yield TraceNode("unfoldR", (t,))
         case Imp() | All():
             f = _inst_formula(focus, env, rec)
-            for t in _async(ctx, store, (), ("un", f), cert, level):
+            for t in _async(ctx, store, (), ("un", f), cert, level, sigma):
                 yield TraceNode("releaseR", (t,))
 
 
@@ -343,7 +342,7 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     ids = [v.id for v in input_vars(store, goal)]
     ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
     try:
-        for tr in _async(ctx, store, (), ("un", goal), cert, 0):
+        for tr in _async(ctx, store, (), ("un", goal), cert, 0, {}):
             return Accepted(_finalize(ctx.binds, tr), ctx.steps)
     except OutOfBudgetError:
         return OutOfBudget(ctx.steps)

@@ -100,6 +100,9 @@ def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
     """Evaluate a ground atom by saturation; see the module docstring."""
     if atom.defn is SELF or not all(a.ground for a in atom.args):
         raise ValueError("the oracle evaluates ground atoms only")
+    if len(atom.args) != atom.defn.arity:
+        raise ValueError(f"{atom.defn.name} expects {atom.defn.arity} arguments, "
+                         f"got {len(atom.args)}")
 
     universe: set[Term] = set()
     for a in atom.args:

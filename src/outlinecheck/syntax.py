@@ -156,12 +156,27 @@ class App:
         return h
 
     def __repr__(self) -> str:
-        s = self._repr
-        if s is None:
-            s = f"({self.head.name} {' '.join(map(repr, self.args))})"
-            if self.ground:
-                object.__setattr__(self, "_repr", s)
-        return s
+        if self._repr is not None:
+            return self._repr
+        # arguments print before their application, off an explicit stack,
+        # so a deep numeral costs no recursion
+        done: list[str] = []
+        stack: list[tuple[Term, bool]] = [(self, False)]
+        while stack:
+            t, args_done = stack.pop()
+            if args_done:
+                k = len(done) - len(t.args)
+                s = f"({t.head.name} {' '.join(done[k:])})"
+                del done[k:]
+                if t.ground:
+                    object.__setattr__(t, "_repr", s)
+                done.append(s)
+            elif t.__class__ is App and t._repr is None:
+                stack.append((t, True))
+                stack += ((x, False) for x in reversed(t.args))
+            else:
+                done.append(repr(t))
+        return done[0]
 
 
 Term = Union[EVar, MVar, Bound, App]
@@ -437,12 +452,28 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
                ) -> set[Union[EVar, MVar]]:
     """The variables free in a check's goal and lemmas.  Search and replay
     call this before any step or record, so no rule meets an ill-formed
-    input: map_terms raises TypeError on a node that is no formula, and
-    StructuralError on a recursive marker, which belongs only in a body."""
-    fs = (goal, *(g for _, g in lemmas))
-    for f in fs:
-        map_terms(f, lambda t, _: t, _no_self)
-    return {v for f in fs for v in formula_vars(f)}
+    input: it raises TypeError on a node that is no formula, and
+    StructuralError on a recursive marker, which belongs only in a body,
+    or on an atom whose argument count is not its definition's arity."""
+    out: set[Union[EVar, MVar]] = set()
+    stack: list[Formula] = [goal, *(g for _, g in lemmas)]
+    while stack:
+        f = stack.pop()
+        c = f.__class__
+        if c is Eq:
+            out.update(term_vars(f.l), term_vars(f.r))
+        elif c is And or c is Or or c is Imp:
+            stack += (f.b, f.a)
+        elif c is All or c is Ex:
+            stack.append(f.body)
+        elif c is MuAtom:
+            if f.defn is SELF:
+                _no_self(f.args)
+            check_arity(f.defn, f.args)
+            out.update(v for t in f.args for v in term_vars(t))
+        elif c is not Tt and c is not Ff:
+            raise TypeError(f"not a formula: {f!r}")
+    return out
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],

@@ -9,10 +9,16 @@ Two entry points matter to the kernel:
 * `unify_case_split` additionally treats eigenvariables as substitutable.
   It backs the left equality rule, where the most general unifier acts as a
   case analysis on the branch.  Eigenvariable assignments are returned as an
-  explicit substitution rather than stored, so they can be applied to one
-  premise without leaking into sibling branches.  The outcome is three-way:
+  explicit substitution rather than stored, so they hold on one premise
+  without leaking into sibling branches.  The outcome is three-way:
   a clash means no unifier exists (the branch is vacuous), while `stuck`
   reports a scope-indeterminate problem the kernel must treat as failure.
+
+Both read an eigenvariable through `sigma`, the case splits made so far
+on the branch, as they read a metavariable through its binding.  `sigma`
+is triangular (`walk` follows chains) and never changed in place, since an
+outer premise still reads it; a metavariable bound under it holds the
+substituted term, so a sibling premise sees the same term.
 
 The occurs check is always on.  An MVar at level k is never bound to a term
 containing an EVar of level > k; metavariables of too-high level occurring
@@ -28,6 +34,8 @@ from .syntax import App, Bound, EVar, MVar, StructuralError, Term, term_vars
 OK = "ok"
 CLASH = "clash"
 STUCK = "stuck"
+
+Sigma = dict[EVar, Term]  # a branch's eigenvariable assignments
 
 
 class StaleCheckpointError(Exception):
@@ -67,7 +75,7 @@ class BindingStore:
 
     # -- resolution
 
-    def walk(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
+    def walk(self, t: Term, sigma: Sigma | None = None) -> Term:
         """Follow bindings, and sigma's eigenvariable assignments if given,
         at the head only."""
         while True:
@@ -76,7 +84,7 @@ class BindingStore:
                 if b is None:
                     return t
                 t = b
-            elif sigma is not None and isinstance(t, EVar):
+            elif sigma and isinstance(t, EVar):
                 b = sigma.get(t)
                 if b is None:
                     return t
@@ -84,7 +92,7 @@ class BindingStore:
             else:
                 return t
 
-    def resolve(self, t: Term, sigma: dict[EVar, Term] | None = None) -> Term:
+    def resolve(self, t: Term, sigma: Sigma | None = None) -> Term:
         """Substitute all bindings, and sigma if given, recursively."""
         if t.ground:
             return t
@@ -99,41 +107,40 @@ class BindingStore:
 
     # -- unification
 
-    def unify(self, a: Term, b: Term) -> bool:
-        """Rigid-eigenvariable unification; restores the store on failure."""
+    def unify(self, a: Term, b: Term, sigma: Sigma | None = None) -> bool:
+        """Rigid-eigenvariable unification of a and b read under sigma;
+        restores the store on failure."""
         cp = self.mark()
-        self._inputs = (a, b)
-        out = self._unify(a, b, None)
+        self._inputs = (a, b, *sigma.values()) if sigma else (a, b)
+        out = self._unify(a, b, sigma, False)
         if out is not OK:
             self.undo(cp)
         return out is OK
 
-    def unify_case_split(self, a: Term, b: Term):
-        """Unification for left equality.
+    def unify_case_split(self, a: Term, b: Term, sigma: Sigma | None = None):
+        """Unification for left equality, of a and b read under sigma.
 
-        Returns (OK, sigma) with sigma a dict from EVar to Term, or (CLASH,
-        None) / (STUCK, None).  Metavariable bindings made on success stay in
-        the store (already rewritten under sigma); on non-success the store
-        is restored.
+        Returns (OK, sigma') with sigma' a new dict, sigma's assignments
+        plus the eigenvariables this call assigns, or (CLASH, None) /
+        (STUCK, None).  Metavariable bindings made on success stay in the
+        store, resolved under sigma'; on non-success the store is restored.
         """
         cp = self.mark()
-        self._inputs = (a, b)
-        sigma: dict[EVar, Term] = {}
-        out = self._unify(a, b, sigma)
+        self._inputs = (a, b, *sigma.values()) if sigma else (a, b)
+        sigma = dict(sigma) if sigma else {}
+        out = self._unify(a, b, sigma, True)
         if out is not OK:
             self.undo(cp)
             return out, None
         if sigma:
-            # make sigma idempotent and push it through any bindings that
-            # were recorded during this call
-            sigma = {e: self.resolve(t, sigma) for e, t in sigma.items()}
             for key in self.trail[cp:]:
                 self.bindings[key] = self.resolve(self.bindings[key], sigma)
         return OK, sigma
 
-    # -- internals
+    # -- internals: `split` is true under unify_case_split, where sigma is
+    # the dict being built and an eigenvariable may be assigned in it
 
-    def _unify(self, a: Term, b: Term, sigma: dict[EVar, Term] | None) -> str:
+    def _unify(self, a: Term, b: Term, sigma: Sigma | None, split: bool) -> str:
         a = self.walk(a, sigma)
         b = self.walk(b, sigma)
         if a == b:
@@ -141,12 +148,12 @@ class BindingStore:
         if isinstance(a, Bound) or isinstance(b, Bound):
             raise StructuralError("positional variable reached the unifier")
         if isinstance(a, MVar):
-            return self._bind_mvar(a, b, sigma)
+            return self._bind_mvar(a, b, sigma, split)
         if isinstance(b, MVar):
-            return self._bind_mvar(b, a, sigma)
-        if sigma is not None and isinstance(a, EVar):
+            return self._bind_mvar(b, a, sigma, split)
+        if split and isinstance(a, EVar):
             return self._bind_evar(a, b, sigma)
-        if sigma is not None and isinstance(b, EVar):
+        if split and isinstance(b, EVar):
             return self._bind_evar(b, a, sigma)
         if isinstance(a, EVar) or isinstance(b, EVar):
             return CLASH  # distinct rigid constants
@@ -154,24 +161,25 @@ class BindingStore:
         if a.head is not b.head or len(a.args) != len(b.args):
             return CLASH
         for x, y in zip(a.args, b.args):
-            out = self._unify(x, y, sigma)
+            out = self._unify(x, y, sigma, split)
             if out is not OK:
                 return out
         return OK
 
-    def _bind_mvar(self, v: MVar, t: Term, sigma: dict[EVar, Term] | None) -> str:
+    def _bind_mvar(self, v: MVar, t: Term, sigma: Sigma | None, split: bool) -> str:
         # occurs and scope scan over the resolved view of t, pruning any
         # metavariable whose level exceeds v's
-        out = self._scan(v, t, sigma)
+        out = self._scan(v, t, sigma, split)
         if out is not OK:
-            if sigma is not None and isinstance(self.walk(t, sigma), EVar):
+            if split and isinstance(self.walk(t, sigma), EVar):
                 # the flexible side can absorb the binding instead
                 return self._bind_evar(self.walk(t, sigma), v, sigma)
             return out
-        self._bind(v, t)
+        # a split's bindings are resolved under its final sigma
+        self._bind(v, self.resolve(t, sigma) if sigma and not split else t)
         return OK
 
-    def _scan(self, v: MVar, t: Term, sigma: dict[EVar, Term] | None) -> str:
+    def _scan(self, v: MVar, t: Term, sigma: Sigma | None, split: bool) -> str:
         if t.ground:
             return OK
         t = self.walk(t, sigma)
@@ -184,11 +192,11 @@ class BindingStore:
                 return OK
             case EVar(level=lv):
                 if lv > v.level:
-                    return CLASH if sigma is None else STUCK
+                    return STUCK if split else CLASH
                 return OK
             case App(args=ts):
                 for x in ts:
-                    out = self._scan(v, x, sigma)
+                    out = self._scan(v, x, sigma, split)
                     if out is not OK:
                         return out
                 return OK
@@ -196,7 +204,8 @@ class BindingStore:
 
     def _fresh_id(self) -> int:
         """The next id of `ids`, or one above every id the inputs of this
-        unification and the bindings hold when `ids` has not passed them."""
+        unification (its two sides and sigma's images) and the bindings
+        hold when `ids` has not passed them."""
         i = next(self.ids)
         held = list(self.bindings)
         held += (v.id for t in (*self._inputs, *self.bindings.values())
@@ -207,13 +216,13 @@ class BindingStore:
             self.ids = itertools.count(i + 1)
         return i
 
-    def _bind_evar(self, e: EVar, t: Term, sigma: dict[EVar, Term]) -> str:
+    def _bind_evar(self, e: EVar, t: Term, sigma: Sigma) -> str:
         if self._occurs_evar(e, t, sigma):
             return CLASH
         sigma[e] = t
         return OK
 
-    def _occurs_evar(self, e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
+    def _occurs_evar(self, e: EVar, t: Term, sigma: Sigma) -> bool:
         if t.ground:
             return False
         t = self.walk(t, sigma)

@@ -32,6 +32,7 @@ from outlinecheck import (
     con,
     count_rule,
     elaborate,
+    eval_ground,
     explain_failure,
     kernel,
     parse_file,
@@ -290,6 +291,46 @@ def test_lemma_with_three_foralls_backtracks_into_its_consequent(env_el):
     assert count_rule(trace, "impL") == 2
 
 
+# -- the left equality rule's substitution is read by its premise's
+# unifications and never written into the sequent; a metavariable bound
+# under it holds the substituted term for the sibling premises
+
+# exists X, (forall Y W, Y = s W -> W = z -> X = Y) /\ X = n
+_BRANCH_BODY = All(All(Imp(Eq(Bound(1), con("s", Bound(0))),
+                           Imp(Eq(Bound(0), num(0)), Eq(Bound(2), Bound(1))))))
+
+# the trace of the kernel that rewrote the sequent under each case split
+_BRANCH_TRACE = [
+    "(storeR 1 nil nil nil nil)",
+    "(decideR 1 nil nil nil nil)",
+    "(exR 1 (s z) nil nil nil)",
+    "(andR 2 nil nil nil nil)",
+    "(releaseR 1 nil nil nil nil)",
+    "(allR 1 (%ev 2 1) nil nil nil)",
+    "(allR 1 (%ev 3 2) nil nil nil)",
+    "(impR 1 nil nil nil nil)",
+    "(eqL 1 nil nil nil nil)",
+    "(impR 1 nil nil nil nil)",
+    "(eqL 1 nil nil nil nil)",
+    "(storeR 1 nil nil nil nil)",
+    "(decideR 1 nil nil nil nil)",
+    "(eqR 0 nil nil nil nil)",
+    "(eqR 0 nil nil nil nil)",
+]
+
+
+def test_binding_made_under_a_case_split_reaches_the_sibling_premise():
+    # the first conjunct splits Y := s W, then W := z, and binds X to what Y
+    # stands for there, s z; the second conjunct reads X with no split
+    goal = Ex(And(_BRANCH_BODY, Eq(Bound(0), num(1))))
+    r = check_outline(None, goal, "(induction 0 0 0)")
+    assert isinstance(r, Accepted) and r.steps == 15
+    assert trace_to_lines(r.trace) == _BRANCH_TRACE
+    assert verify_trace([], goal, r.trace)
+    r = check_outline(None, Ex(And(_BRANCH_BODY, Eq(Bound(0), num(2)))), "(induction 0 0 0)")
+    assert r == Rejected(15)
+
+
 _OUTSIDE = "^unexpected recursive marker outside a definition body$"
 
 
@@ -318,6 +359,22 @@ def test_ill_formed_input_raises_before_any_step_or_record(goal, lemmas, error, 
     for replay in (explain_failure, verify_trace):
         with pytest.raises(error, match=match):
             replay(lemmas, goal, TraceNode("ffL"))
+
+
+@pytest.mark.parametrize("cert", ["(induction 0 0 0)", "(induction 0 0 1)"])
+def test_atom_of_the_wrong_arity_raises_where_the_inputs_enter(el, cert):
+    # without unfolding, search used to reject this goal in 3 steps; with
+    # one unfold, it raised only once search reached the atom
+    goal = MuAtom(_defs(el)["is_nat"], (num(0), num(0)))
+    match = "^is_nat expects 1 arguments, got 2$"
+    for lemmas, g in (([], goal), (_lemma(Imp(goal, TT)), TT)):
+        with pytest.raises(StructuralError, match=match):
+            check_outline(el, g, cert, lemmas, max_steps=0)
+        for replay in (explain_failure, verify_trace):
+            with pytest.raises(StructuralError, match=match):
+                replay(lemmas, g, TraceNode("ffL"))
+    with pytest.raises(ValueError, match=match):
+        eval_ground(_defs(el).values(), goal, 5)
 
 
 @pytest.mark.parametrize("var", [EVar(1, 1), MVar(1, 0)])

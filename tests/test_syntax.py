@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -310,6 +311,20 @@ def test_kept_printed_form_matches_a_fresh_spelling(t, print_first):
     for term in (u, con("pair", t, u), t):
         assert repr(term) == _spell(term)
         assert repr(term) is repr(term)  # kept, not spelled again
+
+
+def test_deep_terms_print_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    t = num(3000)
+    assert repr(t) == "(s " * 3000 + "z" + ")" * 3000
+    assert repr(t) is repr(t)
+    # every ground subterm keeps its printed form; a term over a variable
+    # is spelled afresh, around the kept forms of its ground parts
+    assert t.args[0]._repr == "(s " * 2999 + "z" + ")" * 2999
+    u = MVar(1, 0)
+    for _ in range(3000):
+        u = con("pair", u, num(1))
+    assert repr(u) == "(pair " * 3000 + "(%mv 1 0)" + " (s z))" * 3000
 
 
 def test_map_sequent_returns_variable_free_formulas_as_they_are():

@@ -108,8 +108,71 @@ def test_case_split_eigenvariable_clash_under_constructor():
     assert verdict is CLASH
 
 
-def _unify_either(b: BindingStore, split: bool, x: Term, y: Term) -> bool:
-    return b.unify_case_split(x, y)[0] is OK if split else b.unify(x, y)
+# -- the branch substitution: both entry points read eigenvariables through
+# the case splits a branch has made, and neither changes the dict they get
+
+
+def test_unify_reads_through_a_chain_of_the_branch_substitution():
+    b = BindingStore()
+    e1, e2, x = ev(1), ev(2), mv(3)
+    sigma = {e1: e2, e2: con("s", num(1))}
+    assert b.unify(con("s", e1), num(3), sigma)
+    assert not b.unify(e1, num(1), sigma)
+    assert b.unify(x, con("pair", e1, e2), sigma)
+    # the binding holds the substituted term, for a sibling premise that
+    # reads under another substitution
+    assert b.bindings[x.id] == con("pair", num(2), num(2))
+    assert sigma == {e1: e2, e2: con("s", num(1))}
+
+
+def test_unify_keeps_scope_through_the_branch_substitution():
+    # e1 is at X's level, but it stands for e2, which is deeper
+    b = BindingStore()
+    x = mv(3, lv=1)
+    sigma = {ev(1, lv=1): con("s", ev(2, lv=2))}
+    assert not b.unify(x, ev(1, lv=1), sigma)
+    assert not b.unify(con("s", x), con("s", ev(1, lv=1)), sigma)
+    assert b.trail == [] and b.bindings == {}
+    # at e2's level the same binding is fine
+    assert b.unify(mv(4, lv=2), ev(1, lv=1), sigma)
+    assert b.resolve(mv(4, lv=2)) == con("s", ev(2, lv=2))
+
+
+def test_unify_never_binds_an_eigenvariable():
+    b = BindingStore()
+    e1, e2 = ev(1), ev(2)
+    sigma = {e2: num(0)}
+    assert not b.unify(e1, num(0), sigma)
+    assert not b.unify(num(0), e1, sigma)
+    assert not b.unify(e1, e2, sigma)
+    assert b.unify(e2, num(0), sigma)
+    assert sigma == {e2: num(0)}
+    assert b.trail == []
+
+
+def test_case_split_composes_with_the_incoming_substitution():
+    b = BindingStore()
+    e1, e2, x = ev(1), ev(2), mv(3)
+    incoming = {e1: con("s", e2)}
+    verdict, sigma = b.unify_case_split(e1, con("s", num(0)), incoming)
+    assert verdict is OK
+    # triangular: the old assignment stays as it was, the new one is added
+    assert sigma == {e1: con("s", e2), e2: num(0)}
+    assert incoming == {e1: con("s", e2)}
+    assert b.resolve(e1, sigma) == num(1)
+    # a metavariable the split binds holds the term under the final sigma
+    verdict, sigma2 = b.unify_case_split(con("pair", x, e2), con("pair", e1, num(0)), incoming)
+    assert verdict is OK and sigma2 == sigma
+    assert b.bindings[x.id] == num(1)
+    assert incoming == {e1: con("s", e2)}
+    # a clash leaves the incoming dict as it was too
+    verdict, _ = b.unify_case_split(e1, num(0), incoming)
+    assert verdict is CLASH
+    assert incoming == {e1: con("s", e2)}
+
+
+def _unify_either(b: BindingStore, split: bool, x: Term, y: Term, sigma=None) -> bool:
+    return b.unify_case_split(x, y, sigma)[0] is OK if split else b.unify(x, y, sigma)
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -128,6 +191,17 @@ def test_pruning_takes_no_id_an_input_or_binding_holds(split):
     assert b.unify(mv(1, lv=0), con("z"))
     assert _unify_either(b, split, mv(2, lv=0), con("s", mv(3)))
     assert b.resolve(mv(2, lv=0)) != con("s", con("z"))
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_pruning_takes_no_id_the_branch_substitution_holds(split):
+    # e2 stands for pair(Y, W), Y deeper than X: pruning Y must not make W
+    b = BindingStore()
+    x, y, w = mv(1, lv=0), mv(9, lv=1), mv(3, lv=0)
+    assert _unify_either(b, split, x, ev(2), {ev(2): con("pair", y, w)})
+    fresh, second = b.resolve(x).args
+    assert second == w and isinstance(fresh, MVar) and fresh.level == 0
+    assert fresh.id not in (1, 2, 3, 9)
 
 
 # -- randomized checkpoint-replay oracle -------------------------------------
