@@ -10,7 +10,8 @@ Exit status: 0 when every theorem of every file is accepted (and, with
 --replay, every trace replays); 1 when any theorem is rejected or runs out
 of steps; 2 on usage, file, parse or trace-writing errors, including a
 file that is not UTF-8 or nests too deeply for the checker's recursion.
-A --trace directory that cannot be made is reported before any file is
+A --trace directory that cannot be made, or two files with the same stem,
+whose traces would overwrite each other's, are reported before any file is
 checked.  Files are checked and reported one at a time, so any other such
 error, printed with the path, keeps the verdicts of the files before it
 and skips the files after.
@@ -71,6 +72,11 @@ def main(argv: list[str] | None = None) -> int:
         if not path.is_file():
             return _error(f"no such file: {path}")
     if args.trace:
+        stems: dict[str, Path] = {}
+        for path in args.files:
+            first = stems.setdefault(path.stem, path)
+            if first is not path:
+                return _error(f"--trace: {first} and {path} would write the same trace files")
         try:
             args.trace.mkdir(parents=True, exist_ok=True)
         except OSError as e:

@@ -25,14 +25,13 @@ substitution of the left equality rule is an argument of the prove
 functions instead, `sigma`: its premise goes on with the same store,
 workbench and goal, and every unification reads their terms under it, so
 it cannot leak into sibling branches.  Only the induction builds the
-sequent under it, resolving the formulas that hold a variable that can
-move and keeping every other formula as it is.
+sequent under it, resolving every formula.
 
 The focus phases never substitute into a formula.  They read it under an
 environment: the closed terms that its free positional variables stand
-for, and the definition that a recursive atom stands for.  exR and allL
-push their fresh metavariable onto the environment, and unfoldR continues
-into the definition body with the atom's arguments as the environment.
+for.  exR and allL push their fresh metavariable onto the environment, and
+unfoldR continues into the definition body, whose recursive atoms already
+name the definition, with the atom's arguments as the environment.
 Only the terms that eqR and initial unify are instantiated, and a formula
 is built in full only where focus is released to the asynchronous phase,
 so that phase and the store only ever see concrete formulas.  Replay
@@ -58,11 +57,10 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
-    SELF, YS_HEAD, All, And, App, Definition, EVar, Eq, Ex, Ff, Formula, Imp,
-    Index, MuAtom, MVar, Or, Rhs, Store, StructuralError, Term, Tt,
-    apply_invariant, body_with_invariant, check_arity, input_vars,
-    map_sequent, map_terms, open_binder, store_lookup,
-    synthesize_obvious_invariants, term_subst_bound, unfold_mu,
+    YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
+    MVar, Or, Rhs, Store, StructuralError, Term, Tt, apply_invariant,
+    body_with_invariant, input_vars, instantiate, map_sequent, open_binder,
+    store_lookup, synthesize_obvious_invariants, term_subst_bound,
 )
 from .trace import TraceNode
 from .unify import CLASH, OK, BindingStore, Sigma
@@ -172,7 +170,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                         yield TraceNode("freeze", (t,), index=ix)
                 # unfold
                 for k1 in fpc.unfold_left_expert(cert):
-                    sub = unfold_mu(d, ts)
+                    sub = instantiate(d.body, ts)
                     for t in _async(ctx, store, (sub,) + rest, rhs, k1, level, sigma):
                         yield TraceNode("unfoldL", (t,))
             case Imp() | All():
@@ -206,29 +204,18 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
             continue
         for t in _left_focus(ctx, store, g, (), f, k1, level, sigma):
             yield TraceNode("decideL", (t,), index=ix)
-    for t in _right_focus(ctx, store, f, (), None, cert, level, sigma):
+    for t in _right_focus(ctx, store, f, (), cert, level, sigma):
         yield TraceNode("decideR", (t,))
 
 
 # The focus phases read a formula under an environment instead of
 # substituting into it: `env[i]` is the closed term for Bound(i) at the
-# formula's top, and right focus's `rec` is the definition that a
-# recursive atom MuAtom(SELF, ..) stands for, or None outside a definition
-# body.  Left focus starts only on a store entry, so it never has one.
+# formula's top, and `instantiate` builds the formula it denotes.
 
 
-def _inst(t: Term, env: tuple[Term, ...], depth: int = 0) -> Term:
-    """The term t denotes under env, beneath `depth` binders of its own."""
-    return t if t.closed else term_subst_bound(t, env, depth)
-
-
-def _inst_formula(f: Formula, env: tuple[Term, ...],
-                  rec: Optional[Definition]) -> Formula:
-    """The concrete formula that f denotes under the environment."""
-    if not env and rec is None:
-        return f
-    return map_terms(f, lambda t, depth: _inst(t, env, depth),
-                     None if rec is None else lambda ts: MuAtom(rec, ts))
+def _inst(t: Term, env: tuple[Term, ...]) -> Term:
+    """The term t denotes under env."""
+    return t if t.closed else term_subst_bound(t, env, 0)
 
 
 def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
@@ -241,33 +228,32 @@ def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
             for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level, sigma):
                 yield TraceNode("allL", (tr,), term=t)
         case Imp(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, None, cert, level, sigma):
+            for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
                 for t2 in _left_focus(ctx, store, b, env, goal, cert, level, sigma):
                     yield TraceNode("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
-            f = _inst_formula(focus, env, None)
+            f = instantiate(focus, env)
             for t in _async(ctx, store, (f,), ("st", goal), cert, level, sigma):
                 yield TraceNode("releaseL", (t,))
 
 
 def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
-                 rec: Optional[Definition], cert: Certificate,
-                 level: int, sigma: Sigma) -> Iterator[TraceNode]:
+                 cert: Certificate, level: int, sigma: Sigma) -> Iterator[TraceNode]:
     ctx.tick()
     binds = ctx.binds
     match focus:
         case Or(a=a, b=b):
             for side, sub in ((1, a), (2, b)):
-                for t in _right_focus(ctx, store, sub, env, rec, cert, level, sigma):
+                for t in _right_focus(ctx, store, sub, env, cert, level, sigma):
                     yield TraceNode("orR", (t,), side=side)
         case And(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, rec, cert, level, sigma):
-                for t2 in _right_focus(ctx, store, b, env, rec, cert, level, sigma):
+            for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
+                for t2 in _right_focus(ctx, store, b, env, cert, level, sigma):
                     yield TraceNode("andR", (t1, t2))
         case Ex(body=b):
             t = MVar(next(binds.ids), level)
-            for tr in _right_focus(ctx, store, b, (t,) + env, rec, cert, level, sigma):
+            for tr in _right_focus(ctx, store, b, (t,) + env, cert, level, sigma):
                 yield TraceNode("exR", (tr,), term=t)
         case Eq(l=l, r=r):
             cp = binds.mark()
@@ -279,8 +265,6 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
         case Ff():
             return
         case MuAtom(defn=d, args=ts):
-            if d is SELF:
-                d = rec
             ts = tuple(_inst(x, env) for x in ts)
             for ix, g in store:
                 if not (isinstance(g, MuAtom) and g.defn is d):
@@ -291,11 +275,10 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
                     yield TraceNode("initial", index=ix)
                 binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
-                check_arity(d, ts)
-                for t in _right_focus(ctx, store, d.body, ts, d, k1, level, sigma):
+                for t in _right_focus(ctx, store, d.body, ts, k1, level, sigma):
                     yield TraceNode("unfoldR", (t,))
         case Imp() | All():
-            f = _inst_formula(focus, env, rec)
+            f = instantiate(focus, env)
             for t in _async(ctx, store, (), ("un", f), cert, level, sigma):
                 yield TraceNode("releaseR", (t,))
 

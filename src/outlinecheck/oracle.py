@@ -85,8 +85,8 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 fact = (d.name.name, args)
                 if fact in first:
                     continue
-                # unfolding replaces recursive markers with named atoms,
-                # which holds() looks up among the facts derived so far
+                # a body's recursive atoms are atoms of d, which holds()
+                # looks up among the facts derived so far
                 if holds(unfold_mu(d, args)):
                     first[fact] = rounds
                     added = True

@@ -13,7 +13,7 @@ Metavariables that survive in a finished trace were never constrained; the
 replayer treats them as inert constants.  The left equality rule is the
 one place where the replayer recomputes something: the case-analysis
 substitution on eigenvariables, which it derives from the recorded
-equation and applies structurally to the premise, mirroring the kernel.
+equation and applies to the premise (the kernel reads under it instead).
 A recorded clash leaf must exhibit a rigid disagreement, so it stays
 sound even on tampered traces.
 """

@@ -207,9 +207,11 @@ class Definition:
 
     The body is a formula over `arity` parameters; parameter i appears as
     Bound(depth + i) under `depth` intervening binders, and recursive calls
-    appear as MuAtom(SELF, args).  The body takes no part in equality so a
+    are written MuAtom(SELF, args), which building the definition turns into
+    atoms of the definition itself.  The body takes no part in equality so a
     definition can be compared and hashed cheaply by name.  A body that is
-    no formula, or that holds an eigenvariable or metavariable, is refused.
+    no formula, or that holds an eigenvariable, a metavariable or an atom of
+    the wrong arity, is refused.
     """
 
     name: Sym
@@ -217,8 +219,17 @@ class Definition:
     body: "Formula" = field(compare=False)
 
     def __post_init__(self) -> None:
-        if next(formula_vars(map_terms(self.body, lambda t, _: t)), None):
-            raise StructuralError(f"the body of {self.name} holds a free variable")
+        def closed(t: Term, _: int) -> Term:
+            if next(term_vars(t), None):
+                raise StructuralError(f"the body of {self.name} holds a free variable")
+            return t
+
+        def atom(d: Union[Definition, _Self], ts: tuple[Term, ...]) -> Formula:
+            d = self if d is SELF else d
+            check_arity(d, ts)
+            return MuAtom(d, ts)
+
+        object.__setattr__(self, "body", map_terms(self.body, closed, atom))
 
     def __repr__(self) -> str:
         return f"<def {self.name}/{self.arity}>"
@@ -332,20 +343,19 @@ def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
     return App(t.head, tuple(term_subst_bound(x, args, depth) for x in t.args))
 
 
-def _instantiate(args: tuple[Term, ...]) -> Callable[[Term, int], Term]:
-    """map_terms' term function putting args[i] for Bound(depth + i)."""
-    return lambda t, depth: t if t.closed else term_subst_bound(t, args, depth)
-
-
-def _no_self(args: tuple[Term, ...]) -> Formula:
-    raise StructuralError("unexpected recursive marker outside a definition body")
+def instantiate(f: Formula, args: tuple[Term, ...]) -> Formula:
+    """The formula f denotes with args[i] for its free Bound(i): a binder's
+    or a body's instance, or a formula read under an environment."""
+    if not args:
+        return f
+    return map_terms(f, lambda t, depth: t if t.closed else term_subst_bound(t, args, depth))
 
 
 def open_binder(f: Formula, t: Term) -> Formula:
     """Open a quantified formula with `t` for the bound variable."""
     match f:
         case All(body=b) | Ex(body=b):
-            return map_terms(b, _instantiate((t,)), _no_self)
+            return instantiate(b, (t,))
     raise StructuralError(f"open_binder on non-binder: {f!r}")
 
 
@@ -357,7 +367,7 @@ def check_arity(d: Definition, args: tuple[Term, ...]) -> None:
 def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
     """One unfolding of the fixed point: B (mu B) args."""
     check_arity(d, args)
-    return map_terms(d.body, _instantiate(args), lambda ts: MuAtom(d, ts))
+    return instantiate(d.body, args)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +388,14 @@ class InvariantAbs:
 
 
 def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
-    if len(args) != s.arity:
-        raise StructuralError(f"invariant expects {s.arity} arguments, got {len(args)}")
-    return map_terms(s.body, _instantiate(args), _no_self)
+    return instantiate(s.body, args)
 
 
 def body_with_invariant(d: Definition, s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     """B S args: the definition body with the invariant for recursive calls."""
-    check_arity(d, args)
-    return map_terms(d.body, _instantiate(args),
-                     lambda ts: apply_invariant(s, ts))
+    body = map_terms(d.body, lambda t, _: t,
+                     lambda e, ts: apply_invariant(s, ts) if e is d else MuAtom(e, ts))
+    return instantiate(body, args)
 
 
 def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
@@ -468,7 +476,7 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
             stack.append(f.body)
         elif c is MuAtom:
             if f.defn is SELF:
-                _no_self(f.args)
+                raise StructuralError("unexpected recursive marker outside a definition body")
             check_arity(f.defn, f.args)
             out.update(v for t in f.args for v in term_vars(t))
         elif c is not Tt and c is not Ff:
@@ -477,24 +485,23 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],
-              self_fn: Optional[Callable[[tuple[Term, ...]], Formula]] = None,
+              atom: Optional[Callable[[Union[Definition, _Self], tuple[Term, ...]],
+                                      Formula]] = None,
               depth: int = 0) -> Formula:
     """Rebuild `f` with every term t replaced by fn(t, depth), where depth
     counts the binders enclosing t (`depth` of them enclose `f` itself).
-    With `self_fn`, a recursive atom MuAtom(SELF, ts) becomes self_fn(ts')
-    once its arguments are rewritten; without it, it stays an atom."""
+    With `atom`, an atom MuAtom(d, ts) becomes atom(d, ts') once its
+    arguments are rewritten; without it, it stays an atom of d."""
     c = f.__class__
     if c is Eq:
         return Eq(fn(f.l, depth), fn(f.r, depth))
     if c is And or c is Or or c is Imp:
-        return c(map_terms(f.a, fn, self_fn, depth), map_terms(f.b, fn, self_fn, depth))
+        return c(map_terms(f.a, fn, atom, depth), map_terms(f.b, fn, atom, depth))
     if c is All or c is Ex:
-        return c(map_terms(f.body, fn, self_fn, depth + 1))
+        return c(map_terms(f.body, fn, atom, depth + 1))
     if c is MuAtom:
         ts = tuple(fn(x, depth) for x in f.args)
-        if f.defn is SELF and self_fn is not None:
-            return self_fn(ts)
-        return MuAtom(f.defn, ts)
+        return MuAtom(f.defn, ts) if atom is None else atom(f.defn, ts)
     if c is Tt or c is Ff:
         return f
     raise TypeError(f"not a formula: {f!r}")
@@ -536,18 +543,10 @@ def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
 def map_sequent(store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 fn: Callable[[Term, int], Term]
                 ) -> tuple[Store, tuple[Formula, ...], Rhs]:
-    """Rewrite the variables of a sequent (store, workbench and right-hand
-    side) with map_terms; the left equality rule applies its case-split
-    substitution this way.  `fn` rewrites only variables and hands back a
-    variable it leaves alone as itself, so a formula none of whose
-    variables moves comes back as the same object.  A formula's distinct
-    variables are kept on it."""
-    def go(f: Formula) -> Formula:
-        if not hasattr(f, "_vars"):  # one walk per formula object
-            object.__setattr__(f, "_vars", tuple(set(formula_vars(f))))
-        return map_terms(f, fn) if any(fn(v, 0) is not v for v in f._vars) else f
-    return (tuple((ix, go(f)) for ix, f in store),
-            tuple(go(f) for f in theta), (rhs[0], go(rhs[1])))
+    """Rewrite the terms of a sequent (store, workbench and right-hand
+    side) with map_terms."""
+    return (tuple((ix, map_terms(f, fn)) for ix, f in store),
+            tuple(map_terms(f, fn) for f in theta), (rhs[0], map_terms(rhs[1], fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +620,7 @@ def synthesize_obvious_invariants(
 # ---------------------------------------------------------------------------
 # reading the concrete syntax back: the readers below invert the reprs.
 # Fixed-point atoms name their definition, so reading a formula needs the
-# definition table it was written under; `%self` names the recursive marker.
+# definition table it was written under.
 
 SExp = Union[str, tuple]
 
@@ -715,8 +714,6 @@ def formula_from_sexp(s: SExp, defs: dict[str, Definition],
     if head == "mu" and len(s) >= 2 and isinstance(s[1], str):
         name = s[1]
         args = tuple(term_from_sexp(x, memo) for x in s[2:])
-        if name == "%self":
-            return MuAtom(SELF, args)
         d = defs.get(name)
         if d is None:
             raise TraceFormatError(f"unknown definition in trace: {name}")

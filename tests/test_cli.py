@@ -70,6 +70,22 @@ def test_unwritable_trace_path_exit_two(capsys, tmp_path):
     assert err.count("\n") == 1 and str(blocked) in err
 
 
+def test_trace_refuses_two_files_with_one_stem(capsys, tmp_path):
+    # both would write plus.NAME.trace: the second file's traces used to
+    # overwrite the first's, and nothing says the two files agree
+    a, b = tmp_path / "a" / "plus.thm", tmp_path / "b" / "plus.thm"
+    for path in (a, b):
+        path.parent.mkdir()
+        path.write_text(CORPUS.read_text())
+    traces = tmp_path / "traces"
+    code, lines, err = run(capsys, "--trace", traces, a, b)
+    assert code == 2 and lines == []
+    assert err.count("\n") == 1 and str(a) in err and str(b) in err
+    assert not traces.exists()
+    code, lines, _ = run(capsys, a, b)
+    assert code == 0 and len(lines) == 12
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "does-not-exist.thm")
     assert code == 2

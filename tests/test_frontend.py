@@ -15,7 +15,8 @@ from outlinecheck import (
 )
 from outlinecheck.frontend import SBin, SEq, SQuant, STerm
 from outlinecheck.syntax import (
-    All, And, Bound, EVar, Eq, Ex, Imp, MuAtom, Or, SELF, con, formula_vars,
+    All, And, Bound, Definition, EVar, Eq, Ex, Imp, MuAtom, Or, SELF, con,
+    formula_vars, sym,
 )
 
 from _util import CORPUS, load_plus
@@ -98,10 +99,10 @@ def test_is_nat_completion_shape():
     d = _definitions(PRELUDE + "Define is_nat : nat -> prop by\n"
                      "  is_nat z ;\n  is_nat (s N) := is_nat N.\n")["is_nat"]
     assert d.arity == 1
-    assert d.body == Or(
+    assert d.body == Definition(sym("is_nat"), 1, Or(
         Eq(Bound(0), con("z")),
         Ex(And(Eq(Bound(1), con("s", Bound(0))), MuAtom(SELF, (Bound(0),)))),
-    )
+    )).body
 
 
 def test_plus_completion_shape():
@@ -113,6 +114,30 @@ def test_plus_completion_shape():
     assert isinstance(base, Ex)
     # step: exists M N P, (x0 = s M /\ x1 = N /\ x2 = s P) /\ plus M N P
     assert isinstance(step, Ex) and isinstance(step.body, Ex)
+
+
+def _atoms(f):
+    stack = [f]
+    while stack:
+        match stack.pop():
+            case MuAtom() as a:
+                yield a
+            case And(a=a, b=b) | Or(a=a, b=b) | Imp(a=a, b=b):
+                stack += (a, b)
+            case All(body=b) | Ex(body=b):
+                stack.append(b)
+
+
+def test_recursive_atoms_of_an_elaborated_body_are_its_definition():
+    defs = _definitions(PRELUDE + "Define is_nat : nat -> prop by\n"
+                        "  is_nat z ;\n  is_nat (s N) := is_nat N.\n"
+                        "Define half : nat -> nat -> prop by\n  half z z ;\n"
+                        "  half (s (s M)) (s N) := is_nat M /\\ half M N.\n")
+    for d in defs.values():
+        atoms = list(_atoms(d.body))
+        assert any(a.defn is d for a in atoms)
+        assert all(a.defn is defs[a.defn.name.name] for a in atoms)
+    assert {a.defn for a in _atoms(defs["half"].body)} == {defs["is_nat"], defs["half"]}
 
 
 def test_quantifiers_scope_their_own_names():

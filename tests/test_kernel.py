@@ -40,7 +40,6 @@ from outlinecheck import (
     synthesize_obvious_invariants,
     trace_from_lines,
     trace_to_lines,
-    unfold_mu,
     verify_trace,
 )
 from outlinecheck.syntax import EVar, Hyp, InvariantAbs, MVar, apply_invariant
@@ -385,17 +384,13 @@ def test_definition_body_holds_no_free_variable(var):
         Definition(sym("c"), 1, Eq(Bound(0), var))
 
 
-def test_unfold_right_arity_mismatch_keeps_unfold_mus_message(el):
+def test_body_atom_of_the_wrong_arity_raises_when_built(el):
+    # no unfold can meet such an atom: the definition is refused whole
     is_nat = _defs(el)["is_nat"]
-    # a recursive call of the wrong arity is met only once the body is entered
-    p = Definition(sym("p"), 1, MuAtom(SELF, (Bound(0), Bound(0))))
-    for d, goal, cert in ((is_nat, MuAtom(is_nat, (num(0), num(0))), "(induction 0 0 1)"),
-                          (p, MuAtom(p, (num(0),)), "(induction 0 0 2)")):
-        with pytest.raises(StructuralError) as want:
-            unfold_mu(d, (num(0), num(0)))
-        with pytest.raises(StructuralError) as got:
-            check_outline(el, goal, cert)
-        assert str(got.value) == str(want.value)
+    for body, name in ((MuAtom(SELF, (Bound(0), Bound(0))), "p"),
+                       (Or(TT, Ex(MuAtom(is_nat, (Bound(0), Bound(1))))), "is_nat")):
+        with pytest.raises(StructuralError, match=f"^{name} expects 1 arguments, got 2$"):
+            Definition(sym("p"), 1, body)
 
 # -- search pinned beyond the shipped certificates: every outline cell of the
 # corpus, verdict, step count and trace text, under one digest

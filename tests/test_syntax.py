@@ -40,8 +40,7 @@ from outlinecheck import (
     unfold_mu,
     verify_trace,
 )
-from outlinecheck import BindingStore, syntax
-from outlinecheck.replay import _sigma_apply
+from outlinecheck import syntax
 from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
@@ -49,7 +48,6 @@ from outlinecheck.syntax import (
     formula_from_sexp,
     index_from_sexp,
     invariant_from_sexp,
-    map_sequent,
     map_terms,
     parse_sexp,
     term_from_sexp,
@@ -161,11 +159,6 @@ def test_body_with_invariant_invariant_binders_do_not_capture():
     assert second == All(Eq(Bound(1), Bound(0)))
 
 
-def test_self_outside_definition_rejected():
-    with pytest.raises(StructuralError):
-        open_binder(All(MuAtom(SELF, (Bound(0),))), con("z"))
-
-
 def test_synthesis_parameters_avoid_the_sequent_eigenvariables():
     # the parameter for the target (%ev 1 0) must not be (%ev 1 0) itself,
     # which the invariant abstracts as one of the sequent's eigenvariables
@@ -231,7 +224,7 @@ _terms = st.recursive(
     max_leaves=8)
 _formulas = st.recursive(
     st.one_of(st.just(TT), st.just(FF), st.builds(Eq, _terms, _terms),
-              st.builds(MuAtom, st.sampled_from([_DEFS["p"], _DEFS["q"], SELF]),
+              st.builds(MuAtom, st.sampled_from([_DEFS["p"], _DEFS["q"]]),
                         st.lists(_terms, max_size=3).map(tuple))),
     lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids),
                            st.builds(Imp, kids, kids), st.builds(All, kids),
@@ -325,26 +318,6 @@ def test_deep_terms_print_at_the_default_recursion_limit():
     for _ in range(3000):
         u = con("pair", u, num(1))
     assert repr(u) == "(pair " * 3000 + "(%mv 1 0)" + " (s z))" * 3000
-
-
-def test_map_sequent_returns_variable_free_formulas_as_they_are():
-    p = _DEFS["p"]
-    x, e = MVar(9, 0), EVar(8, 0)
-    lemma = All(Imp(MuAtom(p, (Bound(0), num(2))), Eq(Bound(0), num(2))))
-    open_f = MuAtom(p, (x, e))
-    still = MuAtom(p, (MVar(7, 0), EVar(6, 0)))  # neither variable moves
-    store = ((LemmaName(sym("l")), lemma), (Hyp(1), open_f), (Hyp(2), still))
-    binds = BindingStore()
-    assert binds.unify(x, num(1))
-    sigma = {e: num(3)}
-    for fn, want in ((lambda t, _: binds.resolve(t, sigma), MuAtom(p, (num(1), num(3)))),
-                     (lambda t, _: _sigma_apply(t, sigma), MuAtom(p, (x, num(3))))):
-        for _ in range(2):  # the second call meets the kept answer
-            (l2, o2, s2), theta, (_, r) = map_sequent(
-                store, (lemma, open_f, still), ("st", lemma), fn)
-            assert l2[1] is lemma and theta[0] is lemma and r is lemma
-            assert s2[1] is still and theta[2] is still
-            assert o2[1] == want and theta[1] == want and o2[1] is not open_f
 
 
 def test_terms_cannot_be_assigned():

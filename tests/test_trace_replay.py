@@ -331,6 +331,32 @@ def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
         "record 1 (allR): eigenvariable reused")
 
 
+# exists X, (X = z -> false) /\ (forall Y, X = s Y -> false) is false over
+# nat, and the kernel rejects it; a witness of another sort refutes both
+# equations by a rigid clash, and replay takes it, knowing no binder's sort
+_ILL_SORTED = ["(storeR 1 nil nil nil nil)", "(decideR 1 nil nil nil nil)",
+               "(exR 1 {} nil nil nil)", "(andR 2 nil nil nil nil)",
+               "(releaseR 1 nil nil nil nil)", "(impR 1 nil nil nil nil)",
+               "(eqL_clash 0 nil nil nil nil)", "(releaseR 1 nil nil nil nil)",
+               "(allR 1 (%ev 1 1) nil nil nil)", "(impR 1 nil nil nil nil)",
+               "(eqL_clash 0 nil nil nil nil)"]
+
+
+@pytest.mark.xfail(strict=True, reason="replay does not check the sorts of witnesses")
+@pytest.mark.parametrize("path, witness", [
+    (CORPUS, "foo"),  # not even a declared constructor
+    (CORPUS.parent.parent / "bench" / "theorems" / "list.thm", "empty"),
+], ids=["undeclared", "list"])
+def test_witness_of_another_sort_rejected(path, witness):
+    prelude = re.split(r"^Theorem", path.read_text(), flags=re.M)[0]
+    el = elaborate(parse_file(
+        prelude + "Theorem t : exists X, (X = z -> false) /\\"
+        " (forall Y, X = s Y -> false).\n"))
+    lines = [ln.format(witness) for ln in _ILL_SORTED]
+    trace = trace_from_lines(lines, el.definitions)
+    assert explain_failure((), el.goals["t"], trace) is not None
+
+
 def _node(rule, *children, **fields):
     return TraceNode(rule, children, **fields)
 
@@ -430,3 +456,15 @@ def test_trusted_base_imports_only_itself():
     # the oracle is the tests' ground truth: it shares no code with search
     # or replay, only the formulas they all read
     assert set(_package_imports(pkg / "oracle.py")) <= {"syntax"}
+
+
+def test_search_and_replay_never_name_the_recursive_marker():
+    # a built definition body holds no SELF, so no rule has one to resolve
+    pkg = pathlib.Path(outlinecheck.__file__).parent
+    for name in ("kernel", "replay", "trace"):
+        tree = ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))
+        named = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and n.id == "SELF"
+                 or isinstance(n, ast.Attribute) and n.attr == "SELF"
+                 or isinstance(n, ast.alias) and n.name == "SELF"]
+        assert not named, (name, named)
