@@ -18,24 +18,30 @@ orR tries side 1, then side 2; exR and allL take a fresh metavariable;
 initial tries each stored atom of the same definition, in store order.
 
 Alternatives are explored depth first with full backtracking: every prove
-function is a generator of trace nodes, so an exhausted inner premise can
-pull the next solution of an outer one.  Metavariable bindings live in a
-single trailed store shared along a branch.  The case-analysis
-substitution of the left equality rule is an argument of the prove
-functions instead, `sigma`: its premise goes on with the same store,
-workbench and goal, and every unification reads their terms under it, so
-it cannot leak into sibling branches.  Only the induction builds the
-sequent under it, resolving every formula.
+function is a generator of records, so an exhausted inner premise can
+pull the next solution of an outer one.  A record is a plain tuple,
+(rule, premises, *fields) with the fields `trace.RULES` lists; `_finalize`
+builds the trace of the proof found from its records, each node once,
+with its terms resolved.  Metavariable bindings live in a single trailed
+store shared along a branch.  The case-analysis substitution of the left
+equality rule is an argument of the prove functions instead, `sigma`: its
+premise goes on with the same store, workbench and goal, and every
+unification reads their terms under it, so it cannot leak into sibling
+branches.  Only the induction builds the sequent under it, resolving
+every formula.
 
-The focus phases never substitute into a formula.  They read it under an
+Search never substitutes into a formula.  It reads each one under an
 environment: the closed terms that its free positional variables stand
-for.  exR and allL push their fresh metavariable onto the environment, and
-unfoldR continues into the definition body, whose recursive atoms already
-name the definition, with the atom's arguments as the environment.
-Only the terms that eqR and initial unify are instantiated, and a formula
-is built in full only where focus is released to the asynchronous phase,
-so that phase and the store only ever see concrete formulas.  Replay
-opens and unfolds eagerly, so it checks these paths independently.
+for.  The workbench holds (formula, environment) pairs, and the unstored
+right-hand side carries its own.  exL, allR, exR and allL push their fresh
+variable onto the environment; unfoldL and unfoldR continue into the
+definition body, whose recursive atoms already name the definition, with
+the atom's arguments as the environment; releasing focus hands the
+environment over.  A formula is built only where it is stored (storeL,
+freeze, storeR) or handed to invariant synthesis, and only the terms that
+eqL, eqR and initial unify are instantiated, so the store and a stored
+goal hold concrete formulas only.  Replay opens and unfolds eagerly, so
+it checks these paths independently.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
@@ -51,18 +57,17 @@ records only the invariance premise.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
-    MVar, Or, Rhs, Store, StructuralError, Term, Tt, apply_invariant,
-    body_with_invariant, input_vars, instantiate, map_sequent, open_binder,
-    store_lookup, synthesize_obvious_invariants, term_subst_bound,
+    MVar, Or, Store, StructuralError, Term, Tt, body_with_invariant, input_vars,
+    instantiate, map_sequent, store_lookup, synthesize_obvious_invariants,
+    term_subst_bound,
 )
-from .trace import TraceNode
+from .trace import RULES, TraceNode
 from .unify import CLASH, OK, BindingStore, Sigma
 
 
@@ -112,89 +117,105 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 # search
 
+# `env[i]` is the closed term for Bound(i) at a formula's top, and
+# `instantiate` builds the formula it denotes.  The right-hand side is a
+# triple (kind, formula, env); a stored goal is built, so its env is empty.
 
-def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
-           cert: Certificate, level: int, sigma: Sigma) -> Iterator[TraceNode]:
+Env = tuple[Term, ...]
+Record = tuple  # (rule, premises, *fields), fields as trace.RULES lists them
+
+
+def _inst(t: Term, env: Env) -> Term:
+    """The term t denotes under env."""
+    return t if t.closed else term_subst_bound(t, env, 0)
+
+
+def _async(ctx: _Ctx, store: Store, theta: tuple[tuple[Formula, Env], ...],
+           rhs: tuple[str, Formula, Env], cert: Certificate, level: int,
+           sigma: Sigma) -> Iterator[Record]:
     ctx.tick()
     fpc = ctx.fpc
     binds = ctx.binds
     if theta:
-        c, rest = theta[0], theta[1:]
+        (c, env), rest = theta[0], theta[1:]
         match c:
             case And(a=a, b=b):
-                for t in _async(ctx, store, (a, b) + rest, rhs, cert, level, sigma):
-                    yield TraceNode("andL", (t,))
+                for t in _async(ctx, store, ((a, env), (b, env)) + rest, rhs, cert, level,
+                                sigma):
+                    yield ("andL", (t,))
             case Or(a=a, b=b):
-                for t1 in _async(ctx, store, (a,) + rest, rhs, cert, level, sigma):
-                    for t2 in _async(ctx, store, (b,) + rest, rhs, cert, level, sigma):
-                        yield TraceNode("orL", (t1, t2))
-            case Ex():
+                for t1 in _async(ctx, store, ((a, env),) + rest, rhs, cert, level, sigma):
+                    for t2 in _async(ctx, store, ((b, env),) + rest, rhs, cert, level, sigma):
+                        yield ("orL", (t1, t2))
+            case Ex(body=b):
                 e = EVar(next(binds.ids), level + 1)
-                sub = open_binder(c, e)
-                for t in _async(ctx, store, (sub,) + rest, rhs, cert, level + 1, sigma):
-                    yield TraceNode("exL", (t,), term=e)
+                for t in _async(ctx, store, ((b, (e,) + env),) + rest, rhs, cert, level + 1,
+                                sigma):
+                    yield ("exL", (t,), e)
             case Eq(l=l, r=r):
                 cp = binds.mark()
-                out, sigma2 = binds.unify_case_split(l, r, sigma)
+                out, sigma2 = binds.unify_case_split(_inst(l, env), _inst(r, env), sigma)
                 if out is CLASH:
-                    yield TraceNode("eqL_clash")
+                    yield ("eqL_clash", ())
                 elif out is OK:
                     for t in _async(ctx, store, rest, rhs, cert, level, sigma2):
-                        yield TraceNode("eqL", (t,))
+                        yield ("eqL", (t,))
                     binds.undo(cp)
                 # a scope-indeterminate equation fails the branch
             case Tt():
                 for t in _async(ctx, store, rest, rhs, cert, level, sigma):
-                    yield TraceNode("ttL", (t,))
+                    yield ("ttL", (t,))
             case Ff():
-                yield TraceNode("ffL")
+                yield ("ffL", ())
             case MuAtom(defn=d, args=ts):
+                ts = tuple([_inst(x, env) for x in ts])
                 # induction
                 for kr in fpc.ind_expert(cert):
                     targs = tuple(binds.resolve(x, sigma) for x in ts)
                     rstore, _, (_, goal_f) = map_sequent(
-                        store, (), rhs, lambda t, _: binds.resolve(t, sigma))
+                        store, (), (rhs[0], instantiate(rhs[1], rhs[2])),
+                        lambda t, _: binds.resolve(t, sigma))
                     for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
                         ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
                         # the invariance premise: store ; B S ys |- S ys
-                        for t2 in _async(ctx, store, (body_with_invariant(d, inv, ys),),
-                                         ("un", apply_invariant(inv, ys)), kr, level + 1,
-                                         sigma):
-                            yield TraceNode("induct_obvious", (t2,),
-                                            term=App(YS_HEAD, ys), invariant=inv)
+                        for t2 in _async(ctx, store, ((body_with_invariant(d, inv, ys), ()),),
+                                         ("un", inv.body, ys), kr, level + 1, sigma):
+                            yield ("induct_obvious", (t2,), App(YS_HEAD, ys), inv)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level, sigma):
-                        yield TraceNode("freeze", (t,), index=ix)
+                    for t in _async(ctx, store + ((ix, MuAtom(d, ts)),), rest, rhs, k1, level,
+                                    sigma):
+                        yield ("freeze", (t,), ix)
                 # unfold
                 for k1 in fpc.unfold_left_expert(cert):
-                    sub = instantiate(d.body, ts)
-                    for t in _async(ctx, store, (sub,) + rest, rhs, k1, level, sigma):
-                        yield TraceNode("unfoldL", (t,))
+                    for t in _async(ctx, store, ((d.body, ts),) + rest, rhs, k1, level, sigma):
+                        yield ("unfoldL", (t,))
             case Imp() | All():
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:
                         raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, c),), rest, rhs, k1, level, sigma):
-                        yield TraceNode("storeL", (t,), index=ix)
+                    for t in _async(ctx, store + ((ix, instantiate(c, env)),), rest, rhs, k1,
+                                    level, sigma):
+                        yield ("storeL", (t,), ix)
         return
 
-    kind, f = rhs
+    kind, f, env = rhs
     if kind == "un":
         match f:
             case Imp(a=a, b=b):
-                for t in _async(ctx, store, (a,), ("un", b), cert, level, sigma):
-                    yield TraceNode("impR", (t,))
-            case All():
+                for t in _async(ctx, store, ((a, env),), ("un", b, env), cert, level, sigma):
+                    yield ("impR", (t,))
+            case All(body=b):
                 e = EVar(next(binds.ids), level + 1)
-                sub = open_binder(f, e)
-                for t in _async(ctx, store, (), ("un", sub), cert, level + 1, sigma):
-                    yield TraceNode("allR", (t,), term=e)
+                for t in _async(ctx, store, (), ("un", b, (e,) + env), cert, level + 1,
+                                sigma):
+                    yield ("allR", (t,), e)
             case _:
-                for t in _async(ctx, store, (), ("st", f), cert, level, sigma):
-                    yield TraceNode("storeR", (t,))
+                for t in _async(ctx, store, (), ("st", instantiate(f, env), ()), cert, level,
+                                sigma):
+                    yield ("storeR", (t,))
         return
 
     # border sequent: decide
@@ -203,111 +224,98 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
         if g is None:
             continue
         for t in _left_focus(ctx, store, g, (), f, k1, level, sigma):
-            yield TraceNode("decideL", (t,), index=ix)
+            yield ("decideL", (t,), ix)
     for t in _right_focus(ctx, store, f, (), cert, level, sigma):
-        yield TraceNode("decideR", (t,))
+        yield ("decideR", (t,))
 
 
-# The focus phases read a formula under an environment instead of
-# substituting into it: `env[i]` is the closed term for Bound(i) at the
-# formula's top, and `instantiate` builds the formula it denotes.
-
-
-def _inst(t: Term, env: tuple[Term, ...]) -> Term:
-    """The term t denotes under env."""
-    return t if t.closed else term_subst_bound(t, env, 0)
-
-
-def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
+def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
                 goal: Formula, cert: Certificate, level: int,
-                sigma: Sigma) -> Iterator[TraceNode]:
+                sigma: Sigma) -> Iterator[Record]:
     ctx.tick()
     match focus:
         case All(body=b):
             t = MVar(next(ctx.binds.ids), level)
             for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level, sigma):
-                yield TraceNode("allL", (tr,), term=t)
+                yield ("allL", (tr,), t)
         case Imp(a=a, b=b):
             for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
                 for t2 in _left_focus(ctx, store, b, env, goal, cert, level, sigma):
-                    yield TraceNode("impL", (t1, t2))
+                    yield ("impL", (t1, t2))
         case _:
             # positive focus: release back to the asynchronous phase
-            f = instantiate(focus, env)
-            for t in _async(ctx, store, (f,), ("st", goal), cert, level, sigma):
-                yield TraceNode("releaseL", (t,))
+            for t in _async(ctx, store, ((focus, env),), ("st", goal, ()), cert, level, sigma):
+                yield ("releaseL", (t,))
 
 
-def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: tuple[Term, ...],
-                 cert: Certificate, level: int, sigma: Sigma) -> Iterator[TraceNode]:
+def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
+                 cert: Certificate, level: int, sigma: Sigma) -> Iterator[Record]:
     ctx.tick()
     binds = ctx.binds
     match focus:
         case Or(a=a, b=b):
             for side, sub in ((1, a), (2, b)):
                 for t in _right_focus(ctx, store, sub, env, cert, level, sigma):
-                    yield TraceNode("orR", (t,), side=side)
+                    yield ("orR", (t,), side)
         case And(a=a, b=b):
             for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
                 for t2 in _right_focus(ctx, store, b, env, cert, level, sigma):
-                    yield TraceNode("andR", (t1, t2))
+                    yield ("andR", (t1, t2))
         case Ex(body=b):
             t = MVar(next(binds.ids), level)
             for tr in _right_focus(ctx, store, b, (t,) + env, cert, level, sigma):
-                yield TraceNode("exR", (tr,), term=t)
+                yield ("exR", (tr,), t)
         case Eq(l=l, r=r):
             cp = binds.mark()
             if binds.unify(_inst(l, env), _inst(r, env), sigma):
-                yield TraceNode("eqR")
+                yield ("eqR", ())
                 binds.undo(cp)
         case Tt():
-            yield TraceNode("ttR")
+            yield ("ttR", ())
         case Ff():
             return
         case MuAtom(defn=d, args=ts):
-            ts = tuple(_inst(x, env) for x in ts)
+            ts = tuple([_inst(x, env) for x in ts])
             for ix, g in store:
                 if not (isinstance(g, MuAtom) and g.defn is d):
                     continue
                 ctx.tick()
                 cp = binds.mark()
-                if all(binds.unify(x, y, sigma) for x, y in zip(ts, g.args)):
-                    yield TraceNode("initial", index=ix)
-                binds.undo(cp)
+                if binds.unify_args(ts, g.args, sigma):
+                    yield ("initial", (), ix)
+                    binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
                 for t in _right_focus(ctx, store, d.body, ts, k1, level, sigma):
-                    yield TraceNode("unfoldR", (t,))
+                    yield ("unfoldR", (t,))
         case Imp() | All():
-            f = instantiate(focus, env)
-            for t in _async(ctx, store, (), ("un", f), cert, level, sigma):
-                yield TraceNode("releaseR", (t,))
+            for t in _async(ctx, store, (), ("un", focus, env), cert, level, sigma):
+                yield ("releaseR", (t,))
 
 
 # ---------------------------------------------------------------------------
 # finalisation and entry point
 
 
-def _finalize(binds: BindingStore, root: TraceNode) -> TraceNode:
-    """Resolve the metavariables in the term fields of a trace.  A record
-    whose term resolves to itself and whose premises come back as they were
-    is kept; the walk runs off an explicit stack, premises first."""
+def _finalize(binds: BindingStore, root: Record) -> TraceNode:
+    """Build the trace of a finished search from its records, each node
+    once, with the metavariables of its term resolved; the walk runs off an
+    explicit stack, premises first."""
     done: list[TraceNode] = []
     stack = [(root, False)]
     while stack:
-        node, premises_done = stack.pop()
+        rec, premises_done = stack.pop()
         if not premises_done:
-            stack.append((node, True))
-            stack += ((c, False) for c in reversed(node.children))
+            stack.append((rec, True))
+            stack += ((c, False) for c in reversed(rec[1]))
             continue
-        n = len(node.children)
+        rule, premises, *vals = rec
+        n = len(premises)
         kids = tuple(done[len(done) - n:])
         del done[len(done) - n:]
-        term = node.term if node.term is None else binds.resolve(node.term)
-        if term is node.term and all(map(operator.is_, kids, node.children)):
-            done.append(node)
-        else:
-            done.append(TraceNode(node.rule, kids, term, node.index,
-                                  node.invariant, node.side))
+        fields = dict(zip(RULES[rule][1], vals))
+        if "term" in fields:
+            fields["term"] = binds.resolve(fields["term"])
+        done.append(TraceNode(rule, kids, **fields))
     return done[0]
 
 
@@ -325,7 +333,7 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     ids = [v.id for v in input_vars(store, goal)]
     ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
     try:
-        for tr in _async(ctx, store, (), ("un", goal), cert, 0, {}):
+        for tr in _async(ctx, store, (), ("un", goal, ()), cert, 0, {}):
             return Accepted(_finalize(ctx.binds, tr), ctx.steps)
     except OutOfBudgetError:
         return OutOfBudget(ctx.steps)

@@ -38,20 +38,21 @@ def _subterms(t: Term, out: set[Term]) -> None:
 # Saturation is deterministic for a given definition list and universe, so
 # its history is shared between queries: the cache maps (definitions,
 # universe) to the round in which each fact was first derived, the number
-# of rounds run, and a flag telling whether the last round added nothing.  A
-# definition is keyed by its body as well as its name, since two sessions
-# may define the same name differently.  Only the most recent definition
-# list is kept: a query under another list empties the cache, so it cannot
-# grow with every session a process checks.
-_SAT_CACHE: dict[tuple, tuple[dict[Fact, int], int, bool]] = {}
+# of rounds run, and a flag telling whether the last round added nothing.
+# Definitions are keyed by identity, since two sessions may define the same
+# name differently; each entry holds its definitions, so no id in a key can
+# be reused while the entry lives.  Only the most recent definition list is
+# kept: a query under another list empties the cache, so it cannot grow
+# with every session a process checks.
+_SAT_CACHE: dict[tuple, tuple[tuple[Definition, ...], dict[Fact, int], int, bool]] = {}
 
 
 def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 ) -> tuple[dict[Fact, int], int, bool]:
-    key = (tuple((d.name, d.body) for d in defs), tuple(terms))
+    key = (tuple(map(id, defs)), tuple(terms))
     if next(iter(_SAT_CACHE), key)[0] != key[0]:
         _SAT_CACHE.clear()
-    first, rounds, done = _SAT_CACHE.get(key, ({}, 0, False))
+    _, first, rounds, done = _SAT_CACHE.get(key, (None, {}, 0, False))
     if done or rounds >= fuel:
         return first, rounds, done
     first = dict(first)  # a cut-short round must not reach the cache
@@ -92,7 +93,7 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                     added = True
         rounds += 1
         done = not added
-    _SAT_CACHE[key] = (first, rounds, done)
+    _SAT_CACHE[key] = (tuple(defs), first, rounds, done)
     return first, rounds, done
 
 

@@ -56,7 +56,9 @@ def sym(name: str) -> Sym:
 # some kind returns a subterm whose flag rules them out as it is.
 
 # A variable prints as (%tag id level): no constructor name starts with `%`.
-# An EVar never equals an MVar: dataclass equality compares classes first.
+# An EVar never equals an MVar: equality compares classes first.  The hash
+# is the id alone, so hashing builds nothing; an EVar and an MVar of one id
+# share it and still differ.
 
 @dataclass(frozen=True)
 class _Var:
@@ -65,6 +67,14 @@ class _Var:
 
     closed = True
     ground = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.level == other.level
+
+    def __hash__(self) -> int:
+        return self.id
 
     def __repr__(self) -> str:
         return f"({self.tag} {self.id} {self.level})"

@@ -71,28 +71,37 @@ def trace_to_lines(trace: TraceNode) -> list[str]:
 
 def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode:
     """Read the records last to first: each takes its premises off a stack
-    of the subtrees finished so far, first premise on top."""
+    of the subtrees finished so far, first premise on top.  A line that
+    repeats an earlier one is parsed once: `seen` maps its text to its
+    rule, premise count and fields."""
     done: list[TraceNode] = []
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
+    seen: dict[str, tuple] = {}
     for line in reversed([ln for ln in lines if ln.strip()]):
-        rec = parse_sexp(line)
-        if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
-            raise TraceFormatError(f"bad record shape: {rec!r}")
-        rule, ncs, tm, ixs, invs, sds = rec
-        if rule not in RULES:
-            raise TraceFormatError(f"unknown rule: {rule}")
-        n = int_from_sexp(ncs)
+        fields = seen.get(line)
+        if fields is None:
+            rec = parse_sexp(line)
+            if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
+                raise TraceFormatError(f"bad record shape: {rec!r}")
+            rule, ncs, tm, ixs, invs, sds = rec
+            if rule not in RULES:
+                raise TraceFormatError(f"unknown rule: {rule}")
+            n = int_from_sexp(ncs)
+        else:
+            rule, n = fields[0], fields[1]
         if not 0 <= n <= len(done):
             raise TraceFormatError(
                 f"truncated trace: {rule} wants {n} premises, {len(done)} follow")
+        if fields is None:
+            fields = seen[line] = (
+                rule, n,
+                None if tm == "nil" else term_from_sexp(tm, memo),
+                None if ixs == "nil" else index_from_sexp(ixs),
+                None if invs == "nil" else invariant_from_sexp(invs, defs, memo),
+                None if sds == "nil" else int_from_sexp(sds))
         children = tuple(reversed(done[len(done) - n:]))
         del done[len(done) - n:]
-        done.append(TraceNode(
-            rule, children,
-            None if tm == "nil" else term_from_sexp(tm, memo),
-            None if ixs == "nil" else index_from_sexp(ixs),
-            None if invs == "nil" else invariant_from_sexp(invs, defs, memo),
-            None if sds == "nil" else int_from_sexp(sds)))
+        done.append(TraceNode(rule, children, *fields[2:]))
     if len(done) != 1:
         raise TraceFormatError("truncated trace" if not done
                                else "extra records after trace root")

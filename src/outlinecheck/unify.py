@@ -4,7 +4,8 @@ Two entry points matter to the kernel:
 
 * `unify` treats eigenvariables as rigid constants.  It backs the right
   equality and initial rules, where binding an eigenvariable would be
-  unsound.
+  unsound; `unify_args` unifies initial's argument tuples under one
+  checkpoint.
 
 * `unify_case_split` additionally treats eigenvariables as substitutable.
   It backs the left equality rule, where the most general unifier acts as a
@@ -50,16 +51,20 @@ class BindingStore:
 
     `ids` numbers the variables a check makes, pruning's too: from 1 in a
     bare store, and above every id its inputs hold under kernel.check.
-    Pruning skips past every id the current inputs and bindings hold.
+    Pruning skips past every id the current inputs and bindings hold: the
+    sides of the running unification and its incoming sigma, which are
+    kept by reference and read only when pruning runs.
     """
 
-    __slots__ = ("bindings", "trail", "ids", "_inputs")
+    __slots__ = ("bindings", "trail", "ids", "_lhs", "_rhs", "_sigma")
 
     def __init__(self) -> None:
         self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
         self.ids = itertools.count(1)
-        self._inputs: tuple[Term, ...] = ()
+        self._lhs: tuple[Term, ...] = ()
+        self._rhs: tuple[Term, ...] = ()
+        self._sigma: Sigma | None = None
 
     # -- checkpoints
 
@@ -110,12 +115,19 @@ class BindingStore:
     def unify(self, a: Term, b: Term, sigma: Sigma | None = None) -> bool:
         """Rigid-eigenvariable unification of a and b read under sigma;
         restores the store on failure."""
-        cp = self.mark()
-        self._inputs = (a, b, *sigma.values()) if sigma else (a, b)
-        out = self._unify(a, b, sigma, False)
-        if out is not OK:
-            self.undo(cp)
-        return out is OK
+        return self.unify_args((a,), (b,), sigma)
+
+    def unify_args(self, xs: tuple[Term, ...], ys: tuple[Term, ...],
+                   sigma: Sigma | None = None) -> bool:
+        """`unify` of each xs[i] with ys[i], all under one checkpoint: on
+        any failure the store is restored to what it was before xs[0]."""
+        cp = len(self.trail)
+        self._lhs, self._rhs, self._sigma = xs, ys, sigma
+        for x, y in zip(xs, ys):
+            if self._unify(x, y, sigma, False) is not OK:
+                self.undo(cp)
+                return False
+        return True
 
     def unify_case_split(self, a: Term, b: Term, sigma: Sigma | None = None):
         """Unification for left equality, of a and b read under sigma.
@@ -126,7 +138,7 @@ class BindingStore:
         store, resolved under sigma'; on non-success the store is restored.
         """
         cp = self.mark()
-        self._inputs = (a, b, *sigma.values()) if sigma else (a, b)
+        self._lhs, self._rhs, self._sigma = (a,), (b,), sigma
         sigma = dict(sigma) if sigma else {}
         out = self._unify(a, b, sigma, True)
         if out is not OK:
@@ -207,8 +219,9 @@ class BindingStore:
         unification (its two sides and sigma's images) and the bindings
         hold when `ids` has not passed them."""
         i = next(self.ids)
+        images = self._sigma.values() if self._sigma else ()
         held = list(self.bindings)
-        held += (v.id for t in (*self._inputs, *self.bindings.values())
+        held += (v.id for t in (*self._lhs, *self._rhs, *images, *self.bindings.values())
                  for v in term_vars(t))
         top = max(held, default=0)
         if i <= top:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
+import pathlib
 from collections import Counter
 
 import pytest
@@ -421,3 +423,14 @@ def test_grid_search_pinned():
     digest, classes = _grid_digest()
     assert classes == {"Accepted": 71, "Rejected": 69, "OutOfBudget": 180}
     assert digest == _GRID_SHA256
+
+
+def test_search_opens_no_binder():
+    # search reads every formula under an environment; only replay opens
+    # binders eagerly, so a replayed trace checks search independently
+    tree = ast.parse(pathlib.Path(kernel.__file__).read_text(encoding="utf-8"))
+    named = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and n.id == "open_binder"
+             or isinstance(n, ast.Attribute) and n.attr == "open_binder"
+             or isinstance(n, ast.alias) and n.name == "open_binder"]
+    assert not named

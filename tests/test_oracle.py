@@ -100,6 +100,8 @@ def test_cache_keeps_only_the_latest_definition_list():
         ).definitions
         query = MuAtom(defs[f"plus{i}"], (num(1), num(1), num(2)))
         assert eval_ground(defs.values(), query, 20) is True
-    last = tuple((d.name, d.body) for d in defs.values())
+    last = tuple(defs.values())
     assert oracle._SAT_CACHE
-    assert {key[0] for key in oracle._SAT_CACHE} == {last}
+    assert {key[0] for key in oracle._SAT_CACHE} == {tuple(map(id, last))}
+    # an entry holds its definitions, so no id in its key can be reused
+    assert all(entry[0] == last for entry in oracle._SAT_CACHE.values())

@@ -70,6 +70,16 @@ def test_fresh_vars_are_distinct():
     assert EVar(1, 1) != MVar(1, 1)
 
 
+def test_an_evar_and_an_mvar_of_one_id_share_a_hash_and_stay_apart():
+    e, m = EVar(3, 1), MVar(3, 1)
+    assert hash(e) == hash(m)
+    assert e != m and m != e and not e == m
+    assert len({e, m}) == 2
+    assert {e: "e", m: "m"}[e] == "e" and {e: "e", m: "m"}[MVar(3, 1)] == "m"
+    # equality still compares the level
+    assert EVar(3, 1) == e and EVar(3, 2) != e
+
+
 def test_open_binder_substitutes_innermost():
     f = All(Ex(Eq(Bound(0), Bound(1))))
     e = EVar(1, 1)

@@ -204,6 +204,32 @@ def test_pruning_takes_no_id_the_branch_substitution_holds(split):
     assert fresh.id not in (1, 2, 3, 9)
 
 
+def test_case_split_pruning_takes_no_id_the_incoming_substitution_holds():
+    # the split reads nothing through ev(2), but its premise goes on under
+    # sigma', which maps ev(2) to mv(6): the pruned metavariable must not be 6
+    b = BindingStore()
+    x = mv(1, lv=0)
+    incoming = {ev(2): mv(6, lv=0)}
+    verdict, sigma = b.unify_case_split(x, con("s", mv(5)), incoming)
+    assert verdict is OK and sigma == incoming
+    (fresh,) = b.resolve(x).args
+    assert isinstance(fresh, MVar) and fresh.level == 0
+    assert fresh.id not in (1, 2, 5, 6)
+
+
+def test_unify_args_undoes_earlier_arguments_when_a_later_one_clashes():
+    b = BindingStore()
+    z, x, y = mv(1), mv(2), mv(3)
+    assert b.unify(z, num(0))
+    # x binds, then 1 = 3 clashes: x's binding goes, z's stays
+    assert not b.unify_args((x, num(1)), (num(2), num(3)))
+    assert b.trail == [1]
+    assert b.resolve(x) == x and b.resolve(z) == num(0)
+    # on success every argument's binding stays
+    assert b.unify_args((x, y), (num(2), con("s", x)))
+    assert b.resolve(y) == num(3)
+
+
 # -- randomized checkpoint-replay oracle -------------------------------------
 #
 # Run a long random sequence of unify / mark / undo operations against the
