@@ -38,10 +38,11 @@ variable onto the environment; unfoldL and unfoldR continue into the
 definition body, whose recursive atoms already name the definition, with
 the atom's arguments as the environment; releasing focus hands the
 environment over.  A formula is built only where it is stored (storeL,
-freeze, storeR) or handed to invariant synthesis, and only the terms that
-eqL, eqR and initial unify are instantiated, so the store and a stored
-goal hold concrete formulas only.  Replay opens and unfolds eagerly, so
-it checks these paths independently.
+freeze, storeR) or handed to invariant synthesis, so the store and a
+stored goal hold concrete formulas only.  eqL, eqR and initial hand the
+unifier their terms with the environment, and it reads them under it;
+unfoldR builds an atom's arguments only once an unfold is granted.
+Replay opens and unfolds eagerly, so it checks these paths independently.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
@@ -68,7 +69,7 @@ from .syntax import (
     term_subst_bound,
 )
 from .trace import RULES, TraceNode
-from .unify import CLASH, OK, BindingStore, Sigma
+from .unify import CLASH, OK, BindingStore, Env, Sigma
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class _Ctx:
 # `instantiate` builds the formula it denotes.  The right-hand side is a
 # triple (kind, formula, env); a stored goal is built, so its env is empty.
 
-Env = tuple[Term, ...]
 Record = tuple  # (rule, premises, *fields), fields as trace.RULES lists them
 
 
@@ -154,7 +154,7 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[tuple[Formula, Env], ...],
                     yield ("exL", (t,), e)
             case Eq(l=l, r=r):
                 cp = binds.mark()
-                out, sigma2 = binds.unify_case_split(_inst(l, env), _inst(r, env), sigma)
+                out, sigma2 = binds.unify_case_split(l, r, sigma, env)
                 if out is CLASH:
                     yield ("eqL_clash", ())
                 elif out is OK:
@@ -267,7 +267,7 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
                 yield ("exR", (tr,), t)
         case Eq(l=l, r=r):
             cp = binds.mark()
-            if binds.unify(_inst(l, env), _inst(r, env), sigma):
+            if binds.unify(l, r, sigma, env):
                 yield ("eqR", ())
                 binds.undo(cp)
         case Tt():
@@ -275,17 +275,17 @@ def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
         case Ff():
             return
         case MuAtom(defn=d, args=ts):
-            ts = tuple([_inst(x, env) for x in ts])
             for ix, g in store:
                 if not (isinstance(g, MuAtom) and g.defn is d):
                     continue
                 ctx.tick()
                 cp = binds.mark()
-                if binds.unify_args(ts, g.args, sigma):
+                if binds.unify_args(ts, g.args, sigma, env):
                     yield ("initial", (), ix)
                     binds.undo(cp)
             for k1 in ctx.fpc.unfold_right_expert(cert):
-                for t in _right_focus(ctx, store, d.body, ts, k1, level, sigma):
+                args = tuple([_inst(x, env) for x in ts])
+                for t in _right_focus(ctx, store, d.body, args, k1, level, sigma):
                     yield ("unfoldR", (t,))
         case Imp() | All():
             for t in _async(ctx, store, (), ("un", focus, env), cert, level, sigma):

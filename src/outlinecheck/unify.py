@@ -21,6 +21,12 @@ is triangular (`walk` follows chains) and never changed in place, since an
 outer premise still reads it; a metavariable bound under it holds the
 substituted term, so a sibling premise sees the same term.
 
+Both read a positional variable Bound(i) as `env[i]`, where `env` holds
+the closed terms that the free positional variables of a formula read
+under an environment stand for.  The kernel hands over such a formula's
+terms as they are; a term is built under `env` only where a binding or an
+eigenvariable assignment stores it.
+
 The occurs check is always on.  An MVar at level k is never bound to a term
 containing an EVar of level > k; metavariables of too-high level occurring
 in a candidate binding are pruned to fresh ones at the lower level.
@@ -30,13 +36,22 @@ from __future__ import annotations
 
 import itertools
 
-from .syntax import App, Bound, EVar, MVar, StructuralError, Term, term_vars
+from .syntax import (
+    App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound, term_vars,
+)
 
 OK = "ok"
 CLASH = "clash"
 STUCK = "stuck"
 
 Sigma = dict[EVar, Term]  # a branch's eigenvariable assignments
+Env = tuple[Term, ...]  # env[i] is the closed term Bound(i) stands for
+
+
+def _read(t: Bound, env: Env) -> Term:
+    if t.index < len(env):
+        return env[t.index]
+    raise StructuralError("positional variable reached the unifier")
 
 
 class StaleCheckpointError(Exception):
@@ -52,11 +67,11 @@ class BindingStore:
     `ids` numbers the variables a check makes, pruning's too: from 1 in a
     bare store, and above every id its inputs hold under kernel.check.
     Pruning skips past every id the current inputs and bindings hold: the
-    sides of the running unification and its incoming sigma, which are
-    kept by reference and read only when pruning runs.
+    sides of the running unification, its environment and its incoming
+    sigma, which are kept by reference and read only when pruning runs.
     """
 
-    __slots__ = ("bindings", "trail", "ids", "_lhs", "_rhs", "_sigma")
+    __slots__ = ("bindings", "trail", "ids", "_lhs", "_rhs", "_env", "_sigma")
 
     def __init__(self) -> None:
         self.bindings: dict[int, Term] = {}
@@ -64,6 +79,7 @@ class BindingStore:
         self.ids = itertools.count(1)
         self._lhs: tuple[Term, ...] = ()
         self._rhs: tuple[Term, ...] = ()
+        self._env: Env = ()
         self._sigma: Sigma | None = None
 
     # -- checkpoints
@@ -84,18 +100,15 @@ class BindingStore:
         """Follow bindings, and sigma's eigenvariable assignments if given,
         at the head only."""
         while True:
-            if isinstance(t, MVar):
+            if t.__class__ is MVar:
                 b = self.bindings.get(t.id)
-                if b is None:
-                    return t
-                t = b
-            elif sigma and isinstance(t, EVar):
+            elif sigma and t.__class__ is EVar:
                 b = sigma.get(t)
-                if b is None:
-                    return t
-                t = b
             else:
                 return t
+            if b is None:
+                return t
+            t = b
 
     def resolve(self, t: Term, sigma: Sigma | None = None) -> Term:
         """Substitute all bindings, and sigma if given, recursively."""
@@ -110,27 +123,28 @@ class BindingStore:
         self.bindings[v.id] = t
         self.trail.append(v.id)
 
-    # -- unification
+    # -- unification: `env` gives the free Bound(i) of both sides
 
-    def unify(self, a: Term, b: Term, sigma: Sigma | None = None) -> bool:
-        """Rigid-eigenvariable unification of a and b read under sigma;
-        restores the store on failure."""
-        return self.unify_args((a,), (b,), sigma)
+    def unify(self, a: Term, b: Term, sigma: Sigma | None = None, env: Env = ()) -> bool:
+        """Rigid-eigenvariable unification of a and b read under sigma and
+        env; restores the store on failure."""
+        return self.unify_args((a,), (b,), sigma, env)
 
     def unify_args(self, xs: tuple[Term, ...], ys: tuple[Term, ...],
-                   sigma: Sigma | None = None) -> bool:
+                   sigma: Sigma | None = None, env: Env = ()) -> bool:
         """`unify` of each xs[i] with ys[i], all under one checkpoint: on
         any failure the store is restored to what it was before xs[0]."""
         cp = len(self.trail)
-        self._lhs, self._rhs, self._sigma = xs, ys, sigma
+        self._lhs, self._rhs, self._env, self._sigma = xs, ys, env, sigma
         for x, y in zip(xs, ys):
-            if self._unify(x, y, sigma, False) is not OK:
+            if self._unify(x, y, sigma, False, env) is not OK:
                 self.undo(cp)
                 return False
         return True
 
-    def unify_case_split(self, a: Term, b: Term, sigma: Sigma | None = None):
-        """Unification for left equality, of a and b read under sigma.
+    def unify_case_split(self, a: Term, b: Term, sigma: Sigma | None = None,
+                         env: Env = ()):
+        """Unification for left equality, of a and b read under sigma and env.
 
         Returns (OK, sigma') with sigma' a new dict, sigma's assignments
         plus the eigenvariables this call assigns, or (CLASH, None) /
@@ -138,9 +152,9 @@ class BindingStore:
         store, resolved under sigma'; on non-success the store is restored.
         """
         cp = self.mark()
-        self._lhs, self._rhs, self._sigma = (a,), (b,), sigma
+        self._lhs, self._rhs, self._env, self._sigma = (a,), (b,), env, sigma
         sigma = dict(sigma) if sigma else {}
-        out = self._unify(a, b, sigma, True)
+        out = self._unify(a, b, sigma, True, env)
         if out is not OK:
             self.undo(cp)
             return out, None
@@ -150,51 +164,62 @@ class BindingStore:
         return OK, sigma
 
     # -- internals: `split` is true under unify_case_split, where sigma is
-    # the dict being built and an eigenvariable may be assigned in it
+    # the dict being built and an eigenvariable may be assigned in it; a
+    # term is built under env only where a binding stores it
 
-    def _unify(self, a: Term, b: Term, sigma: Sigma | None, split: bool) -> str:
-        a = self.walk(a, sigma)
-        b = self.walk(b, sigma)
+    def _unify(self, a: Term, b: Term, sigma: Sigma | None, split: bool, env: Env) -> str:
+        if a.__class__ is Bound:
+            a = env[a.index] if a.index < len(env) else _read(a, env)
+        if a.__class__ is not App:
+            a = self.walk(a, sigma)
+        if b.__class__ is Bound:
+            b = env[b.index] if b.index < len(env) else _read(b, env)
+        if b.__class__ is not App:
+            b = self.walk(b, sigma)
+        if a is b:
+            return OK
+        if a.__class__ is App and b.__class__ is App:
+            if a.ground and b.ground:
+                return OK if a == b else CLASH
+            if a.head is not b.head or len(a.args) != len(b.args):
+                return CLASH
+            for x, y in zip(a.args, b.args):
+                out = self._unify(x, y, sigma, split, env)
+                if out is not OK:
+                    return out
+            return OK
         if a == b:
             return OK
-        if isinstance(a, Bound) or isinstance(b, Bound):
-            raise StructuralError("positional variable reached the unifier")
-        if isinstance(a, MVar):
-            return self._bind_mvar(a, b, sigma, split)
-        if isinstance(b, MVar):
-            return self._bind_mvar(b, a, sigma, split)
-        if split and isinstance(a, EVar):
-            return self._bind_evar(a, b, sigma)
-        if split and isinstance(b, EVar):
-            return self._bind_evar(b, a, sigma)
-        if isinstance(a, EVar) or isinstance(b, EVar):
-            return CLASH  # distinct rigid constants
-        assert isinstance(a, App) and isinstance(b, App)
-        if a.head is not b.head or len(a.args) != len(b.args):
-            return CLASH
-        for x, y in zip(a.args, b.args):
-            out = self._unify(x, y, sigma, split)
-            if out is not OK:
-                return out
-        return OK
+        if a.__class__ is MVar:
+            return self._bind_mvar(a, b, sigma, split, env)
+        if b.__class__ is MVar:
+            return self._bind_mvar(b, a, sigma, split, env)
+        if split and a.__class__ is EVar:
+            return self._bind_evar(a, b, sigma, env)
+        if split and b.__class__ is EVar:
+            return self._bind_evar(b, a, sigma, env)
+        return CLASH  # distinct rigid constants, or one against an application
 
-    def _bind_mvar(self, v: MVar, t: Term, sigma: Sigma | None, split: bool) -> str:
+    def _bind_mvar(self, v: MVar, t: Term, sigma: Sigma | None, split: bool,
+                   env: Env) -> str:
         # occurs and scope scan over the resolved view of t, pruning any
         # metavariable whose level exceeds v's
-        out = self._scan(v, t, sigma, split)
+        out = self._scan(v, t, sigma, split, env)
         if out is not OK:
             if split and isinstance(self.walk(t, sigma), EVar):
                 # the flexible side can absorb the binding instead
-                return self._bind_evar(self.walk(t, sigma), v, sigma)
+                return self._bind_evar(self.walk(t, sigma), v, sigma, env)
             return out
+        if not t.closed:
+            t = term_subst_bound(t, env, 0)
         # a split's bindings are resolved under its final sigma
         self._bind(v, self.resolve(t, sigma) if sigma and not split else t)
         return OK
 
-    def _scan(self, v: MVar, t: Term, sigma: Sigma | None, split: bool) -> str:
+    def _scan(self, v: MVar, t: Term, sigma: Sigma | None, split: bool, env: Env) -> str:
         if t.ground:
             return OK
-        t = self.walk(t, sigma)
+        t = self.walk(_read(t, env) if t.__class__ is Bound else t, sigma)
         match t:
             case MVar():
                 if t.id == v.id:
@@ -208,20 +233,20 @@ class BindingStore:
                 return OK
             case App(args=ts):
                 for x in ts:
-                    out = self._scan(v, x, sigma, split)
+                    out = self._scan(v, x, sigma, split, env)
                     if out is not OK:
                         return out
-                return OK
-        raise StructuralError("positional variable reached the unifier")
+        return OK
 
     def _fresh_id(self) -> int:
         """The next id of `ids`, or one above every id the inputs of this
-        unification (its two sides and sigma's images) and the bindings
-        hold when `ids` has not passed them."""
+        unification (its two sides, env and sigma's images) and the
+        bindings hold when `ids` has not passed them."""
         i = next(self.ids)
         images = self._sigma.values() if self._sigma else ()
         held = list(self.bindings)
-        held += (v.id for t in (*self._lhs, *self._rhs, *images, *self.bindings.values())
+        held += (v.id for t in (*self._lhs, *self._rhs, *self._env, *images,
+                                *self.bindings.values())
                  for v in term_vars(t))
         top = max(held, default=0)
         if i <= top:
@@ -229,20 +254,20 @@ class BindingStore:
             self.ids = itertools.count(i + 1)
         return i
 
-    def _bind_evar(self, e: EVar, t: Term, sigma: Sigma) -> str:
-        if self._occurs_evar(e, t, sigma):
+    def _bind_evar(self, e: EVar, t: Term, sigma: Sigma, env: Env) -> str:
+        if self._occurs_evar(e, t, sigma, env):
             return CLASH
-        sigma[e] = t
+        sigma[e] = t if t.closed else term_subst_bound(t, env, 0)
         return OK
 
-    def _occurs_evar(self, e: EVar, t: Term, sigma: Sigma) -> bool:
+    def _occurs_evar(self, e: EVar, t: Term, sigma: Sigma, env: Env) -> bool:
         if t.ground:
             return False
-        t = self.walk(t, sigma)
+        t = self.walk(_read(t, env) if t.__class__ is Bound else t, sigma)
         match t:
             case EVar():
                 return t == e
             case App(args=ts):
-                return any(self._occurs_evar(e, x, sigma) for x in ts)
+                return any(self._occurs_evar(e, x, sigma, env) for x in ts)
             case _:
                 return False

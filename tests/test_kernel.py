@@ -434,3 +434,29 @@ def test_search_opens_no_binder():
              or isinstance(n, ast.Attribute) and n.attr == "open_binder"
              or isinstance(n, ast.alias) and n.name == "open_binder"]
     assert not named
+
+
+def _builds_a_term(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_inst"
+               for n in ast.walk(node))
+
+
+def test_search_builds_no_term_it_unifies():
+    # eqL, eqR and initial hand the unifier a formula's terms with its
+    # environment; only a binding the unifier stores is built
+    tree = ast.parse(pathlib.Path(kernel.__file__).read_text(encoding="utf-8"))
+    calls = 0
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        built = {m.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _builds_a_term(n.value)
+                 for t in n.targets for m in ast.walk(t) if isinstance(m, ast.Name)}
+        for n in ast.walk(fn):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("unify", "unify_args", "unify_case_split")):
+                continue
+            calls += 1
+            for arg in (*n.args, *(k.value for k in n.keywords)):
+                assert not _builds_a_term(arg), (n.lineno, ast.unparse(arg))
+                assert not (isinstance(arg, ast.Name) and arg.id in built), (n.lineno, arg.id)
+    assert calls == 3  # eqL, eqR and initial

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from outlinecheck import BindingStore, CLASH, OK, STUCK, StaleCheckpointError, con
-from outlinecheck.syntax import EVar, MVar, Term
+from outlinecheck.syntax import App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound
 
 from _util import num
 
@@ -171,8 +172,9 @@ def test_case_split_composes_with_the_incoming_substitution():
     assert incoming == {e1: con("s", e2)}
 
 
-def _unify_either(b: BindingStore, split: bool, x: Term, y: Term, sigma=None) -> bool:
-    return b.unify_case_split(x, y, sigma)[0] is OK if split else b.unify(x, y, sigma)
+def _unify_either(b: BindingStore, split: bool, x: Term, y: Term, sigma=None, env=()) -> bool:
+    return (b.unify_case_split(x, y, sigma, env)[0] is OK if split
+            else b.unify(x, y, sigma, env))
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -191,6 +193,12 @@ def test_pruning_takes_no_id_an_input_or_binding_holds(split):
     assert b.unify(mv(1, lv=0), con("z"))
     assert _unify_either(b, split, mv(2, lv=0), con("s", mv(3)))
     assert b.resolve(mv(2, lv=0)) != con("s", con("z"))
+    # the environment is an input too: Y is read through Bound(0), and
+    # mv(3), which nothing reads, must not be made again
+    b = BindingStore()
+    assert _unify_either(b, split, x, con("s", Bound(0)), env=(mv(2), mv(3, lv=0)))
+    y = b.bindings[2]  # read as stored: a pruning that made mv(2) again would cycle
+    assert isinstance(y, MVar) and y.level == 0 and y.id not in (1, 2, 3)
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -228,6 +236,96 @@ def test_unify_args_undoes_earlier_arguments_when_a_later_one_clashes():
     # on success every argument's binding stays
     assert b.unify_args((x, y), (num(2), con("s", x)))
     assert b.resolve(y) == num(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: b.unify(Bound(1), num(0), None, (num(0),)),
+    lambda b: b.unify(con("s", num(0)), con("s", Bound(0))),
+    lambda b: b.unify(mv(1), con("s", Bound(1)), None, (num(0),)),
+    lambda b: b.unify_args((num(0), Bound(2)), (num(0), num(1)), None, (ev(1), ev(2))),
+    lambda b: b.unify_case_split(ev(1), con("s", Bound(1)), None, (num(0),)),
+], ids=["head", "argument", "scan", "args", "occurs"])
+def test_a_positional_variable_past_the_environment_raises(call):
+    b = BindingStore()
+    with pytest.raises(StructuralError, match="^positional variable reached the unifier$"):
+        call(b)
+
+
+# -- reading under an environment: every entry point, given terms with
+# Bound(i) and env, does what it does on the terms built under env
+
+
+_POOL = (ev(1, 1), ev(2, 2), mv(3, 1), mv(4, 2), mv(5, 0))
+_E1, _E2 = _POOL[:2]
+_HOLDS_BOTH = (con("pair", _E1, _E2),)  # an environment entry
+
+
+def _term(draw, leaf, depth: int = 3) -> Term:
+    if depth and draw(st.integers(0, 2)):
+        head, n = draw(st.sampled_from([("s", 1), ("pair", 2)]))
+        return con(head, *(_term(draw, leaf, depth - 1) for _ in range(n)))
+    return draw(leaf)
+
+
+def _variant(draw, t: Term, leaf) -> Term:
+    # t's skeleton, cut short here and there, with new leaves: unifying it
+    # with t goes deep and binds
+    if isinstance(t, App) and t.args and draw(st.integers(0, 2)):
+        return App(t.head, tuple(_variant(draw, x, leaf) for x in t.args))
+    return draw(leaf)
+
+
+@st.composite
+def _problems(draw):
+    var = st.sampled_from(_POOL)
+    closed = st.one_of(var, st.just(num(0)))
+    env = tuple(_term(draw, closed) for _ in range(draw(st.integers(1, 3))))
+    # eigenvariables inside an entry make the occurs check and the scope
+    # check read through the environment
+    env += _HOLDS_BOTH
+    bound = st.one_of(st.just(Bound(len(env) - 1)), st.integers(0, len(env) - 1).map(Bound))
+    leaf = st.one_of(var, st.just(num(0)), bound)
+    # positional variables weigh more on one side and variables on the
+    # other, so that bindings hold what the environment gives
+    n = draw(st.integers(1, 3))
+    xs = tuple(_term(draw, st.one_of(bound, leaf)) for _ in range(n))
+    ys = tuple(_variant(draw, x, st.one_of(var, leaf)) for x in xs)
+    if draw(st.booleans()):
+        xs, ys = ys, xs
+    # a case split made earlier on the branch: ev(1) stands for a term
+    # without it
+    image = st.one_of(st.sampled_from(_POOL[1:]), st.just(num(0)))
+    sigma = {_E1: _term(draw, image)} if draw(st.booleans()) else None
+    return env, xs, ys, sigma
+
+
+@pytest.mark.parametrize("entry", ["unify", "unify_args", "unify_case_split"])
+@settings(max_examples=150, deadline=None)
+@given(problem=_problems())
+# the occurs check, the scope check, a binding and an assignment, each of
+# them only through the environment
+@example(problem=(_HOLDS_BOTH, (_E1,), (con("s", Bound(0)),), None))
+@example(problem=(_HOLDS_BOTH, (mv(3, 1),), (con("s", Bound(0)),), None))
+@example(problem=(_HOLDS_BOTH, (mv(4, 2),), (con("s", Bound(0)),), None))
+@example(problem=((num(0),), (_E2,), (con("s", Bound(0)),), None))
+def test_reading_under_the_environment_is_unifying_the_built_terms(entry, problem):
+    env, xs, ys, sigma = problem
+    if entry != "unify_args":
+        xs, ys = xs[:1], ys[:1]
+    built = [tuple(term_subst_bound(t, env, 0) for t in side) for side in (xs, ys)]
+    results = []
+    for (a, b), e in (((xs, ys), env), (built, ())):
+        # as under kernel.check, fresh ids start above every input
+        store = BindingStore()
+        store.ids = itertools.count(len(_POOL) + 1)
+        if entry == "unify":
+            out = store.unify(a[0], b[0], sigma, e)
+        elif entry == "unify_args":
+            out = store.unify_args(a, b, sigma, e)
+        else:
+            out = store.unify_case_split(a[0], b[0], sigma, e)
+        results.append((out, store.bindings, store.trail, next(store.ids)))
+    assert results[0] == results[1]
 
 
 # -- randomized checkpoint-replay oracle -------------------------------------
