@@ -7,7 +7,9 @@ from the original lemmas and goal, the replayer computes each rule's
 principal formula from the sequent it has reached, each record must name
 exactly the rule that applies to it, witnesses are read from the record
 (after scope checks), and leaves are closed by syntactic comparisons.
-A failure names its record by its line in the trace file.
+Replay never backtracks, so it is one loop over the records in the order
+a trace file lists them, with a stack of the premises still to prove: no
+trace is too deep for it, and a failure names its record by its line.
 
 Metavariables that survive in a finished trace were never constrained; the
 replayer treats them as inert constants.  The left equality rule is the
@@ -20,7 +22,7 @@ sound even on tampered traces.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
@@ -115,10 +117,15 @@ def match_evars(a: Term, b: Term) -> tuple[str, Optional[dict[EVar, Term]]]:
 # ---------------------------------------------------------------------------
 # replay proper
 
+# a premise to prove: the phase that replays its record, and the sequent
+Frame = tuple[Callable, tuple]
+
 
 class _Replay:
-    def __init__(self, store: Store, goal: Formula, trace: TraceNode) -> None:
-        self.node = trace  # the record being replayed, for a failure to name
+    """Each phase checks one record against the sequent it is handed and
+    returns the record's premises as frames, first premise first."""
+
+    def __init__(self, store: Store, goal: Formula) -> None:
         # an eigenvariable free in the inputs is a constant no rule may make
         self.used_evars = {v.id for v in input_vars(store, goal) if isinstance(v, EVar)}
 
@@ -131,13 +138,11 @@ class _Replay:
     def expect(self, node: TraceNode, rules: tuple[str, ...],
                formula: Formula) -> None:
         """The record is one of `rules`, those that apply to `formula`, with
-        the premises and exactly the fields trace.RULES gives it: an extra
-        field is tampering even if nothing reads it."""
+        exactly the fields trace.RULES gives it: an extra field is tampering
+        even if nothing reads it.  Its premises are counted by the loop."""
         if node.rule not in rules:
             raise ReplayError(f"expected {' or '.join(rules)} on the principal formula {formula!r}")
-        nchildren, fields = RULES[node.rule]
-        if len(node.children) != nchildren:
-            raise ReplayError(f"expected {nchildren} premises, found {len(node.children)}")
+        fields = RULES[node.rule][1]
         for name in ("term", "index", "invariant", "side"):
             if (getattr(node, name) is None) == (name in fields):
                 what = "missing" if name in fields else "unexpected"
@@ -173,167 +178,159 @@ class _Replay:
     # -- phases
 
     def r_async(self, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
-                level: int, node: TraceNode) -> None:
-        self.node = node
+                level: int, node: TraceNode) -> Optional[tuple[Frame, ...]]:
         if theta:
             c, rest = theta[0], theta[1:]
             match c:
                 case And(a=a, b=b):
                     self.expect(node, ("andL",), c)
-                    self.r_async(store, (a, b) + rest, rhs, level, node.children[0])
+                    return (self.r_async, (store, (a, b) + rest, rhs, level)),
                 case Or(a=a, b=b):
                     self.expect(node, ("orL",), c)
-                    self.r_async(store, (a,) + rest, rhs, level, node.children[0])
-                    self.r_async(store, (b,) + rest, rhs, level, node.children[1])
+                    return ((self.r_async, (store, (a,) + rest, rhs, level)),
+                            (self.r_async, (store, (b,) + rest, rhs, level)))
                 case Ex():
                     self.expect(node, ("exL",), c)
                     e = self.fresh_eigen(node.term, level + 1)
-                    self.r_async(store, (open_binder(c, e),) + rest, rhs,
-                                 level + 1, node.children[0])
+                    return (self.r_async, (store, (open_binder(c, e),) + rest, rhs, level + 1)),
                 case Eq(l=l, r=r):
                     self.expect(node, ("eqL", "eqL_clash"), c)
                     out, sigma = match_evars(l, r)
                     if node.rule == "eqL_clash":
                         self.need(out is CLASH, "recorded clash is not rigid")
-                        return
+                        return ()
                     self.need(out is OK, "recorded equation does not unify")
                     if sigma:
                         store, rest, rhs = map_sequent(
                             store, rest, rhs, lambda t, _: _sigma_apply(t, sigma))
-                    self.r_async(store, rest, rhs, level, node.children[0])
+                    return (self.r_async, (store, rest, rhs, level)),
                 case Tt():
                     self.expect(node, ("ttL",), c)
-                    self.r_async(store, rest, rhs, level, node.children[0])
+                    return (self.r_async, (store, rest, rhs, level)),
                 case Ff():
                     self.expect(node, ("ffL",), c)
+                    return ()
                 case MuAtom(defn=d, args=ts):
                     self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
-                    if node.rule == "freeze":
-                        self.r_store(store, c, rest, rhs, level, node)
-                    elif node.rule == "unfoldL":
-                        self.r_async(store, (unfold_mu(d, ts),) + rest, rhs,
-                                     level, node.children[0])
-                    else:
+                    if node.rule == "unfoldL":
+                        return (self.r_async, (store, (unfold_mu(d, ts),) + rest, rhs, level)),
+                    if node.rule == "induct_obvious":
                         good = synthesize_obvious_invariants(store, ts, rhs[1])
                         self.need(node.invariant in good,
                                   "invariant is not one this sequent yields")
                         inv = good[good.index(node.invariant)]  # ours, not the reader's
                         ys = self.invariance_eigen(node, d.arity, level)
-                        self.r_async(store, (body_with_invariant(d, inv, ys),),
-                                     ("un", apply_invariant(inv, ys)),
-                                     level + 1, node.children[0])
+                        return (self.r_async, (store, (body_with_invariant(d, inv, ys),),
+                                               ("un", apply_invariant(inv, ys)), level + 1)),
                 case Imp() | All():
                     self.expect(node, ("storeL",), c)
-                    self.r_store(store, c, rest, rhs, level, node)
-            return
+                case _:
+                    return None  # no formula: the loop fails closed
+            # freeze or storeL: c goes into the store at the record's index
+            self.need(store_lookup(store, node.index) is None, "store index already used")
+            return (self.r_async, (store + ((node.index, c),), rest, rhs, level)),
 
         kind, f = rhs
         if kind == "un":
             match f:
                 case Imp(a=a, b=b):
                     self.expect(node, ("impR",), f)
-                    self.r_async(store, (a,), ("un", b), level, node.children[0])
+                    return (self.r_async, (store, (a,), ("un", b), level)),
                 case All():
                     self.expect(node, ("allR",), f)
                     e = self.fresh_eigen(node.term, level + 1)
-                    self.r_async(store, (), ("un", open_binder(f, e)),
-                                 level + 1, node.children[0])
+                    return (self.r_async, (store, (), ("un", open_binder(f, e)), level + 1)),
                 case _:
                     self.expect(node, ("storeR",), f)
-                    self.r_async(store, (), ("st", f), level, node.children[0])
-            return
+                    return (self.r_async, (store, (), ("st", f), level)),
 
         self.expect(node, ("decideL", "decideR"), f)
         if node.rule == "decideR":
-            self.r_right(store, f, level, node.children[0])
-            return
+            return (self.r_right, (store, f, level)),
         g = store_lookup(store, node.index)
         self.need(g is not None, "decide on an absent index")
-        self.r_left(store, g, f, level, node.children[0])
-
-    def r_store(self, store: Store, c: Formula, theta: tuple[Formula, ...], rhs: Rhs,
-                level: int, node: TraceNode) -> None:
-        self.need(store_lookup(store, node.index) is None, "store index already used")
-        self.r_async(store + ((node.index, c),), theta, rhs, level, node.children[0])
+        return (self.r_left, (store, g, f, level)),
 
     def r_left(self, store: Store, focus: Formula, goal: Formula,
-               level: int, node: TraceNode) -> None:
-        self.node = node
+               level: int, node: TraceNode) -> tuple[Frame, ...]:
         match focus:
             case All():
                 self.expect(node, ("allL",), focus)
                 w = self.scoped_witness(node.term, level)
-                self.r_left(store, open_binder(focus, w), goal, level,
-                            node.children[0])
+                return (self.r_left, (store, open_binder(focus, w), goal, level)),
             case Imp(a=a, b=b):
                 self.expect(node, ("impL",), focus)
-                self.r_right(store, a, level, node.children[0])
-                self.r_left(store, b, goal, level, node.children[1])
+                return ((self.r_right, (store, a, level)),
+                        (self.r_left, (store, b, goal, level)))
             case _:
                 self.expect(node, ("releaseL",), focus)
-                self.r_async(store, (focus,), ("st", goal), level,
-                             node.children[0])
+                return (self.r_async, (store, (focus,), ("st", goal), level)),
 
     def r_right(self, store: Store, focus: Formula, level: int,
-                node: TraceNode) -> None:
-        self.node = node
+                node: TraceNode) -> Optional[tuple[Frame, ...]]:
         match focus:
             case Or(a=a, b=b):
                 self.expect(node, ("orR",), focus)
                 self.need(node.side in (1, 2), "orR side is neither 1 nor 2")
-                sub = a if node.side == 1 else b
-                self.r_right(store, sub, level, node.children[0])
+                return (self.r_right, (store, a if node.side == 1 else b, level)),
             case And(a=a, b=b):
                 self.expect(node, ("andR",), focus)
-                self.r_right(store, a, level, node.children[0])
-                self.r_right(store, b, level, node.children[1])
+                return ((self.r_right, (store, a, level)),
+                        (self.r_right, (store, b, level)))
             case Ex():
                 self.expect(node, ("exR",), focus)
                 w = self.scoped_witness(node.term, level)
-                self.r_right(store, open_binder(focus, w), level,
-                             node.children[0])
+                return (self.r_right, (store, open_binder(focus, w), level)),
             case Eq(l=l, r=r):
                 self.expect(node, ("eqR",), focus)
                 self.need(l == r, "right equality is not reflexive when replayed")
+                return ()
             case Tt():
                 self.expect(node, ("ttR",), focus)
+                return ()
             case MuAtom(defn=d, args=ts):
                 self.expect(node, ("initial", "unfoldR"), focus)
-                if node.rule == "initial":
-                    g = store_lookup(store, node.index)
-                    self.need(isinstance(g, MuAtom) and g.defn is d
-                              and g.args == ts,
-                              "initial step does not match its store entry")
-                else:
-                    self.r_right(store, unfold_mu(d, ts), level,
-                                 node.children[0])
+                if node.rule == "unfoldR":
+                    return (self.r_right, (store, unfold_mu(d, ts), level)),
+                g = store_lookup(store, node.index)
+                self.need(isinstance(g, MuAtom) and g.defn is d and g.args == ts,
+                          "initial step does not match its store entry")
+                return ()
             case Imp() | All():
                 self.expect(node, ("releaseR",), focus)
-                self.r_async(store, (), ("un", focus), level, node.children[0])
+                return (self.r_async, (store, (), ("un", focus), level)),
             case Ff():
                 raise ReplayError("ff has no right rule")
 
 
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
     """Replay a trace; None when it checks out, else a reason it does not,
-    naming the failing record by its line in the trace file (preorder)."""
+    naming the failing record by its line in the trace file, the cursor `n`.
+    Each record in preorder pops the premise it proves and pushes the ones
+    its phase returns, first premise on top.  A record has as many children
+    as its phase returns premises, so records and premises run out together."""
     store = tuple(lemmas)
-    replay = _Replay(store, goal, trace)
+    replay = _Replay(store, goal)
+    pending: list[Frame] = [(replay.r_async, (store, (), ("un", goal), 0))]
+    n, node = 0, trace
     try:
-        replay.r_async(store, (), ("un", goal), 0, trace)
+        for n, node in enumerate(trace.walk(), 1):
+            phase, args = pending.pop()
+            premises = phase(*args, node)
+            if len(premises) != len(node.children):  # None has no len
+                raise ReplayError(
+                    f"expected {len(premises)} premises, found {len(node.children)}")
+            pending.extend(reversed(premises))
     except ReplayError as e:
         reason = str(e)
-    except RecursionError:
-        return "trace nests too deeply for this checker"
+    except RecursionError:  # the term walks still recurse on a term's depth
+        reason = "term nests too deeply for this checker"
     except (TypeError, AttributeError) as e:
         reason = f"malformed trace: {e}"
     else:
         return None
-    node = replay.node
     if not isinstance(node, TraceNode):  # no record to name
         return reason
-    # the records before the failing one in preorder have all replayed
-    n = next(i for i, m in enumerate(trace.walk(), 1) if m is node)
     return f"record {n} ({node.rule}): {reason}"
 
 

@@ -29,7 +29,7 @@ from outlinecheck import (
 )
 from outlinecheck.syntax import (
     FF, TT, All, And, App, Bound, EVar, Eq, Ex, Hyp, Imp, InvariantAbs,
-    LemmaName, Or, parse_sexp, sym,
+    LemmaName, MVar, Or, parse_sexp, sym,
 )
 from outlinecheck.trace import RULES
 
@@ -114,15 +114,27 @@ def test_constructor_named_like_a_variable_round_trips(name):
 
 
 def test_twenty_thousand_record_chain_needs_no_recursion():
-    chain = TraceNode("eqR")
-    for _ in range(19_999):
-        chain = TraceNode("ttL", (chain,))
+    # a proof of tt -> tt -> ... -> z = z: an impR/ttL pair per antecedent,
+    # closed by storeR, decideR and eqR
+    z = App(sym("z"), ())
+    goal = Eq(z, z)
+    chain = TraceNode("storeR", (TraceNode("decideR", (TraceNode("eqR"),)),))
+    for _ in range(9_999):
+        goal = Imp(TT, goal)
+        chain = TraceNode("impR", (TraceNode("ttL", (chain,)),))
     lines = trace_to_lines(chain)
-    assert len(lines) == 20_000
+    assert len(lines) == 20_001
     back = trace_from_lines(lines, {})
     # compare the written lines: dataclass == on the trees would recurse
     assert trace_to_lines(back) == lines
-    assert count_rule(back, "ttL") == 19_999
+    assert count_rule(back, "ttL") == 9_999
+    assert explain_failure((), goal, back) is None
+    # the last ttL, renamed, fails at its own line
+    k = len(lines) - 3
+    bad = list(lines)
+    bad[k - 1] = bad[k - 1].replace("(ttL ", "(andL ", 1)
+    assert explain_failure((), goal, trace_from_lines(bad, {})) == (
+        f"record {k} (andL): expected ttL on the principal formula tt")
 
 
 # -- replay
@@ -146,9 +158,9 @@ def test_trace_for_wrong_goal_rejected(session, el):
     assert not verify_trace(donor.lemmas, other, donor.trace)
 
 
-def test_too_deep_trace_reported_as_a_limit(el):
-    # a valid trace of 3,310 records: replay recurses along its spine, so it
-    # checks under a raised recursion limit and runs out at the default one
+def test_deep_trace_replays_at_the_default_limit(el):
+    # a valid trace of 3,310 records: search still recurses along it and
+    # needs a raised limit, but reading and replaying it are loops
     goal = MuAtom(el.definitions["plus"], (num(300), num(1), num(301)))
     default = sys.getrecursionlimit()
     sys.setrecursionlimit(5000)
@@ -156,12 +168,10 @@ def test_too_deep_trace_reported_as_a_limit(el):
         r = check_outline(el, goal, "(induction 0 0 302)", max_steps=1_000_000)
         assert isinstance(r, Accepted)
         lines = trace_to_lines(r.trace)
-        assert len(lines) == 3310
-        back = trace_from_lines(lines, el.definitions)
-        assert explain_failure((), goal, back) is None
     finally:
         sys.setrecursionlimit(default)
-    assert explain_failure((), goal, back) == "trace nests too deeply for this checker"
+    assert len(lines) == 3310
+    assert explain_failure((), goal, trace_from_lines(lines, el.definitions)) is None
 
 
 def test_replay_catches_truncated_trace(session):
@@ -381,6 +391,17 @@ def test_right_focus_on_ff_rejected(lemmas, goal, focus):
     assert reason is not None and reason.endswith("ff has no right rule"), reason
 
 
+def test_term_deeper_than_the_limit_names_its_record():
+    # replay's term walks still recurse on a term's depth: a witness deeper
+    # than the limit is refused at its record, and no RecursionError escapes
+    w = MVar(7, 0)
+    for _ in range(3_000):
+        w = App(sym("s"), (w,))
+    trace = _node("storeR", _node("decideR", _node("exR", _node("eqR"), term=w)))
+    assert explain_failure((), Ex(Eq(Bound(0), Bound(0))), trace) == (
+        "record 3 (exR): term nests too deeply for this checker")
+
+
 def test_failure_names_the_tampered_line(session, el):
     # a record renamed to a rule that does not apply fails at its own line:
     # every record before it in the file has replayed
@@ -468,3 +489,18 @@ def test_search_and_replay_never_name_the_recursive_marker():
                  or isinstance(n, ast.Attribute) and n.attr == "SELF"
                  or isinstance(n, ast.alias) and n.name == "SELF"]
         assert not named, (name, named)
+
+
+def test_replay_is_a_loop_along_the_trace():
+    # a phase returns its premises as frames and only explain_failure's
+    # loop runs them: no phase calls another, so no trace is too deep
+    tree = ast.parse((pathlib.Path(outlinecheck.__file__).parent / "replay.py")
+                     .read_text(encoding="utf-8"))
+    phases = {"r_async", "r_left", "r_right"}
+    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and (isinstance(n.func, ast.Attribute) and n.func.attr in phases
+                  or isinstance(n.func, ast.Name) and n.func.id in phases)]
+    assert not calls
+    framed = {n.attr for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and n.attr in phases}
+    assert framed == phases
