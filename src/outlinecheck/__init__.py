@@ -21,7 +21,7 @@ from .outline import (
 )
 from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (
-    FF, SELF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff,
+    FF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff,
     Formula, Hyp, Imp, Index, InvariantAbs, LemmaName, MVar, MuAtom, Or,
     StructuralError, Term, TraceFormatError, Tt, con, open_binder, sym,
     synthesize_obvious_invariants, unfold_mu,

@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--trace", metavar="DIR", type=Path,
                     help="write a replayable trace per accepted theorem")
     ap.add_argument("--replay", action="store_true",
-                    help="re-verify every accepted proof from its trace")
+                    help="re-check each accepted proof's in-memory trace, not its --trace file")
     ap.add_argument("--max-steps", metavar="N", type=int,
                     default=ResourceLimits.max_steps,
                     help="per-theorem search step limit (default %(default)s)")

@@ -43,7 +43,7 @@ from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
-    FF, SELF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
+    FF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
     LemmaName, MuAtom, Or, Term, Tt, _chain, close_binders, con, sym,
 )
 from .trace import TraceNode
@@ -420,14 +420,14 @@ class _Elab:
     # -- terms.  env maps a bound name to its placeholder, innermost binder
     # first.  Its last map holds a clause's variables: each is made at its
     # first use, under whatever quantifiers that use sits, and is then seen
-    # by the whole clause.  selfname is None in a theorem, which has none.
+    # by the whole clause.  me is the definition being built, None in a theorem.
 
     def term(self, t: STerm, env: ChainMap[str, EVar],
-             expected: Optional[str], selfname: Optional[str]) -> Term:
+             expected: Optional[str], me: Optional[Definition]) -> Term:
         v = env.get(t.head)
-        if v is None and selfname is not None and not t.args \
+        if v is None and me is not None and not t.args \
                 and t.head not in self.constructors:
-            if t.head in self.definitions or t.head == selfname:
+            if t.head in self.definitions:
                 raise ElabError(f"predicate {t.head} used as a term")
             v = env.maps[-1][t.head] = self.placeholder()
         if v is not None:
@@ -448,7 +448,7 @@ class _Elab:
         if len(t.args) != len(arg_sorts):
             raise ElabError(f"{t.head} expects {len(arg_sorts)} arguments,"
                             f" got {len(t.args)}")
-        return con(t.head, *(self.term(a, env, s, selfname)
+        return con(t.head, *(self.term(a, env, s, me)
                              for a, s in zip(t.args, arg_sorts)))
 
     def term_sort(self, t: STerm, env: ChainMap[str, EVar]) -> Optional[str]:
@@ -460,37 +460,32 @@ class _Elab:
     # -- formulas
 
     def formula(self, f: SFormula, env: ChainMap[str, EVar],
-                selfname: Optional[str]) -> Formula:
+                me: Optional[Definition]) -> Formula:
         match f:
             case Tt() | Ff():
                 return f
             case SEq(l=l, r=r):
                 s = self.term_sort(l, env) or self.term_sort(r, env)
-                lt = self.term(l, env, s, selfname)
-                return Eq(lt, self.term(r, env, s, selfname))
+                lt = self.term(l, env, s, me)
+                return Eq(lt, self.term(r, env, s, me))
             case SBin(op=op, a=a, b=b):
-                return op(self.formula(a, env, selfname),
-                          self.formula(b, env, selfname))
+                return op(self.formula(a, env, me), self.formula(b, env, me))
             case SQuant(binder=q, names=ns, body=b):
                 ps = [self.placeholder() for _ in ns]
-                inner = self.formula(b, env.new_child(dict(zip(ns, ps))), selfname)
+                inner = self.formula(b, env.new_child(dict(zip(ns, ps))), me)
                 return close_binders(inner, ps, q)
             case STerm(head=p, args=ts):
                 if p in env and not ts:
                     raise ElabError(f"{p} is a term variable, not a predicate")
-                if p == selfname:
-                    arg_sorts = self.def_sorts[p]
-                    dref = SELF
-                elif p in self.definitions:
-                    arg_sorts = self.def_sorts[p]
-                    dref = self.definitions[p]
-                else:
+                dref = self.definitions.get(p)
+                if dref is None:
                     raise ElabError(f"undeclared predicate: {p}")
+                arg_sorts = self.def_sorts[p]
                 if len(ts) != len(arg_sorts):
                     raise ElabError(f"{p} expects {len(arg_sorts)} arguments,"
                                     f" got {len(ts)}")
                 return MuAtom(dref, tuple(
-                    self.term(a, env, s, selfname)
+                    self.term(a, env, s, me)
                     for a, s in zip(ts, arg_sorts)))
         raise TypeError(f"not a surface formula: {f!r}")
 
@@ -521,24 +516,28 @@ class _Elab:
         params = [self.placeholder() for _ in range(arity)]
 
         # Clark completion: one disjunct per clause, existentially closing
-        # the clause variables over equations against the head patterns
-        disjuncts: list[Formula] = []
-        for c in d.clauses:
-            if len(c.head_args) != arity:
-                raise ElabError(f"clause of {d.name} has {len(c.head_args)}"
-                                f" head arguments, expected {arity}")
-            env: ChainMap[str, EVar] = ChainMap()
-            parts: list[Formula] = [
-                Eq(p, self.term(h, env, s, d.name))
-                for p, h, s in zip(params, c.head_args, d.arg_sorts)]
-            if c.body is not None:
-                parts.append(self.formula(c.body, env, d.name))
-            disjuncts.append(close_binders(_chain(And, parts, TT),
-                                           list(env.maps[-1].values()), Ex, params))
+        # the clause variables over equations against the head patterns.
+        # The definition is in the table while its body is elaborated, so a
+        # recursive call is an atom of it like a call to an earlier one.
+        def completion(me: Definition) -> Formula:
+            self.definitions[d.name] = me
+            disjuncts: list[Formula] = []
+            for c in d.clauses:
+                if len(c.head_args) != arity:
+                    raise ElabError(f"clause of {d.name} has {len(c.head_args)}"
+                                    f" head arguments, expected {arity}")
+                env: ChainMap[str, EVar] = ChainMap()
+                parts: list[Formula] = [
+                    Eq(p, self.term(h, env, s, me))
+                    for p, h, s in zip(params, c.head_args, d.arg_sorts)]
+                if c.body is not None:
+                    parts.append(self.formula(c.body, env, me))
+                disjuncts.append(close_binders(_chain(And, parts, TT),
+                                               list(env.maps[-1].values()), Ex, params))
+            return _chain(Or, disjuncts, FF)
 
-        full = _chain(Or, disjuncts, FF)
-        _check_positivity(full, positive=True, name=d.name)
-        self.definitions[d.name] = Definition(sym(d.name), arity, full)
+        me = Definition(sym(d.name), arity, completion)
+        _check_positivity(me.body, positive=True, me=me)
 
     def theorem(self, d: TheoremDecl, names: set[str]) -> Formula:
         if d.name in names:
@@ -546,19 +545,19 @@ class _Elab:
         return self.formula(d.statement, ChainMap(), None)
 
 
-def _check_positivity(f: Formula, positive: bool, name: str) -> None:
+def _check_positivity(f: Formula, positive: bool, me: Definition) -> None:
     match f:
         case MuAtom(defn=d):
-            if d is SELF and not positive:
-                raise ElabError(f"{name} recurses in a negative position")
+            if d is me and not positive:
+                raise ElabError(f"{me.name} recurses in a negative position")
         case And(a=a, b=b) | Or(a=a, b=b):
-            _check_positivity(a, positive, name)
-            _check_positivity(b, positive, name)
+            _check_positivity(a, positive, me)
+            _check_positivity(b, positive, me)
         case Imp(a=a, b=b):
-            _check_positivity(a, not positive, name)
-            _check_positivity(b, positive, name)
+            _check_positivity(a, not positive, me)
+            _check_positivity(b, positive, me)
         case All(body=b) | Ex(body=b):
-            _check_positivity(b, positive, name)
+            _check_positivity(b, positive, me)
         case _:
             return
 

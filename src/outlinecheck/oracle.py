@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .syntax import (
-    SELF, All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
+    All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
     Term, Tt, open_binder, unfold_mu,
 )
 
@@ -99,7 +99,7 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
 
 def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
     """Evaluate a ground atom by saturation; see the module docstring."""
-    if atom.defn is SELF or not all(a.ground for a in atom.args):
+    if not all(a.ground for a in atom.args):
         raise ValueError("the oracle evaluates ground atoms only")
     if len(atom.args) != atom.defn.arity:
         raise ValueError(f"{atom.defn.name} expects {atom.defn.arity} arguments, "

@@ -12,15 +12,17 @@ Bound variables inside formula binders use positional (de Bruijn) indices.
 A `Bound` never escapes its binder in a well-formed formula; the kernel only
 ever works with opened bodies.  Other modules do not number binders: they
 build a formula over named eigenvariables and bind them with close_binders.
+A definition is built from its body as a function of itself, so a recursive
+call is an atom of the definition wherever it is written.
 
 This module also owns the concrete syntax: every term, formula, index and
-invariant prints as the s-expression a trace file holds, and the readers
-at the end of the module read it back.
+invariant prints as the s-expression a trace file holds, at any depth, and
+the readers at the end of the module read it back.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
@@ -166,27 +168,7 @@ class App:
         return h
 
     def __repr__(self) -> str:
-        if self._repr is not None:
-            return self._repr
-        # arguments print before their application, off an explicit stack,
-        # so a deep numeral costs no recursion
-        done: list[str] = []
-        stack: list[tuple[Term, bool]] = [(self, False)]
-        while stack:
-            t, args_done = stack.pop()
-            if args_done:
-                k = len(done) - len(t.args)
-                s = f"({t.head.name} {' '.join(done[k:])})"
-                del done[k:]
-                if t.ground:
-                    object.__setattr__(t, "_repr", s)
-                done.append(s)
-            elif t.__class__ is App and t._repr is None:
-                stack.append((t, True))
-                stack += ((x, False) for x in reversed(t.args))
-            else:
-                done.append(repr(t))
-        return done[0]
+        return self._repr if self._repr is not None else _sexp(self)
 
 
 Term = Union[EVar, MVar, Bound, App]
@@ -201,45 +183,30 @@ def con(name: str, *args: Term) -> App:
 # formulas
 
 
-class _Self:
-    """Marker for the recursive occurrence inside a definition body."""
-
-    def __repr__(self) -> str:
-        return "%self"
-
-
-SELF = _Self()
-
-
 @dataclass(frozen=True)
 class Definition:
-    """A least-fixed-point predicate definition.
+    """A least-fixed-point predicate definition, mu B.
 
-    The body is a formula over `arity` parameters; parameter i appears as
-    Bound(depth + i) under `depth` intervening binders, and recursive calls
-    are written MuAtom(SELF, args), which building the definition turns into
-    atoms of the definition itself.  The body takes no part in equality so a
-    definition can be compared and hashed cheaply by name.  A body that is
-    no formula, or that holds an eigenvariable, a metavariable or an atom of
-    the wrong arity, is refused.
+    It is built from B, its body as a function of the definition itself,
+    called once: a recursive call is an atom of the definition from the
+    moment it is written.  The body is a formula over `arity` parameters;
+    parameter i appears as Bound(depth + i) under `depth` intervening
+    binders.  The body takes no part in equality so a definition can be
+    compared and hashed cheaply by name.  A body that is no formula, or
+    that holds an eigenvariable, a metavariable or an atom of the wrong
+    arity, is refused.
     """
 
     name: Sym
     arity: int
-    body: "Formula" = field(compare=False)
+    make_body: InitVar[Callable[[Definition], Formula]]
+    body: Formula = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        def closed(t: Term, _: int) -> Term:
-            if next(term_vars(t), None):
-                raise StructuralError(f"the body of {self.name} holds a free variable")
-            return t
-
-        def atom(d: Union[Definition, _Self], ts: tuple[Term, ...]) -> Formula:
-            d = self if d is SELF else d
-            check_arity(d, ts)
-            return MuAtom(d, ts)
-
-        object.__setattr__(self, "body", map_terms(self.body, closed, atom))
+    def __post_init__(self, make_body: Callable[[Definition], Formula]) -> None:
+        body = make_body(self)
+        if input_vars((), body):
+            raise StructuralError(f"the body of {self.name} holds a free variable")
+        object.__setattr__(self, "body", body)
 
     def __repr__(self) -> str:
         return f"<def {self.name}/{self.arity}>"
@@ -251,7 +218,7 @@ class Eq:
     r: Term
 
     def __repr__(self) -> str:
-        return f"(eq {self.l!r} {self.r!r})"
+        return _sexp(self)
 
 
 # A connective prints as (tag operands...); the formula reader looks the
@@ -263,7 +230,7 @@ class _Binary:
     b: "Formula"
 
     def __repr__(self) -> str:
-        return f"({self.tag} {self.a!r} {self.b!r})"
+        return _sexp(self)
 
 
 class And(_Binary):
@@ -283,7 +250,7 @@ class _Quantifier:
     body: "Formula"
 
     def __repr__(self) -> str:
-        return f"({self.tag} {self.body!r})"
+        return _sexp(self)
 
 
 class All(_Quantifier):
@@ -296,12 +263,11 @@ class Ex(_Quantifier):
 
 @dataclass(frozen=True)
 class MuAtom:
-    defn: Union[Definition, _Self]
+    defn: Definition
     args: tuple[Term, ...]
 
     def __repr__(self) -> str:
-        name = "%self" if self.defn is SELF else self.defn.name.name
-        return f"(mu {name}{''.join(' ' + repr(t) for t in self.args)})"
+        return _sexp(self)
 
 
 @dataclass(frozen=True)
@@ -320,6 +286,41 @@ TT = Tt()
 FF = Ff()
 
 Formula = Union[Eq, And, Or, Imp, All, Ex, MuAtom, Tt, Ff]
+
+
+def _sexp(root: Union[Term, Formula]) -> str:
+    """Print a term or formula: a node prints after its parts, off an
+    explicit stack, so depth costs no recursion.  A ground application
+    keeps its printed form."""
+    done: list[str] = []
+    stack: list[tuple[object, Optional[str], int]] = [(root, None, 0)]
+    while stack:
+        x, head, n = stack.pop()
+        if head is not None:  # the n parts of x are printed
+            k = len(done) - n
+            s = f"({' '.join((head, *done[k:]))})"
+            del done[k:]
+            if x.__class__ is App and x.ground:
+                object.__setattr__(x, "_repr", s)
+            done.append(s)
+            continue
+        c = x.__class__
+        if c is App and x._repr is None:
+            head, parts = x.head.name, x.args
+        elif c is Eq:
+            head, parts = "eq", (x.l, x.r)
+        elif c is And or c is Or or c is Imp:
+            head, parts = c.tag, (x.a, x.b)
+        elif c is All or c is Ex:
+            head, parts = c.tag, (x.body,)
+        elif c is MuAtom:
+            head, parts = f"mu {x.defn.name.name}", x.args
+        else:
+            done.append(repr(x))
+            continue
+        stack.append((x, head, len(parts)))
+        stack += ((p, None, 0) for p in reversed(parts))
+    return done[0]
 
 
 class StructuralError(Exception):
@@ -388,7 +389,8 @@ def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
 class InvariantAbs:
     """An `arity`-ary predicate abstraction, represented like a definition
     body: parameter i appears as Bound(depth + i).  Used as an induction
-    invariant; contains no recursive marker and no free variables."""
+    invariant, which body_with_invariant puts in place of a definition's
+    recursive atoms; it holds no free variable."""
 
     arity: int
     body: Formula
@@ -451,28 +453,13 @@ def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
                 yield from term_vars(x)
 
 
-def formula_vars(f: Formula) -> Iterator[Union[EVar, MVar]]:
-    match f:
-        case Eq(l=l, r=r):
-            yield from term_vars(l)
-            yield from term_vars(r)
-        case _Binary(a=a, b=b):
-            yield from formula_vars(a)
-            yield from formula_vars(b)
-        case _Quantifier(body=b):
-            yield from formula_vars(b)
-        case MuAtom(args=ts):
-            for t in ts:
-                yield from term_vars(t)
-
-
 def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
                ) -> set[Union[EVar, MVar]]:
-    """The variables free in a check's goal and lemmas.  Search and replay
-    call this before any step or record, so no rule meets an ill-formed
-    input: it raises TypeError on a node that is no formula, and
-    StructuralError on a recursive marker, which belongs only in a body,
-    or on an atom whose argument count is not its definition's arity."""
+    """The variables free in a check's goal and lemmas, or in a definition
+    body as it is built.  Search and replay call this before any step or
+    record, so no rule meets an ill-formed input: it raises TypeError on a
+    node that is no formula, and StructuralError on an atom whose argument
+    count is not its definition's arity."""
     out: set[Union[EVar, MVar]] = set()
     stack: list[Formula] = [goal, *(g for _, g in lemmas)]
     while stack:
@@ -485,8 +472,6 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
         elif c is All or c is Ex:
             stack.append(f.body)
         elif c is MuAtom:
-            if f.defn is SELF:
-                raise StructuralError("unexpected recursive marker outside a definition body")
             check_arity(f.defn, f.args)
             out.update(v for t in f.args for v in term_vars(t))
         elif c is not Tt and c is not Ff:
@@ -495,8 +480,7 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],
-              atom: Optional[Callable[[Union[Definition, _Self], tuple[Term, ...]],
-                                      Formula]] = None,
+              atom: Optional[Callable[[Definition, tuple[Term, ...]], Formula]] = None,
               depth: int = 0) -> Formula:
     """Rebuild `f` with every term t replaced by fn(t, depth), where depth
     counts the binders enclosing t (`depth` of them enclose `f` itself).
@@ -597,30 +581,24 @@ def synthesize_obvious_invariants(
     hypothesis is not atomic or when an undetermined metavariable occurs in
     the relevant formulas.
     """
-    hyps: list[Formula] = []
-    for ix, f in store:
-        if isinstance(ix, Hyp):
-            if not isinstance(f, (MuAtom, Eq)):
-                return []
-            hyps.append(f)
-
-    seen = [v for t in target_args for v in term_vars(t)]
-    seen += formula_vars(goal)
+    hyps = [(ix, f) for ix, f in store if isinstance(ix, Hyp)]
+    if not all(isinstance(f, (MuAtom, Eq)) for _, f in hyps):
+        return []
+    seen = input_vars((), goal).union(*map(term_vars, target_args))
     if any(isinstance(v, MVar) for v in seen):
         return []
+    hyp_vars = input_vars(hyps, TT)
     # the parameters xs take ids above the sequent's, so none is one of zs
-    seen += (v for h in hyps for v in formula_vars(h))
-    top = max((v.id for v in seen), default=0)
+    top = max((v.id for v in seen | hyp_vars), default=0)
     params = [EVar(top + i, 0) for i in range(1, len(target_args) + 1)]
     eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
 
     out: list[InvariantAbs] = []
-    for folded in (hyps, []):
-        if folded and any(isinstance(v, MVar) for h in folded for v in formula_vars(h)):
+    for folded, free in ((hyps, seen | hyp_vars), ([], seen)):
+        if folded and any(isinstance(v, MVar) for v in hyp_vars):
             continue
-        inner: Formula = Imp(_chain(And, eqs + folded, TT), goal)
-        zs = sorted({v for v in formula_vars(inner) if isinstance(v, EVar)} - set(params),
-                    key=lambda e: (e.id, e.level))
+        inner: Formula = Imp(_chain(And, eqs + [f for _, f in folded], TT), goal)
+        zs = sorted(free, key=lambda e: (e.id, e.level))
         inv = InvariantAbs(len(params), close_binders(inner, zs, All, params))
         if inv not in out:
             out.append(inv)

@@ -15,8 +15,8 @@ from outlinecheck import (
 )
 from outlinecheck.frontend import SBin, SEq, SQuant, STerm
 from outlinecheck.syntax import (
-    All, And, Bound, Definition, EVar, Eq, Ex, Imp, MuAtom, Or, SELF, con,
-    formula_vars, sym,
+    All, And, Bound, Definition, EVar, Eq, Ex, Imp, MuAtom, Or, con,
+    input_vars, sym,
 )
 
 from _util import CORPUS, load_plus
@@ -99,9 +99,9 @@ def test_is_nat_completion_shape():
     d = _definitions(PRELUDE + "Define is_nat : nat -> prop by\n"
                      "  is_nat z ;\n  is_nat (s N) := is_nat N.\n")["is_nat"]
     assert d.arity == 1
-    assert d.body == Definition(sym("is_nat"), 1, Or(
+    assert d.body == Definition(sym("is_nat"), 1, lambda is_nat: Or(
         Eq(Bound(0), con("z")),
-        Ex(And(Eq(Bound(1), con("s", Bound(0))), MuAtom(SELF, (Bound(0),)))),
+        Ex(And(Eq(Bound(1), con("s", Bound(0))), MuAtom(is_nat, (Bound(0),)))),
     )).body
 
 
@@ -173,7 +173,7 @@ def test_clause_variable_first_met_under_a_quantifier_is_one_variable():
         Eq(Bound(2), Bound(1)),
         And(Ex(MuAtom(le, (Bound(0), Bound(1)))), MuAtom(le, (Bound(1), Bound(0)))))))
     for f in [d.body for d in el.definitions.values()] + list(el.goals.values()):
-        assert not any(isinstance(v, EVar) for v in formula_vars(f))
+        assert not any(isinstance(v, EVar) for v in input_vars((), f))
 
 
 def test_zero_clause_definition_compiles_to_false():

@@ -12,7 +12,6 @@ import pytest
 
 from outlinecheck import (
     FF,
-    SELF,
     TT,
     Accepted,
     All,
@@ -332,7 +331,9 @@ def test_binding_made_under_a_case_split_reaches_the_sibling_premise():
     assert r == Rejected(15)
 
 
-_OUTSIDE = "^unexpected recursive marker outside a definition body$"
+# atoms of a binary p given fewer arguments, wherever they sit
+_P = Definition(sym("p"), 2, lambda _: TT)
+_ARITY = "^p expects 2 arguments, got [01]$"
 
 
 def _lemma(f):
@@ -340,15 +341,15 @@ def _lemma(f):
 
 
 @pytest.mark.parametrize("goal, lemmas, error, match", [
-    (Or(FF, MuAtom(SELF, ())), [], StructuralError, _OUTSIDE),
-    (FF, _lemma(Imp(TT, MuAtom(SELF, ()))), StructuralError, _OUTSIDE),
-    (Ex(Or(TT, MuAtom(SELF, (Bound(0),)))), [], StructuralError, _OUTSIDE),
-    (FF, _lemma(All(Imp(TT, MuAtom(SELF, (Bound(0),))))), StructuralError, _OUTSIDE),
-    (Ex(Ex(MuAtom(SELF, (Bound(1),)))), [], StructuralError, _OUTSIDE),
-    # search never reaches the marker: orR proves tt on side 1
-    (Or(TT, MuAtom(SELF, ())), [], StructuralError, _OUTSIDE),
+    (Or(FF, MuAtom(_P, ())), [], StructuralError, _ARITY),
+    (FF, _lemma(Imp(TT, MuAtom(_P, ()))), StructuralError, _ARITY),
+    (Ex(Or(TT, MuAtom(_P, (Bound(0),)))), [], StructuralError, _ARITY),
+    (FF, _lemma(All(Imp(TT, MuAtom(_P, (Bound(0),))))), StructuralError, _ARITY),
+    (Ex(Ex(MuAtom(_P, (Bound(1),)))), [], StructuralError, _ARITY),
+    # search never reaches the atom: orR proves tt on side 1
+    (Or(TT, MuAtom(_P, ())), [], StructuralError, _ARITY),
     # a lemma that the proof of tt never decides on
-    (TT, _lemma(MuAtom(SELF, ())), StructuralError, _OUTSIDE),
+    (TT, _lemma(MuAtom(_P, ())), StructuralError, _ARITY),
     (con("z"), [], TypeError, "^not a formula: z$"),
 ], ids=["or-ff", "lemma-imp", "under-ex", "lemma-under-all", "under-two-ex",
         "or-tt", "lemma-never-decided", "term-goal"])
@@ -383,14 +384,14 @@ def test_definition_body_holds_no_free_variable(var):
     # a rule may make a body's variable again as its fresh one: allR opens
     # forall X, c X with (%ev 1 1), which would then prove c X := X = (%ev 1 1)
     with pytest.raises(StructuralError, match="^the body of c holds a free variable$"):
-        Definition(sym("c"), 1, Eq(Bound(0), var))
+        Definition(sym("c"), 1, lambda c: Eq(Bound(0), var))
 
 
 def test_body_atom_of_the_wrong_arity_raises_when_built(el):
     # no unfold can meet such an atom: the definition is refused whole
     is_nat = _defs(el)["is_nat"]
-    for body, name in ((MuAtom(SELF, (Bound(0), Bound(0))), "p"),
-                       (Or(TT, Ex(MuAtom(is_nat, (Bound(0), Bound(1))))), "is_nat")):
+    for body, name in ((lambda p: MuAtom(p, (Bound(0), Bound(0))), "p"),
+                       (lambda p: Or(TT, Ex(MuAtom(is_nat, (Bound(0), Bound(1))))), "is_nat")):
         with pytest.raises(StructuralError, match=f"^{name} expects 1 arguments, got 2$"):
             Definition(sym("p"), 1, body)
 

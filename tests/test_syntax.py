@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from outlinecheck import (
     FF,
-    SELF,
     TT,
     Accepted,
     All,
@@ -126,11 +125,26 @@ def test_apply_invariant_with_positional_args():
 
 def _is_nat() -> Definition:
     #  is_nat x := x = z \/ exists n, x = s n /\ is_nat n
-    body = Or(
+    return Definition(sym("is_nat"), 1, lambda is_nat: Or(
         Eq(Bound(0), con("z")),
-        Ex(And(Eq(Bound(1), con("s", Bound(0))), MuAtom(SELF, (Bound(0),)))),
-    )
-    return Definition(sym("is_nat"), 1, body)
+        Ex(And(Eq(Bound(1), con("s", Bound(0))), MuAtom(is_nat, (Bound(0),)))),
+    ))
+
+
+def test_recursive_atoms_of_a_built_body_are_the_definition():
+    d = _is_nat()
+    assert d.body.b.body.b.defn is d
+    atom = unfold_mu(d, (num(2),)).b.body.b
+    assert atom == MuAtom(d, (Bound(0),)) and atom.defn is d
+
+
+@pytest.mark.parametrize("make_body, what", [
+    (lambda p: con("z"), "z"),
+    (lambda p: Or(TT, p), "<def p/1>"),
+], ids=["term", "definition"])
+def test_body_that_is_no_formula_raises_when_built(make_body, what):
+    with pytest.raises(TypeError, match=f"^not a formula: {what}$"):
+        Definition(sym("p"), 1, make_body)
 
 
 def test_unfold_mu_ground():
@@ -207,13 +221,12 @@ def test_lift_then_substitute_roundtrip(idx, depth):
 
 
 def test_reprs_spell_trace_syntax():
-    plus = Definition(sym("plus"), 3, TT)
+    plus = Definition(sym("plus"), 3, lambda _: TT)
     assert repr(EVar(3, 1)) == "(%ev 3 1)"
     assert repr(MVar(4, 0)) == "(%mv 4 0)"
     assert repr(Bound(0)) == "(%bv 0)"
     assert repr(con("s", con("z"))) == "(s z)"
     assert repr(MuAtom(plus, (con("z"),) * 3)) == "(mu plus z z z)"
-    assert repr(MuAtom(SELF, (Bound(0),))) == "(mu %self (%bv 0))"
     assert repr(Imp(All(Eq(Bound(0), con("z"))), Ex(Or(TT, FF)))) == (
         "(imp (all (eq (%bv 0) z)) (ex (or tt ff)))")
     assert repr(And(TT, TT)) == "(and tt tt)"
@@ -224,7 +237,7 @@ def test_reprs_spell_trace_syntax():
 
 _NAMES = st.sampled_from(["z", "s", "cons", "pair"])
 _NUMS = st.integers(min_value=0, max_value=99)
-_DEFS = {"p": Definition(sym("p"), 2, TT), "q": Definition(sym("q"), 0, TT)}
+_DEFS = {"p": Definition(sym("p"), 2, lambda _: TT), "q": Definition(sym("q"), 0, lambda _: TT)}
 
 _terms = st.recursive(
     st.one_of(st.builds(EVar, _NUMS, _NUMS), st.builds(MVar, _NUMS, _NUMS),
@@ -328,6 +341,18 @@ def test_deep_terms_print_at_the_default_recursion_limit():
     for _ in range(3000):
         u = con("pair", u, num(1))
     assert repr(u) == "(pair " * 3000 + "(%mv 1 0)" + " (s z))" * 3000
+
+
+def test_deep_formulas_print_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    p = Definition(sym("p"), 1, lambda _: TT)
+    f = MuAtom(p, (num(3000),))
+    for _ in range(1000):
+        f = All(Or(Eq(Bound(0), con("z")), Imp(TT, Ex(And(f, FF)))))
+    assert repr(f) == (
+        "(all (or (eq (%bv 0) z) (imp tt (ex (and " * 1000
+        + "(mu p " + repr(num(3000)) + ")" + " ff)))))" * 1000)
+    assert repr(InvariantAbs(1, f)) == f"(inv 1 {f!r})"
 
 
 def test_terms_cannot_be_assigned():

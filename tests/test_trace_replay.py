@@ -113,7 +113,7 @@ def test_constructor_named_like_a_variable_round_trips(name):
     assert any(f"({name} " in ln for r in done for ln in trace_to_lines(r.trace))
 
 
-def test_twenty_thousand_record_chain_needs_no_recursion():
+def _tt_chain():
     # a proof of tt -> tt -> ... -> z = z: an impR/ttL pair per antecedent,
     # closed by storeR, decideR and eqR
     z = App(sym("z"), ())
@@ -122,7 +122,11 @@ def test_twenty_thousand_record_chain_needs_no_recursion():
     for _ in range(9_999):
         goal = Imp(TT, goal)
         chain = TraceNode("impR", (TraceNode("ttL", (chain,)),))
-    lines = trace_to_lines(chain)
+    return goal, trace_to_lines(chain)
+
+
+def test_twenty_thousand_record_chain_needs_no_recursion():
+    goal, lines = _tt_chain()
     assert len(lines) == 20_001
     back = trace_from_lines(lines, {})
     # compare the written lines: dataclass == on the trees would recurse
@@ -135,6 +139,16 @@ def test_twenty_thousand_record_chain_needs_no_recursion():
     bad[k - 1] = bad[k - 1].replace("(ttL ", "(andL ", 1)
     assert explain_failure((), goal, trace_from_lines(bad, {})) == (
         f"record {k} (andL): expected ttL on the principal formula tt")
+
+
+def test_mismatch_on_a_deep_formula_quotes_it_at_the_default_limit():
+    # the message quotes a principal formula 10,000 connectives deep
+    assert sys.getrecursionlimit() == 1000
+    goal, lines = _tt_chain()
+    bad = [lines[0].replace("(impR ", "(andL ", 1)] + lines[1:]
+    assert explain_failure((), goal, trace_from_lines(bad, {})) == (
+        "record 1 (andL): expected impR on the principal formula "
+        + "(imp tt " * 9_999 + "(eq z z)" + ")" * 9_999)
 
 
 # -- replay
@@ -477,18 +491,6 @@ def test_trusted_base_imports_only_itself():
     # the oracle is the tests' ground truth: it shares no code with search
     # or replay, only the formulas they all read
     assert set(_package_imports(pkg / "oracle.py")) <= {"syntax"}
-
-
-def test_search_and_replay_never_name_the_recursive_marker():
-    # a built definition body holds no SELF, so no rule has one to resolve
-    pkg = pathlib.Path(outlinecheck.__file__).parent
-    for name in ("kernel", "replay", "trace"):
-        tree = ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))
-        named = [n.lineno for n in ast.walk(tree)
-                 if isinstance(n, ast.Name) and n.id == "SELF"
-                 or isinstance(n, ast.Attribute) and n.attr == "SELF"
-                 or isinstance(n, ast.alias) and n.name == "SELF"]
-        assert not named, (name, named)
 
 
 def test_replay_is_a_loop_along_the_trace():
