@@ -47,12 +47,13 @@ Replay opens and unfolds eagerly, so it checks these paths independently.
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
 of the surrounding sequent, in two flavours, one folding the stored atomic
-hypotheses into the invariant and one keeping the invariant bare.  The
-left premise of this induction is provable by construction (instantiate
-the abstraction at the original arguments, reflexivity for the equations,
-initial steps for the folded hypotheses, and an identity for the goal), so
-the kernel discharges it after checking exactly those side conditions and
-records only the invariance premise.
+hypotheses into the invariant (0) and one keeping the invariant bare (1),
+and its record names the flavour it used.  The left premise of this
+induction is provable by construction (instantiate the abstraction at the
+original arguments, reflexivity for the equations, initial steps for the
+folded hypotheses, and an identity for the goal), so the kernel discharges
+it after checking exactly those side conditions and records only the
+invariance premise.
 """
 
 from __future__ import annotations
@@ -175,12 +176,14 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[tuple[Formula, Env], ...],
                     rstore, _, (_, goal_f) = map_sequent(
                         store, (), (rhs[0], instantiate(rhs[1], rhs[2])),
                         lambda t, _: binds.resolve(t, sigma))
-                    for inv in synthesize_obvious_invariants(rstore, targs, goal_f):
+                    for k, inv in enumerate(synthesize_obvious_invariants(rstore, targs, goal_f)):
+                        if inv is None:
+                            continue
                         ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
                         # the invariance premise: store ; B S ys |- S ys
                         for t2 in _async(ctx, store, ((body_with_invariant(d, inv, ys), ()),),
                                          ("un", inv.body, ys), kr, level + 1, sigma):
-                            yield ("induct_obvious", (t2,), App(YS_HEAD, ys), inv)
+                            yield ("induct_obvious", (t2,), App(YS_HEAD, ys), k)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):
                     if store_lookup(store, ix) is not None:

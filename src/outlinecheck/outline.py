@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
-    Hyp, Index, LemmaName, SExp, Sym, TraceFormatError, parse_sexp, sym,
+    Hyp, Index, LemmaName, SExp, Sym, TraceFormatError, int_from_sexp, parse_sexp, sym,
 )
 
 
@@ -62,11 +62,9 @@ class OutlineState:
 
 
 def _budget(s: SExp, what: str) -> int:
-    if not isinstance(s, str):
-        raise OutlineError(f"{what} budget must be a number, got {s!r}")
     try:
-        n = int(s)
-    except ValueError:
+        n = int_from_sexp(s)
+    except TraceFormatError:
         raise OutlineError(f"{what} budget must be a number, got {s!r}") from None
     if n < 0:
         raise OutlineError(f"{what} budget must be nonnegative, got {n}")

@@ -7,6 +7,8 @@ from the original lemmas and goal, the replayer computes each rule's
 principal formula from the sequent it has reached, each record must name
 exactly the rule that applies to it, witnesses are read from the record
 (after scope checks), and leaves are closed by syntactic comparisons.
+An induction record names which of the obvious invariants it used, its
+flavour; the replayer synthesizes that invariant from the sequent itself.
 Replay never backtracks, so it is one loop over the records in the order
 a trace file lists them, with a stack of the premises still to prove: no
 trace is too deep for it, and a failure names its record by its line.
@@ -215,10 +217,11 @@ class _Replay:
                     if node.rule == "unfoldL":
                         return (self.r_async, (store, (unfold_mu(d, ts),) + rest, rhs, level)),
                     if node.rule == "induct_obvious":
-                        good = synthesize_obvious_invariants(store, ts, rhs[1])
-                        self.need(node.invariant in good,
-                                  "invariant is not one this sequent yields")
-                        inv = good[good.index(node.invariant)]  # ours, not the reader's
+                        k = node.invariant
+                        self.need(k.__class__ is int and 0 <= k < 2,
+                                  "invariant flavour is neither 0 nor 1")
+                        inv = synthesize_obvious_invariants(store, ts, rhs[1])[k]
+                        self.need(inv is not None, "invariant is not one this sequent yields")
                         ys = self.invariance_eigen(node, d.arity, level)
                         return (self.r_async, (store, (body_with_invariant(d, inv, ys),),
                                                ("un", apply_invariant(inv, ys)), level + 1)),

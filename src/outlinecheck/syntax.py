@@ -15,9 +15,10 @@ build a formula over named eigenvariables and bind them with close_binders.
 A definition is built from its body as a function of itself, so a recursive
 call is an atom of the definition wherever it is written.
 
-This module also owns the concrete syntax: every term, formula, index and
-invariant prints as the s-expression a trace file holds, at any depth, and
-the readers at the end of the module read it back.
+This module also owns the concrete syntax: every term, formula and index
+prints as an s-expression, at any depth.  A trace file holds terms,
+indexes and integers, which the readers at the end of the module read
+back; formulas print only in messages.
 """
 
 from __future__ import annotations
@@ -221,8 +222,7 @@ class Eq:
         return _sexp(self)
 
 
-# A connective prints as (tag operands...); the formula reader looks the
-# classes up by tag.
+# A connective prints as (tag operands...).
 
 @dataclass(frozen=True)
 class _Binary:
@@ -395,9 +395,6 @@ class InvariantAbs:
     arity: int
     body: Formula
 
-    def __repr__(self) -> str:
-        return f"(inv {self.arity} {self.body!r})"
-
 
 def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
     return instantiate(s.body, args)
@@ -567,57 +564,54 @@ def synthesize_obvious_invariants(
     store: Store,
     target_args: tuple[Term, ...],
     goal: Formula,
-) -> list[InvariantAbs]:
-    """Candidate obvious invariants for inducting on an atom with the given
-    (resolved) arguments, under the given (resolved) store and goal.
+) -> tuple[Optional[InvariantAbs], Optional[InvariantAbs]]:
+    """The obvious invariants for inducting on an atom with the given
+    (resolved) arguments, under the given (resolved) store and goal, in two
+    fixed slots; a trace record names the one it used by its slot, its
+    flavour.
 
     Abstracting the fixed point out of the sequent gives
 
         S = fun xs -> forall zs, (xs = ts /\\ H1 /\\ ... /\\ Hk) => R
 
     with zs the eigenvariables of the sequent, Hi the stored atomic
-    hypotheses and R the goal.  A second candidate keeps the hypotheses out
-    of the invariant.  Synthesis is refused (empty list) when a stored
-    hypothesis is not atomic or when an undetermined metavariable occurs in
-    the relevant formulas.
+    hypotheses and R the goal: slot 0.  Slot 1 keeps the hypotheses out of
+    the invariant, so it is empty (None) when there is none to fold.  A
+    slot is also empty where synthesis is refused: both when a stored
+    hypothesis is not atomic or an undetermined metavariable occurs in the
+    goal or the target, slot 0 alone when one occurs in a hypothesis.
     """
     hyps = [(ix, f) for ix, f in store if isinstance(ix, Hyp)]
     if not all(isinstance(f, (MuAtom, Eq)) for _, f in hyps):
-        return []
+        return None, None
     seen = input_vars((), goal).union(*map(term_vars, target_args))
     if any(isinstance(v, MVar) for v in seen):
-        return []
+        return None, None
     hyp_vars = input_vars(hyps, TT)
     # the parameters xs take ids above the sequent's, so none is one of zs
     top = max((v.id for v in seen | hyp_vars), default=0)
     params = [EVar(top + i, 0) for i in range(1, len(target_args) + 1)]
     eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
 
-    out: list[InvariantAbs] = []
-    for folded, free in ((hyps, seen | hyp_vars), ([], seen)):
-        if folded and any(isinstance(v, MVar) for v in hyp_vars):
-            continue
-        inner: Formula = Imp(_chain(And, eqs + [f for _, f in folded], TT), goal)
+    def build(facts: list[Formula], free: set) -> InvariantAbs:
+        inner = Imp(_chain(And, eqs + facts, TT), goal)
         zs = sorted(free, key=lambda e: (e.id, e.level))
-        inv = InvariantAbs(len(params), close_binders(inner, zs, All, params))
-        if inv not in out:
-            out.append(inv)
-    return out
+        return InvariantAbs(len(params), close_binders(inner, zs, All, params))
+
+    folded = (None if any(isinstance(v, MVar) for v in hyp_vars)
+              else build([f for _, f in hyps], seen | hyp_vars))
+    return folded, build([], seen) if hyps else None
 
 
 # ---------------------------------------------------------------------------
-# reading the concrete syntax back: the readers below invert the reprs.
-# Fixed-point atoms name their definition, so reading a formula needs the
-# definition table it was written under.
+# reading the concrete syntax back: the readers below invert the reprs of
+# terms, indexes and integers, all a trace record holds.
 
 SExp = Union[str, tuple]
 
 
 class TraceFormatError(Exception):
     pass
-
-
-_CONNECTIVES = {c.tag: c for c in (And, Or, Imp, All, Ex)}
 
 
 def _tokenize(line: str) -> list[str]:
@@ -648,12 +642,16 @@ def parse_sexp(line: str) -> SExp:
 
 
 def int_from_sexp(s: SExp) -> int:
-    if not isinstance(s, str):
-        raise TraceFormatError(f"expected an integer, got {s!r}")
+    """Read an integer spelled as the writer prints one, str(n): `01`,
+    `+1`, `1_0` and digits other than ASCII's are refused."""
     try:
-        return int(s)
-    except ValueError:
-        raise TraceFormatError(f"expected an integer, got {s!r}") from None
+        n = int(s)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if str(n) == s:
+            return n
+    raise TraceFormatError(f"expected an integer, got {s!r}")
 
 
 def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
@@ -681,45 +679,9 @@ def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
     return t
 
 
-def formula_from_sexp(s: SExp, defs: dict[str, Definition],
-                      memo: Optional[dict[SExp, Term]] = None) -> Formula:
-    """Read a formula; `memo` is as for term_from_sexp."""
-    if memo is None:
-        memo = {}
-    if s == "tt":
-        return TT
-    if s == "ff":
-        return FF
-    if not isinstance(s, tuple) or not s or not isinstance(s[0], str):
-        raise TraceFormatError(f"bad formula: {s!r}")
-    head = s[0]
-    if head == "eq" and len(s) == 3:
-        return Eq(term_from_sexp(s[1], memo), term_from_sexp(s[2], memo))
-    cls = _CONNECTIVES.get(head)
-    if cls is not None and len(s) == 1 + len(cls.__match_args__):
-        a = formula_from_sexp(s[1], defs, memo)
-        return cls(a, formula_from_sexp(s[2], defs, memo)) if len(s) == 3 else cls(a)
-    if head == "mu" and len(s) >= 2 and isinstance(s[1], str):
-        name = s[1]
-        args = tuple(term_from_sexp(x, memo) for x in s[2:])
-        d = defs.get(name)
-        if d is None:
-            raise TraceFormatError(f"unknown definition in trace: {name}")
-        return MuAtom(d, args)
-    raise TraceFormatError(f"bad formula: {s!r}")
-
-
 def index_from_sexp(s: SExp) -> Index:
     if isinstance(s, tuple) and len(s) == 2 and s[0] == "lemma" and isinstance(s[1], str):
         return LemmaName(sym(s[1]))
     if isinstance(s, tuple) and len(s) == 2 and s[0] == "hyp":
         return Hyp(int_from_sexp(s[1]))
     raise TraceFormatError(f"bad index: {s!r}")
-
-
-def invariant_from_sexp(s: SExp, defs: dict[str, Definition],
-                        memo: Optional[dict[SExp, Term]] = None) -> InvariantAbs:
-    """Read an invariant; `memo` is as for term_from_sexp."""
-    if not (isinstance(s, tuple) and len(s) == 3 and s[0] == "inv"):
-        raise TraceFormatError(f"bad invariant: {s!r}")
-    return InvariantAbs(int_from_sexp(s[1]), formula_from_sexp(s[2], defs, memo))

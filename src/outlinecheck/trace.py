@@ -2,17 +2,18 @@
 
 A trace is a tree of rule records.  Each record names the rule and the
 choice data it consumed: a witness term (fully resolved), a store index,
-a disjunct side, or an induction invariant; replay computes the principal
-formula itself.  Traces are serialised one record per line, in preorder,
-with an explicit child count, so a file can be parsed without lookahead:
+a disjunct side, or which obvious invariant an induction used, its
+flavour (0 folds the stored atomic hypotheses, 1 is bare); replay
+computes the principal formula and the invariant itself.  Traces are
+serialised one record per line, in preorder, with an explicit child
+count, so a file can be parsed without lookahead:
 
     (rule NCHILDREN TERM INDEX INVARIANT SIDE)
 
 Absent fields are written as `nil`; every other field is written as its
-repr, the concrete syntax that `syntax` owns and reads back.  An
-invariant's fixed-point atoms reference their definition by name, so
-deserialising needs the definition table of the session that produced
-the trace.
+repr, the concrete syntax that `syntax` owns and reads back.  A record
+holds only terms, indexes and integers, so reading a trace needs no
+definition table.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import (
-    Definition, Index, InvariantAbs, SExp, Term, TraceFormatError, index_from_sexp,
-    int_from_sexp, invariant_from_sexp, parse_sexp, term_from_sexp,
+    Index, SExp, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp,
+    term_from_sexp,
 )
 
 # every rule's premise count and the fields its record carries:
@@ -46,7 +47,7 @@ class TraceNode:
     children: tuple["TraceNode", ...] = ()
     term: Optional[Term] = None
     index: Optional[Index] = None
-    invariant: Optional[InvariantAbs] = None
+    invariant: Optional[int] = None  # the flavour: a slot of synthesize_obvious_invariants
     side: Optional[int] = None
 
     def walk(self) -> Iterator["TraceNode"]:
@@ -69,11 +70,12 @@ def trace_to_lines(trace: TraceNode) -> list[str]:
             + ")" for n in trace.walk()]
 
 
-def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode:
+def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     """Read the records last to first: each takes its premises off a stack
     of the subtrees finished so far, first premise on top.  A line that
     repeats an earlier one is parsed once: `seen` maps its text to its
-    rule, premise count and fields."""
+    rule, premise count and fields.  Nothing reads `defs`: it is kept only
+    for callers that still pass a definition table."""
     done: list[TraceNode] = []
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
     seen: dict[str, tuple] = {}
@@ -97,7 +99,7 @@ def trace_from_lines(lines: list[str], defs: dict[str, Definition]) -> TraceNode
                 rule, n,
                 None if tm == "nil" else term_from_sexp(tm, memo),
                 None if ixs == "nil" else index_from_sexp(ixs),
-                None if invs == "nil" else invariant_from_sexp(invs, defs, memo),
+                None if invs == "nil" else int_from_sexp(invs),
                 None if sds == "nil" else int_from_sexp(sds))
         children = tuple(reversed(done[len(done) - n:]))
         del done[len(done) - n:]

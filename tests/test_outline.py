@@ -62,6 +62,9 @@ def test_parse_is_whitespace_insensitive():
     "induction 1 0 1",
     "()",
     "(tree 1 2 3)",
+    "(induction 0_1 0 0)",  # int() takes these three; the reader does not
+    "(induction 0 +0 0)",
+    "(induction 0 0 \u0661)",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(OutlineError):

@@ -29,6 +29,7 @@ from outlinecheck import (
     Or,
     ResourceLimits,
     StructuralError,
+    TraceFormatError,
     con,
     open_binder,
     run_session,
@@ -44,9 +45,8 @@ from outlinecheck.syntax import (
     apply_invariant,
     body_with_invariant,
     close_term,
-    formula_from_sexp,
     index_from_sexp,
-    invariant_from_sexp,
+    int_from_sexp,
     map_terms,
     parse_sexp,
     term_from_sexp,
@@ -187,9 +187,25 @@ def test_synthesis_parameters_avoid_the_sequent_eigenvariables():
     # the parameter for the target (%ev 1 0) must not be (%ev 1 0) itself,
     # which the invariant abstracts as one of the sequent's eigenvariables
     goal = Eq(EVar(1, 0), EVar(2, 0))
-    want = "[(inv 1 (all (all (imp (eq (%bv 2) (%bv 1)) (eq (%bv 1) (%bv 0))))))]"
+    want = "(all (all (imp (eq (%bv 2) (%bv 1)) (eq (%bv 1) (%bv 0)))))"
     for _ in range(2):
-        assert repr(synthesize_obvious_invariants((), (EVar(1, 0),), goal)) == want
+        folded, bare = synthesize_obvious_invariants((), (EVar(1, 0),), goal)
+        assert (folded.arity, repr(folded.body), bare) == (1, want, None)
+
+
+def test_synthesis_slots_are_fixed():
+    # a hypothesis holding a metavariable empties the folded slot 0 and
+    # leaves the bare invariant in slot 1; once the metavariable is a term,
+    # both slots fill and slot 1 holds the same bare invariant
+    p = Definition(sym("p"), 2, lambda _: TT)
+    target, goal = (EVar(1, 1),), MuAtom(p, (EVar(1, 1), EVar(2, 1)))
+    slots = synthesize_obvious_invariants(
+        ((Hyp(1), MuAtom(p, (EVar(2, 1), MVar(3, 1)))),), target, goal)
+    assert slots[0] is None and slots[1] is not None
+    folded, bare = synthesize_obvious_invariants(
+        ((Hyp(1), MuAtom(p, (EVar(2, 1), con("z")))),), target, goal)
+    assert bare == slots[1]
+    assert folded is not None and folded != bare
 
 
 def test_close_formula_abstracts_eigenvariables():
@@ -232,12 +248,10 @@ def test_reprs_spell_trace_syntax():
     assert repr(And(TT, TT)) == "(and tt tt)"
     assert repr(Hyp(2)) == "(hyp 2)"
     assert repr(LemmaName(sym("plus_total"))) == "(lemma plus_total)"
-    assert repr(InvariantAbs(1, Eq(Bound(0), Bound(0)))) == "(inv 1 (eq (%bv 0) (%bv 0)))"
 
 
 _NAMES = st.sampled_from(["z", "s", "cons", "pair"])
 _NUMS = st.integers(min_value=0, max_value=99)
-_DEFS = {"p": Definition(sym("p"), 2, lambda _: TT), "q": Definition(sym("q"), 0, lambda _: TT)}
 
 _terms = st.recursive(
     st.one_of(st.builds(EVar, _NUMS, _NUMS), st.builds(MVar, _NUMS, _NUMS),
@@ -245,23 +259,23 @@ _terms = st.recursive(
     lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),
                            _NAMES, st.lists(kids, min_size=1, max_size=3)),
     max_leaves=8)
-_formulas = st.recursive(
-    st.one_of(st.just(TT), st.just(FF), st.builds(Eq, _terms, _terms),
-              st.builds(MuAtom, st.sampled_from([_DEFS["p"], _DEFS["q"]]),
-                        st.lists(_terms, max_size=3).map(tuple))),
-    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids),
-                           st.builds(Imp, kids, kids), st.builds(All, kids),
-                           st.builds(Ex, kids)),
-    max_leaves=8)
 _indices = st.one_of(st.builds(Hyp, _NUMS), _NAMES.map(lambda n: LemmaName(sym(n))))
 
 
-@given(_terms, _formulas, _indices, st.builds(InvariantAbs, _NUMS, _formulas))
-def test_readers_invert_reprs(t, f, ix, inv):
+@given(_terms, _indices, st.integers())
+def test_readers_invert_reprs(t, ix, n):
     assert term_from_sexp(parse_sexp(repr(t))) == t
-    assert formula_from_sexp(parse_sexp(repr(f)), _DEFS) == f
     assert index_from_sexp(parse_sexp(repr(ix))) == ix
-    assert invariant_from_sexp(parse_sexp(repr(inv)), _DEFS) == inv
+    assert int_from_sexp(repr(n)) == n
+
+
+@pytest.mark.parametrize("spelling", ["01", "+1", "1_0", "\u0663", "-0", "1.0", "(1)"])
+def test_integers_spelled_otherwise_are_refused(spelling):
+    # int() takes the first five; the writer prints none of these
+    with pytest.raises(TraceFormatError, match="expected an integer"):
+        int_from_sexp(parse_sexp(spelling))
+    with pytest.raises(TraceFormatError):
+        index_from_sexp(parse_sexp(f"(hyp {spelling})"))
 
 
 # -- term representation: cached flags, shared ground terms
@@ -352,7 +366,6 @@ def test_deep_formulas_print_at_the_default_recursion_limit():
     assert repr(f) == (
         "(all (or (eq (%bv 0) z) (imp tt (ex (and " * 1000
         + "(mu p " + repr(num(3000)) + ")" + " ff)))))" * 1000)
-    assert repr(InvariantAbs(1, f)) == f"(inv 1 {f!r})"
 
 
 def test_terms_cannot_be_assigned():
@@ -371,20 +384,20 @@ def _deep_trace(n: int):
     goal = MuAtom(el.definitions["plus"], (num(n), num(1), num(n + 1)))
     res = check_outline(el, goal, f"(induction 0 0 {n + 2})")
     assert isinstance(res, Accepted)
-    return el, goal, trace_to_lines(res.trace)
+    return goal, trace_to_lines(res.trace)
 
 
 def test_numeral_tampered_by_one_s_is_rejected():
-    el, goal, lines = _deep_trace(6)
+    goal, lines = _deep_trace(6)
     tampered = 0
     for i, line in enumerate(lines):
         if "(s z)" not in line:
             continue
         bad = lines[:i] + [line.replace("(s z)", "(s (s z))", 1)] + lines[i + 1:]
-        assert not verify_trace((), goal, trace_from_lines(bad, el.definitions)), i
+        assert not verify_trace((), goal, trace_from_lines(bad)), i
         tampered += 1
     assert tampered > 10
-    assert verify_trace((), goal, trace_from_lines(lines, el.definitions))
+    assert verify_trace((), goal, trace_from_lines(lines))
 
 
 def _terms_of(node):
@@ -405,12 +418,12 @@ def _terms_of(node):
 def test_read_trace_spells_each_term_once():
     # within one read, a term that several records spell is one object:
     # ground numerals, and non-ground terms over the same eigenvariables
-    el, _, lines = _deep_trace(12)
+    _, lines = _deep_trace(12)
     assert sum(f" {num(1)!r} nil nil nil)" in ln for ln in lines) > 5
     traces = [lines] + [trace_to_lines(r.trace) for r in run_session(
         load_plus(), ResourceLimits(max_steps=1_000_000))]
     for tr in traces:
         by_spelling: dict[str, set[int]] = {}
-        for t in _terms_of(trace_from_lines(tr, el.definitions)):
+        for t in _terms_of(trace_from_lines(tr)):
             by_spelling.setdefault(repr(t), set()).add(id(t))
         assert all(len(ids) == 1 for ids in by_spelling.values())

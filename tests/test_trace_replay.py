@@ -28,8 +28,8 @@ from outlinecheck import (
     verify_trace,
 )
 from outlinecheck.syntax import (
-    FF, TT, All, And, App, Bound, EVar, Eq, Ex, Hyp, Imp, InvariantAbs,
-    LemmaName, MVar, Or, parse_sexp, sym,
+    FF, TT, All, And, App, Bound, EVar, Eq, Ex, Hyp, Imp, LemmaName, MVar, Or,
+    parse_sexp, sym,
 )
 from outlinecheck.trace import RULES
 
@@ -48,13 +48,22 @@ def el():
     return elab_plus()
 
 
+@pytest.fixture(scope="module")
+def all_accepted():
+    """The accepted theorems of the corpus and of bench/theorems: the 21
+    whose traces `acheck --trace` writes."""
+    files = [CORPUS, *sorted((CORPUS.parent.parent / "bench" / "theorems").glob("*.thm"))]
+    return [r for f in files for r in run_session(parse_file(f.read_text()))
+            if r.outcome == "ok"]
+
+
 # -- serialization
 
 
-def test_round_trip_on_all_corpus_traces(session, el):
+def test_round_trip_on_all_corpus_traces(session):
     for r in session:
         lines = trace_to_lines(r.trace)
-        back = trace_from_lines(lines, el.definitions)
+        back = trace_from_lines(lines)
         assert back == r.trace
 
 
@@ -66,35 +75,81 @@ def test_records_have_six_fields(session):
             assert len(rec) == 6 and rec[0] in RULES, ln
 
 
-def test_malformed_records_rejected(el):
+def test_malformed_records_rejected():
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(eqR 0 nil nil nil)"], el.definitions)  # 5 fields
+        trace_from_lines(["(eqR 0 nil nil nil)"])  # 5 fields
     with pytest.raises(TraceFormatError):  # 7 fields: a principal formula
-        trace_from_lines(["(eqR 0 (eq z z) nil nil nil nil)"], el.definitions)
+        trace_from_lines(["(eqR 0 (eq z z) nil nil nil nil)"])
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(mystery 0 nil nil nil nil)"], el.definitions)
+        trace_from_lines(["(mystery 0 nil nil nil nil)"])
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(impR 1 nil nil nil nil)"], el.definitions)  # truncated
+        trace_from_lines(["(impR 1 nil nil nil nil)"])  # truncated
     with pytest.raises(TraceFormatError):
-        trace_from_lines(["(eqR -1 nil nil nil nil)"], el.definitions)
+        trace_from_lines(["(eqR -1 nil nil nil nil)"])
+    with pytest.raises(TraceFormatError):  # int() takes 0_1; the writer prints 1
+        trace_from_lines(["(initial 0 nil (hyp 0_1) nil nil)"])
     with pytest.raises(TraceFormatError):
+        trace_from_lines(["(eqR 0 nil nil nil nil)",
+                          "(eqR 0 nil nil nil nil)"])  # extra record
+
+
+def test_old_format_invariant_field_rejected():
+    # an induction record names its invariant's flavour; a formula there is
+    # the format that spelled the invariant out
+    with pytest.raises(TraceFormatError, match=r"expected an integer, got \('inv'"):
         trace_from_lines(
-            ["(eqR 0 nil nil nil nil)", "(eqR 0 nil nil nil nil)"],
-            el.definitions)  # extra record
+            ["(induct_obvious 0 nil nil (inv 1 (mu is_nat (%bv 0))) nil)"])
 
 
-def test_unknown_definition_name_rejected(el):
-    with pytest.raises(TraceFormatError, match="unknown definition in trace: ghost"):
-        trace_from_lines(
-            ["(induct_obvious 0 nil nil (inv 1 (mu ghost (%bv 0))) nil)"],
-            el.definitions)
+# the bare invariant, the second of the two this sequent yields once
+# plus N M P is inducted on with is_nat N stored: folding is_nat N in does
+# not prove the theorem under this outline
+_BARE = ("Theorem bare : forall N M P, is_nat N -> plus N M P -> is_nat M -> is_nat P.\n"
+         'ship "(induction 1 0 1)".\n')
 
 
-def test_traces_read_under_another_elaboration_replay(session, el):
-    # the table a trace is read under is an elaboration of its own: replay
-    # goes on with the invariants it synthesizes, not the ones it read
-    for r in session:
-        tree = trace_from_lines(trace_to_lines(r.trace), el.definitions)
+def test_bare_flavour_traced_replayed_and_guarded():
+    el = elaborate(parse_file(CORPUS.read_text() + _BARE))
+    goal = el.goals["bare"]
+    r = check_outline(el, goal, "(induction 1 0 1)")
+    assert isinstance(r, Accepted)
+    lines = trace_to_lines(r.trace)
+    [k] = [i for i, ln in enumerate(lines, 1) if ln.startswith("(induct_obvious ")]
+    assert lines[k - 1].endswith(" nil 1 nil)")
+    back = trace_from_lines(lines)
+    assert back == r.trace and explain_failure((), goal, back) is None
+    lines[k - 1] = lines[k - 1].replace(" nil 1 nil)", " nil 0 nil)")
+    reason = explain_failure((), goal, trace_from_lines(lines))
+    # the folded invariant exists here, so replay goes on under it and
+    # fails at a later record
+    m = re.match(r"record (\d+) \(", reason or "")
+    assert m and int(m[1]) > k, reason
+
+
+@pytest.mark.parametrize("flavour, reason", [
+    ("2", "invariant flavour is neither 0 nor 1"),
+    ("-1", "invariant flavour is neither 0 nor 1"),
+    # plus_total stores no hypothesis before its induction: nothing to fold,
+    # so the bare slot is empty
+    ("1", "invariant is not one this sequent yields"),
+])
+def test_corrupted_flavour_names_its_record(session, flavour, reason):
+    r = session[0]
+    assert r.name == "plus_total"
+    lines = trace_to_lines(r.trace)
+    [k] = [i for i, ln in enumerate(lines, 1) if ln.startswith("(induct_obvious ")]
+    assert lines[k - 1].endswith(" nil 0 nil)")
+    lines[k - 1] = lines[k - 1].replace(" nil 0 nil)", f" nil {flavour} nil)")
+    assert explain_failure(r.lemmas, r.goal, trace_from_lines(lines)) == (
+        f"record {k} (induct_obvious): {reason}")
+
+
+def test_traces_read_with_no_definition_table_replay(all_accepted):
+    # a record holds terms, indexes and integers only, and replay builds
+    # each invariant itself from the flavour a record names
+    assert len(all_accepted) == 21
+    for r in all_accepted:
+        tree = trace_from_lines(trace_to_lines(r.trace))
         assert explain_failure(r.lemmas, r.goal, tree) is None, r.name
 
 
@@ -103,12 +158,11 @@ def test_constructor_named_like_a_variable_round_trips(name):
     # variables print with a `%` sigil, so a constructor may take their tags
     text = (CORPUS.parent.parent / "bench" / "theorems" / "list.thm").read_text()
     file = parse_file(text.replace("cons", name))
-    defs = elaborate(file).definitions
     done = [r for r in run_session(file) if r.outcome == "ok"]
     assert len(done) == 4
     for r in done:
         lines = trace_to_lines(r.trace)
-        tree = trace_from_lines(lines, defs)
+        tree = trace_from_lines(lines)
         assert tree == r.trace and verify_trace(r.lemmas, r.goal, tree), r.name
     assert any(f"({name} " in ln for r in done for ln in trace_to_lines(r.trace))
 
@@ -128,7 +182,7 @@ def _tt_chain():
 def test_twenty_thousand_record_chain_needs_no_recursion():
     goal, lines = _tt_chain()
     assert len(lines) == 20_001
-    back = trace_from_lines(lines, {})
+    back = trace_from_lines(lines)
     # compare the written lines: dataclass == on the trees would recurse
     assert trace_to_lines(back) == lines
     assert count_rule(back, "ttL") == 9_999
@@ -137,7 +191,7 @@ def test_twenty_thousand_record_chain_needs_no_recursion():
     k = len(lines) - 3
     bad = list(lines)
     bad[k - 1] = bad[k - 1].replace("(ttL ", "(andL ", 1)
-    assert explain_failure((), goal, trace_from_lines(bad, {})) == (
+    assert explain_failure((), goal, trace_from_lines(bad)) == (
         f"record {k} (andL): expected ttL on the principal formula tt")
 
 
@@ -146,7 +200,7 @@ def test_mismatch_on_a_deep_formula_quotes_it_at_the_default_limit():
     assert sys.getrecursionlimit() == 1000
     goal, lines = _tt_chain()
     bad = [lines[0].replace("(impR ", "(andL ", 1)] + lines[1:]
-    assert explain_failure((), goal, trace_from_lines(bad, {})) == (
+    assert explain_failure((), goal, trace_from_lines(bad)) == (
         "record 1 (andL): expected impR on the principal formula "
         + "(imp tt " * 9_999 + "(eq z z)" + ")" * 9_999)
 
@@ -185,7 +239,7 @@ def test_deep_trace_replays_at_the_default_limit(el):
     finally:
         sys.setrecursionlimit(default)
     assert len(lines) == 3310
-    assert explain_failure((), goal, trace_from_lines(lines, el.definitions)) is None
+    assert explain_failure((), goal, trace_from_lines(lines)) is None
 
 
 def test_replay_catches_truncated_trace(session):
@@ -216,7 +270,7 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
     elif field == "index":
         index = Hyp(97) if index != Hyp(97) else Hyp(98)
     elif field == "invariant":
-        invariant = InvariantAbs(1, TT)
+        invariant = 1 if invariant == 0 else 0
     elif field == "side":
         side = 1 if side != 1 else 2
     return TraceNode(rule, node.children, term, index, invariant, side)
@@ -291,7 +345,7 @@ def test_witness_holding_a_bound_variable_rejected(statement, cert, rule):
     lines = [re.sub(r"\(%mv \d+ \d+\)", "(%bv 7)", ln)
              for ln in trace_to_lines(r.trace)]
     k = lines.index(f"({rule} 1 (%bv 7) nil nil nil)") + 1
-    forged = trace_from_lines(lines, elaborate(file).definitions)
+    forged = trace_from_lines(lines)
     assert explain_failure(r.lemmas, r.goal, forged) == (
         f"record {k} ({rule}): witness holds a bound variable")
 
@@ -315,13 +369,12 @@ def test_rare_rule_traced_replayed_and_guarded(rule):
     file = parse_file(prelude + f'Theorem t : {statement}.\nship "{cert}".\n')
     [r] = run_session(file)
     assert r.outcome == "ok" and count_rule(r.trace, rule) >= 1
-    defs = elaborate(file).definitions
     lines = trace_to_lines(r.trace)
-    assert verify_trace(r.lemmas, r.goal, trace_from_lines(lines, defs))
+    assert verify_trace(r.lemmas, r.goal, trace_from_lines(lines))
     i = next(i for i, n in enumerate(r.trace.walk()) if n.rule == rule)
     other = next(o for o in RULES if o != rule and RULES[o] == RULES[rule])
     lines[i] = lines[i].replace(f"({rule} ", f"({other} ", 1)
-    reason = explain_failure(r.lemmas, r.goal, trace_from_lines(lines, defs))
+    reason = explain_failure(r.lemmas, r.goal, trace_from_lines(lines))
     assert reason.startswith(
         f"record {i + 1} ({other}): expected {rule} on the principal formula ")
 
@@ -329,7 +382,7 @@ def test_rare_rule_traced_replayed_and_guarded(rule):
 # -- tampering with recorded equality reasoning is caught
 
 
-def test_clash_claims_require_rigid_disagreement(session, el):
+def test_clash_claims_require_rigid_disagreement(session):
     # Rewrite some eqL_clash node into an eqL node (and vice versa would drop
     # a premise); the replayer recomputes the case split and must disagree.
     for r in session:
@@ -339,7 +392,7 @@ def test_clash_claims_require_rigid_disagreement(session, el):
                 bad = [ln.replace("(eqL_clash 0", "(eqL_clash 1", 1)
                        if ln.startswith("(eqL_clash 0") else ln for ln in lines]
                 with pytest.raises(TraceFormatError):
-                    trace_from_lines(bad, el.definitions)
+                    trace_from_lines(bad)
                 return
 
 
@@ -351,7 +404,7 @@ def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
              "(decideR 1 nil nil nil nil)",
              "(eqR 0 nil nil nil nil)"]
     goal = All(Eq(Bound(0), EVar(1, 1)))
-    assert explain_failure((), goal, trace_from_lines(lines, {})) == (
+    assert explain_failure((), goal, trace_from_lines(lines)) == (
         "record 1 (allR): eigenvariable reused")
 
 
@@ -377,7 +430,7 @@ def test_witness_of_another_sort_rejected(path, witness):
         prelude + "Theorem t : exists X, (X = z -> false) /\\"
         " (forall Y, X = s Y -> false).\n"))
     lines = [ln.format(witness) for ln in _ILL_SORTED]
-    trace = trace_from_lines(lines, el.definitions)
+    trace = trace_from_lines(lines)
     assert explain_failure((), el.goals["t"], trace) is not None
 
 
@@ -416,7 +469,7 @@ def test_term_deeper_than_the_limit_names_its_record():
         "record 3 (exR): term nests too deeply for this checker")
 
 
-def test_failure_names_the_tampered_line(session, el):
+def test_failure_names_the_tampered_line(session):
     # a record renamed to a rule that does not apply fails at its own line:
     # every record before it in the file has replayed
     for r in session:
@@ -426,8 +479,7 @@ def test_failure_names_the_tampered_line(session, el):
             other = "ttR" if rule != "ttR" else "ffL"
             bad = list(lines)
             bad[k - 1] = bad[k - 1].replace(f"({rule} ", f"({other} ", 1)
-            reason = explain_failure(r.lemmas, r.goal,
-                                     trace_from_lines(bad, el.definitions))
+            reason = explain_failure(r.lemmas, r.goal, trace_from_lines(bad))
             assert reason.startswith(f"record {k} ({other}): expected "), (
                 r.name, k, reason)
 
