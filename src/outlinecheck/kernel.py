@@ -36,13 +36,15 @@ for.  The workbench holds (formula, environment) pairs, and the unstored
 right-hand side carries its own.  exL, allR, exR and allL push their fresh
 variable onto the environment; unfoldL and unfoldR continue into the
 definition body, whose recursive atoms already name the definition, with
-the atom's arguments as the environment; releasing focus hands the
-environment over.  A formula is built only where it is stored (storeL,
-freeze, storeR) or handed to invariant synthesis, so the store and a
-stored goal hold concrete formulas only.  eqL, eqR and initial hand the
-unifier their terms with the environment, and it reads them under it;
-unfoldR builds an atom's arguments only once an unfold is granted.
-Replay opens and unfolds eagerly, so it checks these paths independently.
+the atom's arguments as the environment; the invariance premise of the
+induction reads B S and S, both open like a definition body, under its
+fresh eigenvariables ys; releasing focus hands the environment over.  A
+formula is built only where it is stored (storeL, freeze, storeR) or
+handed to invariant synthesis, so the store and a stored goal hold
+concrete formulas only.  eqL, eqR and initial hand the unifier their
+terms with the environment, and it reads them under it; unfoldR builds
+an atom's arguments only once an unfold is granted.  Replay opens and
+unfolds eagerly, so it checks these paths independently.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
@@ -180,9 +182,9 @@ def _async(ctx: _Ctx, store: Store, theta: tuple[tuple[Formula, Env], ...],
                         if inv is None:
                             continue
                         ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
-                        # the invariance premise: store ; B S ys |- S ys
-                        for t2 in _async(ctx, store, ((body_with_invariant(d, inv, ys), ()),),
-                                         ("un", inv.body, ys), kr, level + 1, sigma):
+                        # the invariance premise: store ; B S ys |- S ys, read under ys
+                        for t2 in _async(ctx, store, ((body_with_invariant(d, inv), ys),),
+                                         ("un", inv, ys), kr, level + 1, sigma):
                             yield ("induct_obvious", (t2,), App(YS_HEAD, ys), k)
                 # freeze
                 for k1, ix in fpc.store_clerk(cert):

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .syntax import (
     All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
-    Term, Tt, open_binder, unfold_mu,
+    Term, Tt, instantiate,
 )
 
 UNKNOWN = "unknown"
@@ -71,10 +71,10 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 return holds(a) or holds(b)
             case Imp(a=a, b=b):
                 return (not holds(a)) or holds(b)
-            case Ex():
-                return any(holds(open_binder(f, t)) for t in terms)
-            case All():
-                return all(holds(open_binder(f, t)) for t in terms)
+            case Ex(body=b):
+                return any(holds(instantiate(b, (t,))) for t in terms)
+            case All(body=b):
+                return all(holds(instantiate(b, (t,))) for t in terms)
             case MuAtom(defn=d, args=ts):
                 return (d.name.name, ts) in first
         raise TypeError(f"not a formula: {f!r}")
@@ -88,7 +88,7 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                     continue
                 # a body's recursive atoms are atoms of d, which holds()
                 # looks up among the facts derived so far
-                if holds(unfold_mu(d, args)):
+                if holds(instantiate(d.body, args)):
                     first[fact] = rounds
                     added = True
         rounds += 1

@@ -28,9 +28,8 @@ from typing import Callable, Optional
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
-    Or, Rhs, Store, Term, Tt, apply_invariant, body_with_invariant,
-    input_vars, map_sequent, open_binder, store_lookup,
-    synthesize_obvious_invariants, term_vars, unfold_mu,
+    Or, Rhs, Store, Term, Tt, body_with_invariant, input_vars, instantiate,
+    map_sequent, store_lookup, synthesize_obvious_invariants, term_vars,
 )
 from .trace import RULES, TraceNode
 
@@ -191,10 +190,10 @@ class _Replay:
                     self.expect(node, ("orL",), c)
                     return ((self.r_async, (store, (a,) + rest, rhs, level)),
                             (self.r_async, (store, (b,) + rest, rhs, level)))
-                case Ex():
+                case Ex(body=b):
                     self.expect(node, ("exL",), c)
                     e = self.fresh_eigen(node.term, level + 1)
-                    return (self.r_async, (store, (open_binder(c, e),) + rest, rhs, level + 1)),
+                    return (self.r_async, (store, (instantiate(b, (e,)),) + rest, rhs, level + 1)),
                 case Eq(l=l, r=r):
                     self.expect(node, ("eqL", "eqL_clash"), c)
                     out, sigma = match_evars(l, r)
@@ -215,7 +214,8 @@ class _Replay:
                 case MuAtom(defn=d, args=ts):
                     self.expect(node, ("freeze", "unfoldL", "induct_obvious"), c)
                     if node.rule == "unfoldL":
-                        return (self.r_async, (store, (unfold_mu(d, ts),) + rest, rhs, level)),
+                        return (self.r_async,
+                                (store, (instantiate(d.body, ts),) + rest, rhs, level)),
                     if node.rule == "induct_obvious":
                         k = node.invariant
                         self.need(k.__class__ is int and 0 <= k < 2,
@@ -223,8 +223,9 @@ class _Replay:
                         inv = synthesize_obvious_invariants(store, ts, rhs[1])[k]
                         self.need(inv is not None, "invariant is not one this sequent yields")
                         ys = self.invariance_eigen(node, d.arity, level)
-                        return (self.r_async, (store, (body_with_invariant(d, inv, ys),),
-                                               ("un", apply_invariant(inv, ys)), level + 1)),
+                        b_s = body_with_invariant(d, inv)
+                        return (self.r_async, (store, (instantiate(b_s, ys),),
+                                               ("un", instantiate(inv, ys)), level + 1)),
                 case Imp() | All():
                     self.expect(node, ("storeL",), c)
                 case _:
@@ -239,10 +240,10 @@ class _Replay:
                 case Imp(a=a, b=b):
                     self.expect(node, ("impR",), f)
                     return (self.r_async, (store, (a,), ("un", b), level)),
-                case All():
+                case All(body=b):
                     self.expect(node, ("allR",), f)
                     e = self.fresh_eigen(node.term, level + 1)
-                    return (self.r_async, (store, (), ("un", open_binder(f, e)), level + 1)),
+                    return (self.r_async, (store, (), ("un", instantiate(b, (e,))), level + 1)),
                 case _:
                     self.expect(node, ("storeR",), f)
                     return (self.r_async, (store, (), ("st", f), level)),
@@ -257,10 +258,10 @@ class _Replay:
     def r_left(self, store: Store, focus: Formula, goal: Formula,
                level: int, node: TraceNode) -> tuple[Frame, ...]:
         match focus:
-            case All():
+            case All(body=b):
                 self.expect(node, ("allL",), focus)
                 w = self.scoped_witness(node.term, level)
-                return (self.r_left, (store, open_binder(focus, w), goal, level)),
+                return (self.r_left, (store, instantiate(b, (w,)), goal, level)),
             case Imp(a=a, b=b):
                 self.expect(node, ("impL",), focus)
                 return ((self.r_right, (store, a, level)),
@@ -280,10 +281,10 @@ class _Replay:
                 self.expect(node, ("andR",), focus)
                 return ((self.r_right, (store, a, level)),
                         (self.r_right, (store, b, level)))
-            case Ex():
+            case Ex(body=b):
                 self.expect(node, ("exR",), focus)
                 w = self.scoped_witness(node.term, level)
-                return (self.r_right, (store, open_binder(focus, w), level)),
+                return (self.r_right, (store, instantiate(b, (w,)), level)),
             case Eq(l=l, r=r):
                 self.expect(node, ("eqR",), focus)
                 self.need(l == r, "right equality is not reflexive when replayed")
@@ -294,7 +295,7 @@ class _Replay:
             case MuAtom(defn=d, args=ts):
                 self.expect(node, ("initial", "unfoldR"), focus)
                 if node.rule == "unfoldR":
-                    return (self.r_right, (store, unfold_mu(d, ts), level)),
+                    return (self.r_right, (store, instantiate(d.body, ts), level)),
                 g = store_lookup(store, node.index)
                 self.need(isinstance(g, MuAtom) and g.defn is d and g.args == ts,
                           "initial step does not match its store entry")

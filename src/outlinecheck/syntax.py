@@ -9,9 +9,12 @@ fire along a branch, and an MVar of level k may never end up bound to a term
 mentioning an EVar of a strictly larger level.
 
 Bound variables inside formula binders use positional (de Bruijn) indices.
-A `Bound` never escapes its binder in a well-formed formula; the kernel only
-ever works with opened bodies.  Other modules do not number binders: they
-build a formula over named eigenvariables and bind them with close_binders.
+A `Bound` never escapes its binder in a well-formed formula.  A definition
+body and an invariant are open formulas alike: parameter i appears as
+Bound(depth + i).  `instantiate` is the one substitution: it opens a
+binder's body, unfolds a definition and applies an invariant.  Other
+modules do not number binders: they build a formula over named
+eigenvariables and bind them with close_binders.
 A definition is built from its body as a function of itself, so a recursive
 call is an atom of the definition wherever it is written.
 
@@ -356,55 +359,21 @@ def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
 
 def instantiate(f: Formula, args: tuple[Term, ...]) -> Formula:
     """The formula f denotes with args[i] for its free Bound(i): a binder's
-    or a body's instance, or a formula read under an environment."""
+    body opened, a definition body unfolded, an invariant applied, or a
+    formula read under an environment.  It is the one substitution."""
     if not args:
         return f
     return map_terms(f, lambda t, depth: t if t.closed else term_subst_bound(t, args, depth))
 
 
-def open_binder(f: Formula, t: Term) -> Formula:
-    """Open a quantified formula with `t` for the bound variable."""
-    match f:
-        case All(body=b) | Ex(body=b):
-            return instantiate(b, (t,))
-    raise StructuralError(f"open_binder on non-binder: {f!r}")
-
-
-def check_arity(d: Definition, args: tuple[Term, ...]) -> None:
-    if len(args) != d.arity:
-        raise StructuralError(f"{d.name} expects {d.arity} arguments, got {len(args)}")
-
-
-def unfold_mu(d: Definition, args: tuple[Term, ...]) -> Formula:
-    """One unfolding of the fixed point: B (mu B) args."""
-    check_arity(d, args)
-    return instantiate(d.body, args)
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
-
-@dataclass(frozen=True)
-class InvariantAbs:
-    """An `arity`-ary predicate abstraction, represented like a definition
-    body: parameter i appears as Bound(depth + i).  Used as an induction
-    invariant, which body_with_invariant puts in place of a definition's
-    recursive atoms; it holds no free variable."""
-
-    arity: int
-    body: Formula
-
-
-def apply_invariant(s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
-    return instantiate(s.body, args)
-
-
-def body_with_invariant(d: Definition, s: InvariantAbs, args: tuple[Term, ...]) -> Formula:
-    """B S args: the definition body with the invariant for recursive calls."""
-    body = map_terms(d.body, lambda t, _: t,
-                     lambda e, ts: apply_invariant(s, ts) if e is d else MuAtom(e, ts))
-    return instantiate(body, args)
+def body_with_invariant(d: Definition, inv: Formula) -> Formula:
+    """B S: the definition body, open like it, with the invariant for its
+    recursive calls."""
+    return map_terms(d.body, lambda t, _: t,
+                     lambda e, ts: instantiate(inv, ts) if e is d else MuAtom(e, ts))
 
 
 def close_term(t: Term, mapping: dict[EVar, int], depth: int) -> Term:
@@ -469,7 +438,9 @@ def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
         elif c is All or c is Ex:
             stack.append(f.body)
         elif c is MuAtom:
-            check_arity(f.defn, f.args)
+            if len(f.args) != f.defn.arity:
+                raise StructuralError(f"{f.defn.name} expects {f.defn.arity} arguments, "
+                                      f"got {len(f.args)}")
             out.update(v for t in f.args for v in term_vars(t))
         elif c is not Tt and c is not Ff:
             raise TypeError(f"not a formula: {f!r}")
@@ -564,7 +535,7 @@ def synthesize_obvious_invariants(
     store: Store,
     target_args: tuple[Term, ...],
     goal: Formula,
-) -> tuple[Optional[InvariantAbs], Optional[InvariantAbs]]:
+) -> tuple[Optional[Formula], Optional[Formula]]:
     """The obvious invariants for inducting on an atom with the given
     (resolved) arguments, under the given (resolved) store and goal, in two
     fixed slots; a trace record names the one it used by its slot, its
@@ -575,9 +546,10 @@ def synthesize_obvious_invariants(
         S = fun xs -> forall zs, (xs = ts /\\ H1 /\\ ... /\\ Hk) => R
 
     with zs the eigenvariables of the sequent, Hi the stored atomic
-    hypotheses and R the goal: slot 0.  Slot 1 keeps the hypotheses out of
-    the invariant, so it is empty (None) when there is none to fold.  A
-    slot is also empty where synthesis is refused: both when a stored
+    hypotheses and R the goal: slot 0, an open formula over xs with no
+    other free variable.  Slot 1 keeps the hypotheses out of the
+    invariant, so it is empty (None) when there is none to fold.  A slot
+    is also empty where synthesis is refused: both when a stored
     hypothesis is not atomic or an undetermined metavariable occurs in the
     goal or the target, slot 0 alone when one occurs in a hypothesis.
     """
@@ -593,10 +565,10 @@ def synthesize_obvious_invariants(
     params = [EVar(top + i, 0) for i in range(1, len(target_args) + 1)]
     eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
 
-    def build(facts: list[Formula], free: set) -> InvariantAbs:
+    def build(facts: list[Formula], free: set) -> Formula:
         inner = Imp(_chain(And, eqs + facts, TT), goal)
         zs = sorted(free, key=lambda e: (e.id, e.level))
-        return InvariantAbs(len(params), close_binders(inner, zs, All, params))
+        return close_binders(inner, zs, All, params)
 
     folded = (None if any(isinstance(v, MVar) for v in hyp_vars)
               else build([f for _, f in hyps], seen | hyp_vars))

@@ -35,6 +35,7 @@ from outlinecheck import (
     elaborate,
     eval_ground,
     explain_failure,
+    instantiate,
     kernel,
     parse_file,
     sym,
@@ -43,7 +44,7 @@ from outlinecheck import (
     trace_to_lines,
     verify_trace,
 )
-from outlinecheck.syntax import EVar, Hyp, MVar, apply_invariant
+from outlinecheck.syntax import EVar, Hyp, MVar
 
 from _util import check_outline, elab_plus, num
 
@@ -187,8 +188,11 @@ def test_synthesized_invariant_applies_to_target(el):
     goal = Ex(MuAtom(d, (m, n, Bound(0))))
     folded, bare = synthesize_obvious_invariants((), (m,), goal)
     # with no hypothesis to fold, the bare slot would repeat the folded one
-    assert folded is not None and bare is None
-    inst = apply_invariant(folded, (m,))
+    assert bare is None
+    # an open formula over the one parameter, (%bv 2) under the two binders
+    assert repr(folded) == (
+        "(all (all (imp (eq (%bv 2) (%bv 1)) (ex (mu plus (%bv 2) (%bv 1) (%bv 0))))))")
+    inst = instantiate(folded, (m,))
     assert isinstance(inst, All)
 
 
@@ -429,13 +433,21 @@ def test_grid_search_pinned():
 
 def test_search_opens_no_binder():
     # search reads every formula under an environment; only replay opens
-    # binders eagerly, so a replayed trace checks search independently
+    # binders eagerly, so a replayed trace checks search independently: no
+    # `instantiate` call takes a binder's body (`.body`, or a name a pattern
+    # binds with `body=`), and the induction hands its fresh eigenvariables
+    # `ys` to no `instantiate` call, only as an environment
     tree = ast.parse(pathlib.Path(kernel.__file__).read_text(encoding="utf-8"))
-    named = [n.lineno for n in ast.walk(tree)
-             if isinstance(n, ast.Name) and n.id == "open_binder"
-             or isinstance(n, ast.Attribute) and n.attr == "open_binder"
-             or isinstance(n, ast.alias) and n.name == "open_binder"]
-    assert not named
+    bodies = {p.name for n in ast.walk(tree) if isinstance(n, ast.MatchClass)
+              for a, p in zip(n.kwd_attrs, n.kwd_patterns) if a == "body"}
+    assert bodies  # the patterns the check reads are there
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "instantiate"]
+    assert calls
+    opened = [n.lineno for c in calls for n in ast.walk(c)
+              if isinstance(n, ast.Attribute) and n.attr == "body"
+              or isinstance(n, ast.Name) and n.id in bodies | {"ys"}]
+    assert not opened
 
 
 def _builds_a_term(node: ast.AST) -> bool:

@@ -58,8 +58,7 @@ def test_non_ground_query_rejected(el):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=6))
-def test_plus_agrees_with_arithmetic(a, b, c):
-    el = elab_plus()
+def test_plus_agrees_with_arithmetic(el, a, b, c):
     expect = (a + b == c)
     assert eval_ground(el.definitions.values(), _plus(el, a, b, c), 40) is expect
 
@@ -67,8 +66,7 @@ def test_plus_agrees_with_arithmetic(a, b, c):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=30))
-def test_verdicts_never_flip_with_more_fuel(a, b, c, fuel):
-    el = elab_plus()
+def test_verdicts_never_flip_with_more_fuel(el, a, b, c, fuel):
     atom = _plus(el, a, b, c)
     defs = el.definitions.values()
     early = eval_ground(defs, atom, fuel)

@@ -22,27 +22,23 @@ from outlinecheck import (
     Ex,
     Hyp,
     Imp,
-    InvariantAbs,
     LemmaName,
     MVar,
     MuAtom,
     Or,
     ResourceLimits,
-    StructuralError,
     TraceFormatError,
     con,
-    open_binder,
+    instantiate,
     run_session,
     sym,
     synthesize_obvious_invariants,
     trace_from_lines,
     trace_to_lines,
-    unfold_mu,
     verify_trace,
 )
 from outlinecheck import syntax
 from outlinecheck.syntax import (
-    apply_invariant,
     body_with_invariant,
     close_term,
     index_from_sexp,
@@ -82,13 +78,8 @@ def test_an_evar_and_an_mvar_of_one_id_share_a_hash_and_stay_apart():
 def test_open_binder_substitutes_innermost():
     f = All(Ex(Eq(Bound(0), Bound(1))))
     e = EVar(1, 1)
-    opened = open_binder(f, e)
+    opened = instantiate(f.body, (e,))
     assert opened == Ex(Eq(Bound(0), e))
-
-
-def test_open_binder_rejects_non_binder():
-    with pytest.raises(StructuralError):
-        open_binder(TT, con("z"))
 
 
 def test_term_subst_shifts_higher_indices_down():
@@ -101,16 +92,16 @@ def test_term_subst_lifts_args_under_binders():
     # An argument mentioning positional variables must be raised past the
     # binders it is pushed under, not captured by them.
     # Under the All, parameter 0 is Bound(1); inside the Ex it is Bound(2).
-    inv = InvariantAbs(1, All(Ex(Eq(Bound(2), Bound(0)))))
-    f = apply_invariant(inv, (Bound(2),))
+    inv = All(Ex(Eq(Bound(2), Bound(0))))
+    f = instantiate(inv, (Bound(2),))
     assert f == All(Ex(Eq(Bound(4), Bound(0))))
 
 
 def test_apply_invariant_under_own_binders():
     # Invariant with parameters x0 x1, body forall w. x0 = x1.
-    inv = InvariantAbs(2, All(Eq(Bound(1), Bound(2))))
+    inv = All(Eq(Bound(1), Bound(2)))
     a, b = EVar(1, 1), EVar(2, 1)
-    assert apply_invariant(inv, (a, b)) == All(Eq(a, b))
+    assert instantiate(inv, (a, b)) == All(Eq(a, b))
 
 
 def test_apply_invariant_with_positional_args():
@@ -118,8 +109,8 @@ def test_apply_invariant_with_positional_args():
     # an invariant replaces a recursive call inside a definition body whose
     # clause variables are still bound) must come out referring to the same
     # binders after passing under the invariant's own quantifier.
-    inv = InvariantAbs(1, All(Eq(Bound(1), Bound(0))))
-    out = apply_invariant(inv, (Bound(4),))
+    inv = All(Eq(Bound(1), Bound(0)))
+    out = instantiate(inv, (Bound(4),))
     assert out == All(Eq(Bound(5), Bound(0)))
 
 
@@ -134,7 +125,7 @@ def _is_nat() -> Definition:
 def test_recursive_atoms_of_a_built_body_are_the_definition():
     d = _is_nat()
     assert d.body.b.body.b.defn is d
-    atom = unfold_mu(d, (num(2),)).b.body.b
+    atom = instantiate(d.body, (num(2),)).b.body.b
     assert atom == MuAtom(d, (Bound(0),)) and atom.defn is d
 
 
@@ -150,22 +141,17 @@ def test_body_that_is_no_formula_raises_when_built(make_body, what):
 def test_unfold_mu_ground():
     d = _is_nat()
     two = num(2)
-    f = unfold_mu(d, (two,))
+    f = instantiate(d.body, (two,))
     assert f == Or(
         Eq(two, con("z")),
         Ex(And(Eq(two, con("s", Bound(0))), MuAtom(d, (Bound(0),)))),
     )
 
 
-def test_unfold_mu_arity_mismatch():
-    with pytest.raises(StructuralError):
-        unfold_mu(_is_nat(), (con("z"), con("z")))
-
-
 def test_body_with_invariant_replaces_recursive_calls():
     d = _is_nat()
-    inv = InvariantAbs(1, Eq(Bound(0), Bound(0)))
-    f = body_with_invariant(d, inv, (con("z"),))
+    inv = Eq(Bound(0), Bound(0))
+    f = instantiate(body_with_invariant(d, inv), (con("z"),))
     assert f == Or(
         Eq(con("z"), con("z")),
         Ex(And(Eq(con("z"), con("s", Bound(0))), Eq(Bound(0), Bound(0)))),
@@ -177,8 +163,8 @@ def test_body_with_invariant_invariant_binders_do_not_capture():
     # invariant adds a universal binder of its own: the call's argument must
     # still refer to the existential binder afterwards.
     d = _is_nat()
-    inv = InvariantAbs(1, All(Eq(Bound(1), Bound(0))))
-    f = body_with_invariant(d, inv, (con("z"),))
+    inv = All(Eq(Bound(1), Bound(0)))
+    f = instantiate(body_with_invariant(d, inv), (con("z"),))
     second = f.b.body.b  # inside Ex, right conjunct
     assert second == All(Eq(Bound(1), Bound(0)))
 
@@ -190,7 +176,7 @@ def test_synthesis_parameters_avoid_the_sequent_eigenvariables():
     want = "(all (all (imp (eq (%bv 2) (%bv 1)) (eq (%bv 1) (%bv 0)))))"
     for _ in range(2):
         folded, bare = synthesize_obvious_invariants((), (EVar(1, 0),), goal)
-        assert (folded.arity, repr(folded.body), bare) == (1, want, None)
+        assert (repr(folded), bare) == (want, None)
 
 
 def test_synthesis_slots_are_fixed():
