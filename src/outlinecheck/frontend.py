@@ -23,9 +23,9 @@ binder.
 
 Elaboration compiles each Define into a least-fixed-point body by Clark
 completion — one disjunct per clause, existentially closing the clause
-variables over equations against the head patterns — and rejects
-definitions whose recursive calls appear in a negative position.  Sorts
-are first order and checked throughout.
+variables over equations against the head patterns.  Building the
+`Definition` refuses a recursive call in a negative position.  Sorts are
+first order and checked throughout.
 
 A session checks the theorems in file order; each accepted theorem joins
 the lemma table (under its name) for the ones after it.
@@ -44,7 +44,8 @@ from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
     FF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
-    LemmaName, MuAtom, Or, Term, Tt, _chain, close_binders, con, sym,
+    LemmaName, MuAtom, Or, StructuralError, Term, Tt, _chain, close_binders, con,
+    sym,
 )
 from .trace import TraceNode
 
@@ -130,10 +131,12 @@ class TheoremFile:
 
 
 class ParseError(Exception):
-    def __init__(self, msg: str, line: int, col: int) -> None:
-        super().__init__(f"{line}:{col}: {msg}")
-        self.line = line
-        self.col = col
+    """A parse error at `offset` into `text`, reported by line and column."""
+
+    def __init__(self, msg: str, text: str, offset: int) -> None:
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.col}: {msg}")
 
 
 _TOKEN = re.compile(
@@ -154,33 +157,23 @@ _KEYWORDS = {"Kind", "Type", "Define", "Theorem", "ship", "by",
 class _Tok:
     kind: str  # "ident" | "string" | "punct" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, pos = 1, 1, 0
+    pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
         group = m.lastgroup
-        if group == "ident":
-            toks.append(_Tok("ident", lexeme, line, col))
-        elif group == "string":
-            toks.append(_Tok("string", lexeme[1:-1], line, col))
-        elif group == "punct":
-            toks.append(_Tok("punct", lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+        if group == "string":
+            toks.append(_Tok("string", m.group(0)[1:-1], pos))
+        elif group == "ident" or group == "punct":
+            toks.append(_Tok(group, m.group(0), pos))
         pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    toks.append(_Tok("eof", "", pos))
     return toks
 
 
@@ -189,8 +182,9 @@ def _lex(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]) -> None:
-        self.toks = toks
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.toks = _lex(text)
         self.pos = 0
 
     def peek(self) -> _Tok:
@@ -203,8 +197,7 @@ class _Parser:
         return t
 
     def fail(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
+        return ParseError(msg, self.text, self.peek().offset)
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
         t = self.peek()
@@ -293,7 +286,7 @@ class _Parser:
         head = self.term()
         if head.head != defname:
             raise ParseError(f"clause head {head.head!r} does not match the "
-                             f"definition {defname!r}", t.line, t.col)
+                             f"definition {defname!r}", self.text, t.offset)
         body = self.formula() if self.eat("punct", ":=") else None
         return SClause(head.args, body)
 
@@ -381,7 +374,7 @@ class _Parser:
 
 
 def parse_file(text: str) -> TheoremFile:
-    return _Parser(_lex(text)).file()
+    return _Parser(text).file()
 
 
 # ---------------------------------------------------------------------------
@@ -536,30 +529,15 @@ class _Elab:
                                                list(env.maps[-1].values()), Ex, params))
             return _chain(Or, disjuncts, FF)
 
-        me = Definition(sym(d.name), arity, completion)
-        _check_positivity(me.body, positive=True, me=me)
+        try:
+            Definition(sym(d.name), arity, completion)
+        except StructuralError as e:  # a recursive call in a negative position
+            raise ElabError(str(e)) from None
 
     def theorem(self, d: TheoremDecl, names: set[str]) -> Formula:
         if d.name in names:
             raise ElabError(f"duplicate theorem name: {d.name}")
         return self.formula(d.statement, ChainMap(), None)
-
-
-def _check_positivity(f: Formula, positive: bool, me: Definition) -> None:
-    match f:
-        case MuAtom(defn=d):
-            if d is me and not positive:
-                raise ElabError(f"{me.name} recurses in a negative position")
-        case And(a=a, b=b) | Or(a=a, b=b):
-            _check_positivity(a, positive, me)
-            _check_positivity(b, positive, me)
-        case Imp(a=a, b=b):
-            _check_positivity(a, not positive, me)
-            _check_positivity(b, positive, me)
-        case All(body=b) | Ex(body=b):
-            _check_positivity(b, positive, me)
-        case _:
-            return
 
 
 def elaborate(file: TheoremFile) -> Elaborated:

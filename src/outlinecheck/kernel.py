@@ -67,7 +67,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
-    MVar, Or, Store, StructuralError, Term, Tt, body_with_invariant, input_vars,
+    MVar, Or, Store, StructuralError, Term, Tt, body_with_invariant, input_evars,
     instantiate, map_sequent, store_lookup, synthesize_obvious_invariants,
     term_subst_bound,
 )
@@ -334,8 +334,7 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     limits = limits or ResourceLimits()
     ctx = _Ctx(fpc, limits.max_steps)
     store = tuple(lemmas)
-    # a variable free in the inputs is a constant that no rule may make again
-    ids = [v.id for v in input_vars(store, goal)]
+    ids = [v.id for v in input_evars(store, goal)]
     ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
     try:
         for tr in _async(ctx, store, (), ("un", goal, ()), cert, 0, {}):

@@ -142,20 +142,13 @@ class OutlineFpc(FpcDefinition):
                 rest = trees[:i] + kids + trees[i + 1:]
                 out.append((OutlineState(cert.d, cert.uA, cert.uS, cert.inducted,
                                          cert.hyps, rest, True), LemmaName(name)))
-            if cert.d > 0:
-                nxt = OutlineState(cert.d - 1, cert.uA, cert.uS, cert.inducted,
-                                   cert.hyps, trees, True)
-                for k in range(1, cert.hyps + 1):
-                    out.append((nxt, Hyp(k)))
-            return out
         if cert.d <= 0:
-            return ()
+            return out or ()
         nxt = OutlineState(cert.d - 1, cert.uA, cert.uS, cert.inducted,
-                           cert.hyps, cert.supply, False)
-        for n in cert.supply:
-            out.append((nxt, LemmaName(n)))
-        for k in range(1, cert.hyps + 1):
-            out.append((nxt, Hyp(k)))
+                           cert.hyps, cert.supply, cert.tree_mode)
+        if not cert.tree_mode:
+            out += ((nxt, LemmaName(n)) for n in cert.supply)
+        out += ((nxt, Hyp(k)) for k in range(1, cert.hyps + 1))
         return out
 
     # fixed points

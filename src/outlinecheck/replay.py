@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
-    Or, Rhs, Store, Term, Tt, body_with_invariant, input_vars, instantiate,
+    Or, Rhs, Store, Term, Tt, body_with_invariant, input_evars, instantiate,
     map_sequent, store_lookup, synthesize_obvious_invariants, term_vars,
 )
 from .trace import RULES, TraceNode
@@ -96,8 +96,6 @@ def match_evars(a: Term, b: Term) -> tuple[str, Optional[dict[EVar, Term]]]:
             return OK
         if isinstance(x, MVar) or isinstance(y, MVar):
             return STUCK
-        if not (isinstance(x, App) and isinstance(y, App)):
-            raise ReplayError("positional variable in a replayed equation")
         if x.head is not y.head or len(x.args) != len(y.args):
             return CLASH
         stuck = False
@@ -127,8 +125,7 @@ class _Replay:
     returns the record's premises as frames, first premise first."""
 
     def __init__(self, store: Store, goal: Formula) -> None:
-        # an eigenvariable free in the inputs is a constant no rule may make
-        self.used_evars = {v.id for v in input_vars(store, goal) if isinstance(v, EVar)}
+        self.used_evars = {v.id for v in input_evars(store, goal)}
 
     # -- checks
 

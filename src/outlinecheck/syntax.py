@@ -197,8 +197,7 @@ class Definition:
     parameter i appears as Bound(depth + i) under `depth` intervening
     binders.  The body takes no part in equality so a definition can be
     compared and hashed cheaply by name.  A body that is no formula, or
-    that holds an eigenvariable, a metavariable or an atom of the wrong
-    arity, is refused.
+    that holds a free variable or anything input_vars refuses, is refused.
     """
 
     name: Sym
@@ -208,7 +207,7 @@ class Definition:
 
     def __post_init__(self, make_body: Callable[[Definition], Formula]) -> None:
         body = make_body(self)
-        if input_vars((), body):
+        if input_vars((), body, self):
             raise StructuralError(f"the body of {self.name} holds a free variable")
         object.__setattr__(self, "body", body)
 
@@ -419,32 +418,57 @@ def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
                 yield from term_vars(x)
 
 
-def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula
-               ) -> set[Union[EVar, MVar]]:
-    """The variables free in a check's goal and lemmas, or in a definition
-    body as it is built.  Search and replay call this before any step or
-    record, so no rule meets an ill-formed input: it raises TypeError on a
-    node that is no formula, and StructuralError on an atom whose argument
-    count is not its definition's arity."""
+def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
+               me: Optional[Definition] = None) -> set[Union[EVar, MVar]]:
+    """The variables free in a check's goal and lemmas, or in the body of
+    `me` as it is built, checked before any step or record: TypeError on a
+    node that is no formula; StructuralError on an atom of the wrong arity,
+    on a Bound that no binder (nor, in a body, parameter) binds, and on an
+    atom of `me` left of an odd number of implications, since the obvious
+    induction is sound only for monotone definitions."""
     out: set[Union[EVar, MVar]] = set()
-    stack: list[Formula] = [goal, *(g for _, g in lemmas)]
+    params = 0 if me is None else me.arity
+    # (node, polarity, binders above it); a term's polarity is None
+    stack: list[tuple] = [(f, True, 0) for f in (goal, *(g for _, g in lemmas))]
     while stack:
-        f = stack.pop()
+        f, positive, depth = stack.pop()
         c = f.__class__
-        if c is Eq:
-            out.update(term_vars(f.l), term_vars(f.r))
-        elif c is And or c is Or or c is Imp:
-            stack += (f.b, f.a)
+        if positive is None:
+            if c is App:
+                stack += ((t, None, depth) for t in f.args if not t.ground)
+            elif c is not Bound:
+                out.add(f)
+            elif f.index >= depth + params:
+                raise StructuralError(f"no binder binds {f!r}")
+        elif c is Eq:
+            stack += ((t, None, depth) for t in (f.l, f.r) if not t.ground)
+        elif c is And or c is Or:
+            stack += ((f.b, positive, depth), (f.a, positive, depth))
+        elif c is Imp:
+            stack += ((f.b, positive, depth), (f.a, not positive, depth))
         elif c is All or c is Ex:
-            stack.append(f.body)
+            stack.append((f.body, positive, depth + 1))
         elif c is MuAtom:
             if len(f.args) != f.defn.arity:
                 raise StructuralError(f"{f.defn.name} expects {f.defn.arity} arguments, "
                                       f"got {len(f.args)}")
-            out.update(v for t in f.args for v in term_vars(t))
+            if f.defn is me and not positive:
+                raise StructuralError(f"{me.name} recurses in a negative position")
+            stack += ((t, None, depth) for t in f.args if not t.ground)
         elif c is not Tt and c is not Ff:
             raise TypeError(f"not a formula: {f!r}")
     return out
+
+
+def input_evars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula) -> set[EVar]:
+    """The eigenvariables free in a check's inputs: constants no rule may
+    make again.  Beyond what input_vars refuses, a metavariable there raises
+    StructuralError: search would bind it and replay hold it inert."""
+    vs = input_vars(lemmas, goal)
+    for v in vs:
+        if v.__class__ is MVar:
+            raise StructuralError(f"metavariable {v!r} in a check's inputs")
+    return vs
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],

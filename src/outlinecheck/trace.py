@@ -71,40 +71,48 @@ def trace_to_lines(trace: TraceNode) -> list[str]:
 
 
 def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
-    """Read the records last to first: each takes its premises off a stack
-    of the subtrees finished so far, first premise on top.  A line that
-    repeats an earlier one is parsed once: `seen` maps its text to its
-    rule, premise count and fields.  Nothing reads `defs`: it is kept only
-    for callers that still pass a definition table."""
-    done: list[TraceNode] = []
+    """Read a trace in one pass over its lines, parsing each distinct line
+    once and counting the records still owed, `need`: a record when none is
+    owed is surplus, and any owed at the end leave the trace truncated.  An
+    error names its line, blank lines counted: in a file that `--trace`
+    wrote, replay's record number.  The tree is then built last record
+    first.  Nothing reads `defs`, kept for callers that still pass one."""
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
     seen: dict[str, tuple] = {}
-    for line in reversed([ln for ln in lines if ln.strip()]):
+    records: list[tuple] = []
+    need = 1
+    for i, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         fields = seen.get(line)
-        if fields is None:
-            rec = parse_sexp(line)
-            if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
-                raise TraceFormatError(f"bad record shape: {rec!r}")
-            rule, ncs, tm, ixs, invs, sds = rec
-            if rule not in RULES:
-                raise TraceFormatError(f"unknown rule: {rule}")
-            n = int_from_sexp(ncs)
-        else:
-            rule, n = fields[0], fields[1]
-        if not 0 <= n <= len(done):
-            raise TraceFormatError(
-                f"truncated trace: {rule} wants {n} premises, {len(done)} follow")
-        if fields is None:
-            fields = seen[line] = (
-                rule, n,
-                None if tm == "nil" else term_from_sexp(tm, memo),
-                None if ixs == "nil" else index_from_sexp(ixs),
-                None if invs == "nil" else int_from_sexp(invs),
-                None if sds == "nil" else int_from_sexp(sds))
+        try:
+            if not need:
+                raise TraceFormatError("surplus record after the end of the proof")
+            if fields is None:
+                rec = parse_sexp(line)
+                if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
+                    raise TraceFormatError(f"bad record shape: {rec!r}")
+                rule, ncs, tm, ixs, invs, sds = rec
+                if rule not in RULES:
+                    raise TraceFormatError(f"unknown rule: {rule}")
+                n = int_from_sexp(ncs)
+                if n < 0:
+                    raise TraceFormatError(f"negative premise count: {n}")
+                fields = seen[line] = (
+                    rule, n,
+                    None if tm == "nil" else term_from_sexp(tm, memo),
+                    None if ixs == "nil" else index_from_sexp(ixs),
+                    None if invs == "nil" else int_from_sexp(invs),
+                    None if sds == "nil" else int_from_sexp(sds))
+        except TraceFormatError as e:
+            raise TraceFormatError(f"line {i}: {e}") from None
+        need += fields[1] - 1
+        records.append(fields)
+    if need:
+        raise TraceFormatError(f"line {len(lines) + 1}: truncated trace: {need} records missing")
+    done: list[TraceNode] = []
+    for rule, n, *fields in reversed(records):
         children = tuple(reversed(done[len(done) - n:]))
         del done[len(done) - n:]
-        done.append(TraceNode(rule, children, *fields[2:]))
-    if len(done) != 1:
-        raise TraceFormatError("truncated trace" if not done
-                               else "extra records after trace root")
+        done.append(TraceNode(rule, children, *fields))
     return done[0]

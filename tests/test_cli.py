@@ -137,6 +137,16 @@ def test_recursion_overflow_exit_two(capsys, tmp_path):
     assert err.count("\n") == 1 and "deep.thm" in err
 
 
+def test_negative_recursion_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.thm"
+    bad.write_text("Kind nat type.\nType z nat.\n"
+                   "Define bad : nat -> prop by\n  bad N := bad N -> false.\n")
+    code, lines, err = run(capsys, bad)
+    assert code == 2 and not lines
+    assert err.count("\n") == 1 and "bad recurses in a negative position" in err
+    assert "bad.thm" in err and "Traceback" not in err
+
+
 def test_failing_theorem_exit_one(capsys, tmp_path):
     f = tmp_path / "f.thm"
     f.write_text("Kind nat type.\nType z nat.\n"

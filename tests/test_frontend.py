@@ -61,6 +61,18 @@ def test_parse_error_carries_position():
     assert "2:" in str(e.value)
 
 
+@pytest.mark.parametrize("src, msg", [
+    ("Kind nat type\nType z nat.", "2:1: expected '.', found 'Type'"),
+    ('Kind nat type.\nship "a\nb" ?', "3:4: unexpected character '?'"),
+    ("Kind nat type.\nDefine p : nat -> prop by q z.",
+     "2:27: clause head 'q' does not match the definition 'p'"),
+], ids=["parser", "lexer-after-a-string-of-two-lines", "clause-head"])
+def test_parse_error_positions_pinned(src, msg):
+    with pytest.raises(ParseError) as e:
+        parse_file(src)
+    assert str(e.value) == msg
+
+
 def test_undeclared_symbol_in_theorem_rejected():
     src = PRELUDE + 'Theorem t : foo z.\nship "(induction 0 0 0)".\n'
     with pytest.raises(ElabError, match="foo"):
@@ -172,7 +184,9 @@ def test_clause_variable_first_met_under_a_quantifier_is_one_variable():
     assert el.definitions["t"].body == Ex(Ex(And(
         Eq(Bound(2), Bound(1)),
         And(Ex(MuAtom(le, (Bound(0), Bound(1)))), MuAtom(le, (Bound(1), Bound(0)))))))
-    for f in [d.body for d in el.definitions.values()] + list(el.goals.values()):
+    for d in el.definitions.values():
+        assert not any(isinstance(v, EVar) for v in input_vars((), d.body, d))
+    for f in el.goals.values():
         assert not any(isinstance(v, EVar) for v in input_vars((), f))
 
 

@@ -355,8 +355,18 @@ def _lemma(f):
     # a lemma that the proof of tt never decides on
     (TT, _lemma(MuAtom(_P, ())), StructuralError, _ARITY),
     (con("z"), [], TypeError, "^not a formula: z$"),
+    # unchecked, replay would accept storeR, decideR, eqR on this goal
+    (Eq(Bound(0), Bound(0)), [], StructuralError, r"^no binder binds \(%bv 0\)$"),
+    (FF, _lemma(All(Eq(Bound(0), Bound(1)))), StructuralError,
+     r"^no binder binds \(%bv 1\)$"),
+    # unchecked, search would bind the metavariable and accept; replay would refuse
+    (Eq(MVar(1, 0), con("z")), [], StructuralError,
+     r"^metavariable \(%mv 1 0\) in a check's inputs$"),
+    (TT, _lemma(Ex(MuAtom(_P, (Bound(0), MVar(1, 0))))), StructuralError,
+     r"^metavariable \(%mv 1 0\) in a check's inputs$"),
 ], ids=["or-ff", "lemma-imp", "under-ex", "lemma-under-all", "under-two-ex",
-        "or-tt", "lemma-never-decided", "term-goal"])
+        "or-tt", "lemma-never-decided", "term-goal", "unbound-bv", "lemma-unbound-bv",
+        "mvar", "lemma-mvar"])
 def test_ill_formed_input_raises_before_any_step_or_record(goal, lemmas, error, match):
     # with a step limit of 0 the first step ends the search as OutOfBudget
     with pytest.raises(error, match=match):
@@ -383,21 +393,35 @@ def test_atom_of_the_wrong_arity_raises_where_the_inputs_enter(el, cert):
         eval_ground(_defs(el).values(), goal, 5)
 
 
-@pytest.mark.parametrize("var", [EVar(1, 1), MVar(1, 0)])
-def test_definition_body_holds_no_free_variable(var):
+_FREE = "^the body of c holds a free variable$"
+_NEGATIVE = "^c recurses in a negative position$"
+
+
+@pytest.mark.parametrize("arity, body, match", [
     # a rule may make a body's variable again as its fresh one: allR opens
     # forall X, c X with (%ev 1 1), which would then prove c X := X = (%ev 1 1)
-    with pytest.raises(StructuralError, match="^the body of c holds a free variable$"):
-        Definition(sym("c"), 1, lambda c: Eq(Bound(0), var))
-
-
-def test_body_atom_of_the_wrong_arity_raises_when_built(el):
+    (1, lambda c: Eq(Bound(0), EVar(1, 1)), _FREE),
+    (1, lambda c: Eq(Bound(0), MVar(1, 0)), _FREE),
     # no unfold can meet such an atom: the definition is refused whole
-    is_nat = _defs(el)["is_nat"]
-    for body, name in ((lambda p: MuAtom(p, (Bound(0), Bound(0))), "p"),
-                       (lambda p: Or(TT, Ex(MuAtom(is_nat, (Bound(0), Bound(1))))), "is_nat")):
-        with pytest.raises(StructuralError, match=f"^{name} expects 1 arguments, got 2$"):
-            Definition(sym("p"), 1, body)
+    (1, lambda c: MuAtom(c, (Bound(0), Bound(0))), "^c expects 1 arguments, got 2$"),
+    (1, lambda c: Or(TT, Ex(MuAtom(_P, (Bound(1),)))), _ARITY),
+    # were c := c -> false built, check would accept c under (induction 2 1 1),
+    # then ff with the lemma c, and replay would agree with both
+    (0, lambda c: Imp(MuAtom(c, ()), FF), _NEGATIVE),
+    (1, lambda c: And(TT, Imp(Ex(Or(FF, MuAtom(c, (Bound(0),)))), TT)), _NEGATIVE),
+    (0, lambda c: Eq(Bound(0), con("z")), r"^no binder binds \(%bv 0\)$"),
+    (1, lambda c: Ex(Eq(Bound(2), Bound(0))), r"^no binder binds \(%bv 2\)$"),
+], ids=["free-evar", "free-mvar", "arity-self", "arity-other", "c-implies-false",
+        "negative-under-ex", "unbound-bv", "unbound-bv-under-ex"])
+def test_ill_formed_body_refused_when_built(arity, body, match):
+    with pytest.raises(StructuralError, match=match):
+        Definition(sym("c"), arity, body)
+
+
+def test_recursion_left_of_two_implications_builds():
+    c = Definition(sym("c"), 1, lambda c: Imp(Imp(MuAtom(c, (Bound(0),)), FF), FF))
+    assert c.body == Imp(Imp(MuAtom(c, (Bound(0),)), FF), FF)
+
 
 # -- search pinned beyond the shipped certificates: every outline cell of the
 # corpus, verdict, step count and trace text, under one digest

@@ -93,6 +93,23 @@ def test_malformed_records_rejected():
                           "(eqR 0 nil nil nil nil)"])  # extra record
 
 
+@pytest.mark.parametrize("lines, msg", [
+    (["(mystery 0 nil nil nil nil)"], "line 1: unknown rule: mystery"),
+    (["(impR 1 nil nil nil nil)", "", "(eqR x nil nil nil nil)"],
+     "line 3: expected an integer, got 'x'"),
+    (["(eqR -1 nil nil nil nil)"], "line 1: negative premise count: -1"),
+    (["(impR 1 nil nil nil nil)"], "line 2: truncated trace: 1 records missing"),
+    ([], "line 1: truncated trace: 1 records missing"),
+    # a complete proof with one record after it, once read as truncated
+    (["(eqR 0 nil nil nil nil)", "", "(allR 1 (%ev 1 1) nil nil nil)"],
+     "line 3: surplus record after the end of the proof"),
+], ids=["rule", "integer-after-a-blank-line", "negative", "truncated", "empty", "surplus"])
+def test_reader_names_the_refused_line(lines, msg):
+    with pytest.raises(TraceFormatError) as e:
+        trace_from_lines(lines)
+    assert str(e.value) == msg
+
+
 def test_old_format_invariant_field_rejected():
     # an induction record names its invariant's flavour; a formula there is
     # the format that spelled the invariant out
