@@ -11,7 +11,6 @@ repository root:
 """
 
 import pathlib
-from dataclasses import replace
 
 from outlinecheck import (
     ResourceLimits, TraceNode, explain_failure, parse_file, run_session,
@@ -38,8 +37,8 @@ def main() -> None:
     # record of each branch.  Replay fails where a wrong witness shows.
     def tamper(node: TraceNode) -> TraceNode:
         if node.rule in ("exR", "allL"):
-            return replace(node, term=con("s", node.term))
-        return replace(node, children=tuple(tamper(c) for c in node.children))
+            return node._replace(term=con("s", node.term))
+        return node._replace(children=tuple(tamper(c) for c in node.children))
 
     bad = tamper(r.trace)
     print("replay of the tampered trace:",

@@ -17,18 +17,23 @@ certificate unchanged: the invertible rules, decideR, ttR and ffL always;
 orR tries side 1, then side 2; exR and allL take a fresh metavariable;
 initial tries each stored atom of the same definition, in store order.
 
-Alternatives are explored depth first with full backtracking: every prove
-function is a generator of records, so an exhausted inner premise can
-pull the next solution of an outer one.  A record is a plain tuple,
-(rule, premises, *fields) with the fields `trace.RULES` lists; `_finalize`
-builds the trace of the proof found from its records, each node once,
-with its terms resolved.  Metavariable bindings live in a single trailed
-store shared along a branch.  The case-analysis substitution of the left
-equality rule is an argument of the prove functions instead, `sigma`: its
-premise goes on with the same store, workbench and goal, and every
-unification reads their terms under it, so it cannot leak into sibling
-branches.  Only the induction builds the sequent under it, resolving
-every formula.
+Search is one loop, in `check`, over a goal stack and a choice-point
+stack, as a logic-programming machine runs one.  A goal is a frame
+(phase, store, ...), and a phase calls no other: it returns None when no
+rule applies, (record, premise goals...) when its rule fires one way, or
+a lazy generator of such tuples when the rule has alternatives.  For a
+generator the loop pushes a choice point; when a goal fails it rewinds
+the trail to the newest one and draws its next alternative, so
+alternatives are explored depth first, in the order they are yielded.
+Each rule fired conses its record, (rule, term, index, invariant, side),
+onto a list, which is then the proof in reverse preorder: `_finalize`
+builds the trace from it in one pass, each node once, with its terms
+resolved.  Metavariable bindings live in a single trailed store shared
+along a branch.  The case-analysis substitution of the left equality
+rule is a field of every goal instead, `sigma`: its premise goes on with
+the same store, workbench and goal, and every unification reads their
+terms under it, so it cannot leak into sibling branches.  Only the
+induction builds the sequent under it, resolving every formula.
 
 Search never substitutes into a formula.  It reads each one under an
 environment: the closed terms that its free positional variables stand
@@ -124,8 +129,11 @@ class _Ctx:
 # `env[i]` is the closed term for Bound(i) at a formula's top, and
 # `instantiate` builds the formula it denotes.  The right-hand side is a
 # triple (kind, formula, env); a stored goal is built, so its env is empty.
-
-Record = tuple  # (rule, premises, *fields), fields as trace.RULES lists them
+# The goal frames are
+#   (_async, store, theta, rhs, cert, level, sigma)
+#   (_left_focus, store, focus, env, goal, cert, level, sigma)
+#   (_right_focus, store, focus, env, cert, level, sigma)
+# and a phase returns what `check` documents.
 
 
 def _inst(t: Term, env: Env) -> Term:
@@ -133,194 +141,184 @@ def _inst(t: Term, env: Env) -> Term:
     return t if t.closed else term_subst_bound(t, env, 0)
 
 
-def _async(ctx: _Ctx, store: Store, theta: tuple[tuple[Formula, Env], ...],
-           rhs: tuple[str, Formula, Env], cert: Certificate, level: int,
-           sigma: Sigma) -> Iterator[Record]:
-    ctx.tick()
-    fpc = ctx.fpc
-    binds = ctx.binds
+def _async(ctx: _Ctx, frame: tuple):
+    _, store, theta, rhs, cert, level, sigma = frame
     if theta:
         (c, env), rest = theta[0], theta[1:]
-        match c:
-            case And(a=a, b=b):
-                for t in _async(ctx, store, ((a, env), (b, env)) + rest, rhs, cert, level,
-                                sigma):
-                    yield ("andL", (t,))
-            case Or(a=a, b=b):
-                for t1 in _async(ctx, store, ((a, env),) + rest, rhs, cert, level, sigma):
-                    for t2 in _async(ctx, store, ((b, env),) + rest, rhs, cert, level, sigma):
-                        yield ("orL", (t1, t2))
-            case Ex(body=b):
-                e = EVar(next(binds.ids), level + 1)
-                for t in _async(ctx, store, ((b, (e,) + env),) + rest, rhs, cert, level + 1,
-                                sigma):
-                    yield ("exL", (t,), e)
-            case Eq(l=l, r=r):
-                cp = binds.mark()
-                out, sigma2 = binds.unify_case_split(l, r, sigma, env)
-                if out is CLASH:
-                    yield ("eqL_clash", ())
-                elif out is OK:
-                    for t in _async(ctx, store, rest, rhs, cert, level, sigma2):
-                        yield ("eqL", (t,))
-                    binds.undo(cp)
-                # a scope-indeterminate equation fails the branch
-            case Tt():
-                for t in _async(ctx, store, rest, rhs, cert, level, sigma):
-                    yield ("ttL", (t,))
-            case Ff():
-                yield ("ffL", ())
-            case MuAtom(defn=d, args=ts):
-                ts = tuple([_inst(x, env) for x in ts])
-                # induction
-                for kr in fpc.ind_expert(cert):
-                    targs = tuple(binds.resolve(x, sigma) for x in ts)
-                    rstore, _, (_, goal_f) = map_sequent(
-                        store, (), (rhs[0], instantiate(rhs[1], rhs[2])),
-                        lambda t, _: binds.resolve(t, sigma))
-                    for k, inv in enumerate(synthesize_obvious_invariants(rstore, targs, goal_f)):
-                        if inv is None:
-                            continue
-                        ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
-                        # the invariance premise: store ; B S ys |- S ys, read under ys
-                        for t2 in _async(ctx, store, ((body_with_invariant(d, inv), ys),),
-                                         ("un", inv, ys), kr, level + 1, sigma):
-                            yield ("induct_obvious", (t2,), App(YS_HEAD, ys), k)
-                # freeze
-                for k1, ix in fpc.store_clerk(cert):
-                    if store_lookup(store, ix) is not None:
-                        raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, MuAtom(d, ts)),), rest, rhs, k1, level,
-                                    sigma):
-                        yield ("freeze", (t,), ix)
-                # unfold
-                for k1 in fpc.unfold_left_expert(cert):
-                    for t in _async(ctx, store, ((d.body, ts),) + rest, rhs, k1, level, sigma):
-                        yield ("unfoldL", (t,))
-            case Imp() | All():
-                for k1, ix in fpc.store_clerk(cert):
-                    if store_lookup(store, ix) is not None:
-                        raise StructuralError(f"duplicate store index {ix!r}")
-                    for t in _async(ctx, store + ((ix, instantiate(c, env)),), rest, rhs, k1,
-                                    level, sigma):
-                        yield ("storeL", (t,), ix)
-        return
+        k = c.__class__
+        if k is Eq:
+            out, sigma2 = ctx.binds.unify_case_split(c.l, c.r, sigma, env)
+            if out is CLASH:
+                return ("eqL_clash", None, None, None, None),
+            if out is OK:
+                return (("eqL", None, None, None, None),
+                        (_async, store, rest, rhs, cert, level, sigma2))
+            return None  # a scope-indeterminate equation fails the branch
+        if k is And:
+            return (("andL", None, None, None, None),
+                    (_async, store, ((c.a, env), (c.b, env)) + rest, rhs, cert, level, sigma))
+        if k is Ex:
+            e = EVar(next(ctx.binds.ids), level + 1)
+            return (("exL", e, None, None, None),
+                    (_async, store, ((c.body, (e,) + env),) + rest, rhs, cert, level + 1,
+                     sigma))
+        if k is MuAtom:
+            return _atom_left(ctx, store, c, env, rest, rhs, cert, level, sigma)
+        if k is Or:
+            return (("orL", None, None, None, None),
+                    (_async, store, ((c.a, env),) + rest, rhs, cert, level, sigma),
+                    (_async, store, ((c.b, env),) + rest, rhs, cert, level, sigma))
+        if k is Tt:
+            return ("ttL", None, None, None, None), (_async, store, rest, rhs, cert, level, sigma)
+        if k is Ff:
+            return ("ffL", None, None, None, None),
+        if k is Imp or k is All:
+            return _store(ctx, "storeL", instantiate(c, env), store, rest, rhs, cert, level,
+                          sigma)
+        return None
 
     kind, f, env = rhs
     if kind == "un":
-        match f:
-            case Imp(a=a, b=b):
-                for t in _async(ctx, store, ((a, env),), ("un", b, env), cert, level, sigma):
-                    yield ("impR", (t,))
-            case All(body=b):
-                e = EVar(next(binds.ids), level + 1)
-                for t in _async(ctx, store, (), ("un", b, (e,) + env), cert, level + 1,
-                                sigma):
-                    yield ("allR", (t,), e)
-            case _:
-                for t in _async(ctx, store, (), ("st", instantiate(f, env), ()), cert, level,
-                                sigma):
-                    yield ("storeR", (t,))
-        return
-
-    # border sequent: decide
-    for k1, ix in fpc.decide_expert(cert):
-        g = store_lookup(store, ix)
-        if g is None:
-            continue
-        for t in _left_focus(ctx, store, g, (), f, k1, level, sigma):
-            yield ("decideL", (t,), ix)
-    for t in _right_focus(ctx, store, f, (), cert, level, sigma):
-        yield ("decideR", (t,))
+        k = f.__class__
+        if k is Imp:
+            return (("impR", None, None, None, None),
+                    (_async, store, ((f.a, env),), ("un", f.b, env), cert, level, sigma))
+        if k is All:
+            e = EVar(next(ctx.binds.ids), level + 1)
+            return (("allR", e, None, None, None),
+                    (_async, store, (), ("un", f.body, (e,) + env), cert, level + 1, sigma))
+        return (("storeR", None, None, None, None),
+                (_async, store, (), ("st", instantiate(f, env), ()), cert, level, sigma))
+    return _decide(ctx, store, f, cert, level, sigma)
 
 
-def _left_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
-                goal: Formula, cert: Certificate, level: int,
-                sigma: Sigma) -> Iterator[Record]:
-    ctx.tick()
-    match focus:
-        case All(body=b):
-            t = MVar(next(ctx.binds.ids), level)
-            for tr in _left_focus(ctx, store, b, (t,) + env, goal, cert, level, sigma):
-                yield ("allL", (tr,), t)
-        case Imp(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
-                for t2 in _left_focus(ctx, store, b, env, goal, cert, level, sigma):
-                    yield ("impL", (t1, t2))
-        case _:
-            # positive focus: release back to the asynchronous phase
-            for t in _async(ctx, store, ((focus, env),), ("st", goal, ()), cert, level, sigma):
-                yield ("releaseL", (t,))
-
-
-def _right_focus(ctx: _Ctx, store: Store, focus: Formula, env: Env,
-                 cert: Certificate, level: int, sigma: Sigma) -> Iterator[Record]:
-    ctx.tick()
+def _atom_left(ctx: _Ctx, store: Store, c: MuAtom, env: Env, rest, rhs, cert: Certificate,
+               level: int, sigma: Sigma) -> Iterator[tuple]:
+    fpc = ctx.fpc
     binds = ctx.binds
-    match focus:
-        case Or(a=a, b=b):
-            for side, sub in ((1, a), (2, b)):
-                for t in _right_focus(ctx, store, sub, env, cert, level, sigma):
-                    yield ("orR", (t,), side)
-        case And(a=a, b=b):
-            for t1 in _right_focus(ctx, store, a, env, cert, level, sigma):
-                for t2 in _right_focus(ctx, store, b, env, cert, level, sigma):
-                    yield ("andR", (t1, t2))
-        case Ex(body=b):
-            t = MVar(next(binds.ids), level)
-            for tr in _right_focus(ctx, store, b, (t,) + env, cert, level, sigma):
-                yield ("exR", (tr,), t)
-        case Eq(l=l, r=r):
-            cp = binds.mark()
-            if binds.unify(l, r, sigma, env):
-                yield ("eqR", ())
-                binds.undo(cp)
-        case Tt():
-            yield ("ttR", ())
-        case Ff():
-            return
-        case MuAtom(defn=d, args=ts):
-            for ix, g in store:
-                if not (isinstance(g, MuAtom) and g.defn is d):
-                    continue
-                ctx.tick()
-                cp = binds.mark()
-                if binds.unify_args(ts, g.args, sigma, env):
-                    yield ("initial", (), ix)
-                    binds.undo(cp)
-            for k1 in ctx.fpc.unfold_right_expert(cert):
-                args = tuple([_inst(x, env) for x in ts])
-                for t in _right_focus(ctx, store, d.body, args, k1, level, sigma):
-                    yield ("unfoldR", (t,))
-        case Imp() | All():
-            for t in _async(ctx, store, (), ("un", focus, env), cert, level, sigma):
-                yield ("releaseR", (t,))
+    d = c.defn
+    ts = tuple([_inst(x, env) for x in c.args])
+    # induction
+    for kr in fpc.ind_expert(cert):
+        targs = tuple(binds.resolve(x, sigma) for x in ts)
+        rstore, _, (_, goal_f) = map_sequent(
+            store, (), (rhs[0], instantiate(rhs[1], rhs[2])),
+            lambda t, _: binds.resolve(t, sigma))
+        for k, inv in enumerate(synthesize_obvious_invariants(rstore, targs, goal_f)):
+            if inv is None:
+                continue
+            ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))
+            # the invariance premise: store ; B S ys |- S ys, read under ys
+            yield (("induct_obvious", App(YS_HEAD, ys), None, k, None),
+                   (_async, store, ((body_with_invariant(d, inv), ys),), ("un", inv, ys), kr,
+                    level + 1, sigma))
+    yield from _store(ctx, "freeze", MuAtom(d, ts), store, rest, rhs, cert, level, sigma)
+    # unfold
+    for k1 in fpc.unfold_left_expert(cert):
+        yield (("unfoldL", None, None, None, None),
+               (_async, store, ((d.body, ts),) + rest, rhs, k1, level, sigma))
+
+
+def _store(ctx: _Ctx, rule: str, f: Formula, store: Store, rest, rhs, cert: Certificate,
+           level: int, sigma: Sigma) -> Iterator[tuple]:
+    """storeL or freeze: f goes into the store under each index offered."""
+    for k1, ix in ctx.fpc.store_clerk(cert):
+        if store_lookup(store, ix) is not None:
+            raise StructuralError(f"duplicate store index {ix!r}")
+        yield (rule, None, ix, None, None), (_async, store + ((ix, f),), rest, rhs, k1, level,
+                                             sigma)
+
+
+def _decide(ctx: _Ctx, store: Store, f: Formula, cert: Certificate, level: int,
+            sigma: Sigma) -> Iterator[tuple]:
+    """The border sequent: decide on a store entry, then on the goal."""
+    for k1, ix in ctx.fpc.decide_expert(cert):
+        g = store_lookup(store, ix)
+        if g is not None:
+            yield (("decideL", None, ix, None, None),
+                   (_left_focus, store, g, (), f, k1, level, sigma))
+    yield ("decideR", None, None, None, None), (_right_focus, store, f, (), cert, level, sigma)
+
+
+def _left_focus(ctx: _Ctx, frame: tuple):
+    _, store, focus, env, goal, cert, level, sigma = frame
+    k = focus.__class__
+    if k is All:
+        t = MVar(next(ctx.binds.ids), level)
+        return (("allL", t, None, None, None),
+                (_left_focus, store, focus.body, (t,) + env, goal, cert, level, sigma))
+    if k is Imp:
+        return (("impL", None, None, None, None),
+                (_right_focus, store, focus.a, env, cert, level, sigma),
+                (_left_focus, store, focus.b, env, goal, cert, level, sigma))
+    # positive focus: release back to the asynchronous phase
+    return (("releaseL", None, None, None, None),
+            (_async, store, ((focus, env),), ("st", goal, ()), cert, level, sigma))
+
+
+def _right_focus(ctx: _Ctx, frame: tuple):
+    _, store, focus, env, cert, level, sigma = frame
+    k = focus.__class__
+    if k is Ex:
+        t = MVar(next(ctx.binds.ids), level)
+        return (("exR", t, None, None, None),
+                (_right_focus, store, focus.body, (t,) + env, cert, level, sigma))
+    if k is Eq:
+        if ctx.binds.unify(focus.l, focus.r, sigma, env):
+            return ("eqR", None, None, None, None),
+        return None
+    if k is And:
+        return (("andR", None, None, None, None),
+                (_right_focus, store, focus.a, env, cert, level, sigma),
+                (_right_focus, store, focus.b, env, cert, level, sigma))
+    if k is MuAtom:
+        return _atom_right(ctx, store, focus, env, cert, level, sigma)
+    if k is Or:
+        return iter(((("orR", None, None, None, 1),
+                      (_right_focus, store, focus.a, env, cert, level, sigma)),
+                     (("orR", None, None, None, 2),
+                      (_right_focus, store, focus.b, env, cert, level, sigma))))
+    if k is Tt:
+        return ("ttR", None, None, None, None),
+    if k is Imp or k is All:
+        return (("releaseR", None, None, None, None),
+                (_async, store, (), ("un", focus, env), cert, level, sigma))
+    return None  # ff has no right rule
+
+
+def _atom_right(ctx: _Ctx, store: Store, focus: MuAtom, env: Env, cert: Certificate,
+                level: int, sigma: Sigma) -> Iterator[tuple]:
+    """initial on each stored atom of the same definition, one step each,
+    then unfoldR."""
+    binds = ctx.binds
+    d, ts = focus.defn, focus.args
+    for ix, g in store:
+        if g.__class__ is MuAtom and g.defn is d:
+            ctx.tick()
+            if binds.unify_args(ts, g.args, sigma, env):
+                yield ("initial", None, ix, None, None),
+    for k1 in ctx.fpc.unfold_right_expert(cert):
+        args = tuple([_inst(x, env) for x in ts])
+        yield ("unfoldR", None, None, None, None), (_right_focus, store, d.body, args, k1, level,
+                                                    sigma)
 
 
 # ---------------------------------------------------------------------------
 # finalisation and entry point
 
 
-def _finalize(binds: BindingStore, root: Record) -> TraceNode:
-    """Build the trace of a finished search from its records, each node
-    once, with the metavariables of its term resolved; the walk runs off an
-    explicit stack, premises first."""
+def _finalize(binds: BindingStore, records) -> TraceNode:
+    """Build the trace of a finished search from its records, newest
+    first: in reverse preorder a node's premises are built before it,
+    first premise on top.  Each node is built once, its term resolved."""
     done: list[TraceNode] = []
-    stack = [(root, False)]
-    while stack:
-        rec, premises_done = stack.pop()
-        if not premises_done:
-            stack.append((rec, True))
-            stack += ((c, False) for c in reversed(rec[1]))
-            continue
-        rule, premises, *vals = rec
-        n = len(premises)
-        kids = tuple(done[len(done) - n:])
-        del done[len(done) - n:]
-        fields = dict(zip(RULES[rule][1], vals))
-        if "term" in fields:
-            fields["term"] = binds.resolve(fields["term"])
-        done.append(TraceNode(rule, kids, **fields))
+    while records is not None:
+        (rule, term, index, invariant, side), records = records
+        n = RULES[rule][0]
+        kids = () if n == 0 else (done.pop(),) if n == 1 else (done.pop(), done.pop())
+        if term is not None:
+            term = binds.resolve(term)
+        done.append(TraceNode(rule, kids, term, index, invariant, side))
     return done[0]
 
 
@@ -330,17 +328,48 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     """Search for a proof of `goal` under the lemma store, as directed by
     the certificate.  Returns Accepted with a replayable trace, Rejected
     when the certificate's alternatives are exhausted, or OutOfBudget when
-    the step limit is hit first."""
+    the step limit is hit first.
+
+    One step starts each goal: its phase returns None (the goal fails),
+    (record, premises...) or a generator of those, its alternatives.  A
+    choice point is (alternatives, goals, records, trail mark); the bottom
+    one has none and rewinds the trail to where the search began."""
     limits = limits or ResourceLimits()
     ctx = _Ctx(fpc, limits.max_steps)
+    binds = ctx.binds
     store = tuple(lemmas)
     ids = [v.id for v in input_evars(store, goal)]
-    ctx.binds.ids = itertools.count(max(ids, default=0) + 1)
+    binds.ids = itertools.count(max(ids, default=0) + 1)
+    goals = ((_async, store, (), ("un", goal, ()), cert, 0, {}), None)
+    records = None
+    choices = [(iter(()), None, None, 0)]
+    max_steps = ctx.max_steps
     try:
-        for tr in _async(ctx, store, (), ("un", goal, ()), cert, 0, {}):
-            return Accepted(_finalize(ctx.binds, tr), ctx.steps)
+        while goals is not None:
+            frame, goals = goals
+            ctx.steps += 1
+            if ctx.steps > max_steps:
+                raise OutOfBudgetError
+            out = frame[0](ctx, frame)
+            if out is not None and out.__class__ is not tuple:
+                choices.append((out, goals, records, binds.mark()))
+                out = next(out, None)
+            while out is None:
+                alts, goals, records, mark = choices[-1]
+                binds.undo(mark)
+                out = next(alts, None)
+                if out is None:
+                    choices.pop()
+                    if not choices:
+                        if binds.trail:
+                            raise StructuralError("bindings survived an exhausted search")
+                        return Rejected(ctx.steps)
+            records = (out[0], records)
+            n = len(out)
+            if n == 2:
+                goals = (out[1], goals)
+            elif n == 3:
+                goals = (out[1], (out[2], goals))
     except OutOfBudgetError:
         return OutOfBudget(ctx.steps)
-    if ctx.binds.trail:
-        raise StructuralError("bindings survived an exhausted search")
-    return Rejected(ctx.steps)
+    return Accepted(_finalize(binds, records), ctx.steps)

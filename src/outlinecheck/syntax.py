@@ -614,9 +614,13 @@ def _tokenize(line: str) -> list[str]:
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def parse_sexp(line: str) -> SExp:
+def parse_sexp(line: str, lists: Optional[dict[tuple, tuple]] = None) -> SExp:
     """Read one s-expression off an explicit stack.  Lists come back as
-    tuples, so an s-expression can key a memo."""
+    tuples, so an s-expression can key a memo.  Calls that read one trace
+    may share `lists`, which keeps one instance of each list read, found by
+    its atoms and the identity of its sublists: a memo then finds a list
+    that an earlier line spelled by identity, without comparing two deep
+    tuples, which Python does recursively."""
     stack: list[list[SExp]] = [[]]
     for tok in _tokenize(line):
         if tok == "(":
@@ -625,6 +629,9 @@ def parse_sexp(line: str) -> SExp:
             stack[-1].append(tok)
         elif len(stack) > 1:
             done = tuple(stack.pop())
+            if lists is not None:
+                key = tuple([x if x.__class__ is str else id(x) for x in done])
+                done = lists.setdefault(key, done)
             stack[-1].append(done)
         else:
             raise TraceFormatError("unexpected ')'")
@@ -651,28 +658,43 @@ def int_from_sexp(s: SExp) -> int:
 
 
 def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
-    """Read a term.  Calls that read one trace share `memo`, which maps
-    every s-expression read so far to its term, so a numeral that many
-    records spell is built once."""
+    """Read a term off an explicit stack: an application is built after
+    its arguments, so depth costs no recursion.  Calls that read one trace
+    share `memo`, which maps every s-expression read so far to its term, so
+    a numeral that many records spell is built once."""
     if memo is None:
         memo = {}
-    t = memo.get(s)
-    if t is not None:
-        return t
-    if isinstance(s, str):
-        t = App(sym(s), ())
-    elif not s or not isinstance(s[0], str):
-        raise TraceFormatError(f"bad term: {s!r}")
-    elif s[0] == "%ev" and len(s) == 3:
-        t = EVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    elif s[0] == "%mv" and len(s) == 3:
-        t = MVar(int_from_sexp(s[1]), int_from_sexp(s[2]))
-    elif s[0] == "%bv" and len(s) == 2:
-        t = Bound(int_from_sexp(s[1]))
-    else:
-        t = App(sym(s[0]), tuple(term_from_sexp(x, memo) for x in s[1:]))
-    memo[s] = t
-    return t
+    done: list[Term] = []
+    stack: list[Optional[SExp]] = [s]
+    while stack:
+        x = stack.pop()
+        if x is None:  # the arguments of the list below are the last terms done
+            x = stack.pop()
+            k = len(done) - len(x) + 1
+            t = App(sym(x[0]), tuple(done[k:]))
+            del done[k:]
+        else:
+            t = memo.get(x)
+            if t is not None:
+                done.append(t)
+                continue
+            if isinstance(x, str):
+                t = App(sym(x), ())
+            elif not x or not isinstance(x[0], str):
+                raise TraceFormatError(f"bad term: {x!r}")
+            elif x[0] == "%ev" and len(x) == 3:
+                t = EVar(int_from_sexp(x[1]), int_from_sexp(x[2]))
+            elif x[0] == "%mv" and len(x) == 3:
+                t = MVar(int_from_sexp(x[1]), int_from_sexp(x[2]))
+            elif x[0] == "%bv" and len(x) == 2:
+                t = Bound(int_from_sexp(x[1]))
+            else:
+                stack += (x, None)
+                stack += x[:0:-1]
+                continue
+        memo[x] = t
+        done.append(t)
+    return done[0]
 
 
 def index_from_sexp(s: SExp) -> Index:

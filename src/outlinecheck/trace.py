@@ -18,8 +18,7 @@ definition table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .syntax import (
     Index, SExp, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp,
@@ -40,9 +39,16 @@ RULES: dict[str, tuple[int, tuple[str, ...]]] = {
     "allL": (1, ("term",)), "impL": (2, ()), "releaseL": (1, ()), "releaseR": (1, ()),
 }
 
+# a record with at most this many lists nests no deeper, so a memo lookup
+# compares its tuples well within the recursion limit; a deeper one is
+# read with its lists shared
+_SHALLOW = 100
 
-@dataclass(frozen=True)
-class TraceNode:
+
+class TraceNode(NamedTuple):
+    """One record and its premises: a named tuple, so it is built as cheaply
+    as a tuple and compares equal to the plain tuple of its fields."""
+
     rule: str
     children: tuple["TraceNode", ...] = ()
     term: Optional[Term] = None
@@ -78,6 +84,7 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     wrote, replay's record number.  The tree is then built last record
     first.  Nothing reads `defs`, kept for callers that still pass one."""
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
+    lists: dict[tuple, tuple] = {}  # shared by the deep ones: see parse_sexp
     seen: dict[str, tuple] = {}
     records: list[tuple] = []
     need = 1
@@ -89,7 +96,7 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
             if not need:
                 raise TraceFormatError("surplus record after the end of the proof")
             if fields is None:
-                rec = parse_sexp(line)
+                rec = parse_sexp(line, lists if line.count("(") > _SHALLOW else None)
                 if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
                     raise TraceFormatError(f"bad record shape: {rec!r}")
                 rule, ncs, tm, ixs, invs, sds = rec
@@ -111,8 +118,8 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     if need:
         raise TraceFormatError(f"line {len(lines) + 1}: truncated trace: {need} records missing")
     done: list[TraceNode] = []
-    for rule, n, *fields in reversed(records):
+    for rule, n, term, index, invariant, side in reversed(records):
         children = tuple(reversed(done[len(done) - n:]))
         del done[len(done) - n:]
-        done.append(TraceNode(rule, children, *fields))
+        done.append(TraceNode(rule, children, term, index, invariant, side))
     return done[0]

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import outlinecheck
-from outlinecheck import cli, trace_from_lines, verify_trace, elaborate, parse_file
+from outlinecheck import Accepted, cli, trace_from_lines, verify_trace, elaborate, parse_file
 
 from _util import CORPUS, check_outline
 
@@ -119,22 +119,29 @@ def test_non_utf8_file_exit_two(capsys, tmp_path):
     assert err.count("\n") == 1 and "bad.thm" in err
 
 
-def test_recursion_overflow_exit_two(capsys, tmp_path):
-    # 300 layers: the front end reads them, the kernel's nested focus
-    # generators do not
-    text = ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+def _is_nat_theorem(layers: int) -> str:
+    return ("Kind nat type.\nType z nat.\nType s nat -> nat.\n"
             "Define is_nat : nat -> prop by\n"
             "  is_nat z ;\n  is_nat (s N) := is_nat N.\n"
-            f"Theorem deep : is_nat {'(s ' * 300}z{')' * 300}.\n"
-            'ship "(induction 0 0 302)".\n')
+            f"Theorem deep : is_nat {'(s ' * layers}z{')' * layers}.\n"
+            f'ship "(induction 0 0 {layers + 2})".\n')
+
+
+def test_recursion_overflow_exit_two(capsys, tmp_path):
+    # 300 layers: the front end reads them and the kernel's loop checks them
+    text = _is_nat_theorem(300)
     el = elaborate(parse_file(text))
-    with pytest.raises(RecursionError):
-        check_outline(el, el.goals["deep"], "(induction 0 0 302)")
+    assert isinstance(check_outline(el, el.goals["deep"], "(induction 0 0 302)"), Accepted)
     deep = tmp_path / "deep.thm"
     deep.write_text(text)
-    code, _, err = run(capsys, deep)
-    assert code == 2
+    code, lines, _ = run(capsys, deep)
+    assert code == 0 and OK_LINE.match(lines[0]) and lines[0].startswith("deep: ok")
+    # 2,000 layers: the front end's recursive term parser refuses them
+    deep.write_text(_is_nat_theorem(2000))
+    code, lines, err = run(capsys, deep)
+    assert code == 2 and not lines
     assert err.count("\n") == 1 and "deep.thm" in err
+    assert "nested too deeply for this checker" in err
 
 
 def test_negative_recursion_exit_two(capsys, tmp_path):

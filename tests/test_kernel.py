@@ -459,12 +459,17 @@ def test_search_opens_no_binder():
     # search reads every formula under an environment; only replay opens
     # binders eagerly, so a replayed trace checks search independently: no
     # `instantiate` call takes a binder's body (`.body`, or a name a pattern
-    # binds with `body=`), and the induction hands its fresh eigenvariables
-    # `ys` to no `instantiate` call, only as an environment
+    # binds with `body=` or an assignment takes from `.body`), and the
+    # induction hands its fresh eigenvariables `ys` to no `instantiate`
+    # call, only as an environment
     tree = ast.parse(pathlib.Path(kernel.__file__).read_text(encoding="utf-8"))
+    assert any(isinstance(n, ast.Attribute) and n.attr == "body"
+               for n in ast.walk(tree))  # the reads the check follows are there
     bodies = {p.name for n in ast.walk(tree) if isinstance(n, ast.MatchClass)
               for a, p in zip(n.kwd_attrs, n.kwd_patterns) if a == "body"}
-    assert bodies  # the patterns the check reads are there
+    bodies |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Attribute) and n.value.attr == "body"
+               for t in n.targets if isinstance(t, ast.Name)}
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
              and isinstance(n.func, ast.Name) and n.func.id == "instantiate"]
     assert calls
@@ -472,6 +477,18 @@ def test_search_opens_no_binder():
               if isinstance(n, ast.Attribute) and n.attr == "body"
               or isinstance(n, ast.Name) and n.id in bodies | {"ys"}]
     assert not opened
+
+
+def test_search_is_a_loop_over_goals():
+    # a phase returns its premises as goal frames and only check's loop
+    # runs them: no function calls a phase, so no proof is too deep
+    tree = ast.parse(pathlib.Path(kernel.__file__).read_text(encoding="utf-8"))
+    phases = {"_async", "_left_focus", "_right_focus"}
+    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id in phases]
+    assert not calls
+    framed = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in phases}
+    assert framed == phases
 
 
 def _builds_a_term(node: ast.AST) -> bool:

@@ -7,7 +7,6 @@ import pathlib
 import random
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -244,28 +243,40 @@ def test_trace_for_wrong_goal_rejected(session, el):
 
 
 def test_deep_trace_replays_at_the_default_limit(el):
-    # a valid trace of 3,310 records: search still recurses along it and
-    # needs a raised limit, but reading and replaying it are loops
+    # a valid trace of 3,310 records: search, reading and replaying it are
+    # all loops along it
     goal = MuAtom(el.definitions["plus"], (num(300), num(1), num(301)))
-    default = sys.getrecursionlimit()
-    sys.setrecursionlimit(5000)
-    try:
-        r = check_outline(el, goal, "(induction 0 0 302)", max_steps=1_000_000)
-        assert isinstance(r, Accepted)
-        lines = trace_to_lines(r.trace)
-    finally:
-        sys.setrecursionlimit(default)
+    r = check_outline(el, goal, "(induction 0 0 302)", max_steps=1_000_000)
+    assert isinstance(r, Accepted)
+    lines = trace_to_lines(r.trace)
     assert len(lines) == 3310
     assert explain_failure((), goal, trace_from_lines(lines)) is None
 
 
+@pytest.mark.parametrize("name, args, cert, records", [
+    ("plus", (1000, 1, 1001), "(induction 0 0 1002)", 11010),
+    ("is_nat", (2000,), "(induction 0 0 2001)", 10005),
+])
+def test_thousands_of_layers_round_trip_at_the_default_limit(el, name, args, cert, records):
+    # check, serialise, re-parse and replay, each a loop along the proof
+    assert sys.getrecursionlimit() == 1000
+    goal = MuAtom(el.definitions[name], tuple(num(n) for n in args))
+    r = check_outline(el, goal, cert, max_steps=1_000_000)
+    assert isinstance(r, Accepted)
+    lines = trace_to_lines(r.trace)
+    assert len(lines) == records
+    back = trace_from_lines(lines)
+    assert trace_to_lines(back) == lines
+    assert explain_failure((), goal, back) is None
+
+
 def test_replay_catches_truncated_trace(session):
     r = session[0]
-    cut = replace(r.trace, children=())
+    cut = r.trace._replace(children=())
     assert explain_failure(r.lemmas, r.goal, cut) == (
         f"record 1 ({r.trace.rule}): expected 1 premises, found 0")
     # a premise that is no record at all has no line to name
-    junk = replace(r.trace, children=(None,))
+    junk = r.trace._replace(children=(None,))
     assert explain_failure(r.lemmas, r.goal, junk).startswith("malformed trace: ")
 
 
@@ -277,7 +288,7 @@ def _mutate(node: TraceNode, path: list[int], field: str, rng: random.Random) ->
         i, rest = path[0], path[1:]
         kids = list(node.children)
         kids[i] = _mutate(kids[i], rest, field, rng)
-        return replace(node, children=tuple(kids))
+        return node._replace(children=tuple(kids))
     rule, term = node.rule, node.term
     index, invariant, side = node.index, node.invariant, node.side
     if field == "rule":
@@ -323,10 +334,10 @@ def test_hundred_random_mutations_rejected(session):
 
 def _replace_at(node: TraceNode, path: list[int], **changes) -> TraceNode:
     if not path:
-        return replace(node, **changes)
+        return node._replace(**changes)
     kids = list(node.children)
     kids[path[0]] = _replace_at(kids[path[0]], path[1:], **changes)
-    return replace(node, children=tuple(kids))
+    return node._replace(children=tuple(kids))
 
 
 def test_missing_field_named_by_its_rule(session):
