@@ -343,13 +343,10 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     goals = ((_async, store, (), ("un", goal, ()), cert, 0, {}), None)
     records = None
     choices = [(iter(()), None, None, 0)]
-    max_steps = ctx.max_steps
     try:
         while goals is not None:
             frame, goals = goals
-            ctx.steps += 1
-            if ctx.steps > max_steps:
-                raise OutOfBudgetError
+            ctx.tick()
             out = frame[0](ctx, frame)
             if out is not None and out.__class__ is not tuple:
                 choices.append((out, goals, records, binds.mark()))
@@ -361,8 +358,6 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
                 if out is None:
                     choices.pop()
                     if not choices:
-                        if binds.trail:
-                            raise StructuralError("bindings survived an exhausted search")
                         return Rejected(ctx.steps)
             records = (out[0], records)
             n = len(out)

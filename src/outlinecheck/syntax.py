@@ -616,32 +616,37 @@ def _tokenize(line: str) -> list[str]:
 
 def parse_sexp(line: str, lists: Optional[dict[tuple, tuple]] = None) -> SExp:
     """Read one s-expression off an explicit stack.  Lists come back as
-    tuples, so an s-expression can key a memo.  Calls that read one trace
-    may share `lists`, which keeps one instance of each list read, found by
-    its atoms and the identity of its sublists: a memo then finds a list
-    that an earlier line spelled by identity, without comparing two deep
-    tuples, which Python does recursively."""
-    stack: list[list[SExp]] = [[]]
+    tuples, so an s-expression can key a memo.  `lists` keeps one instance
+    of each list read, found by its atoms and the identity of its sublists;
+    calls that read one trace share it, so a memo finds a list that an
+    earlier line spelled by identity, without comparing two deep tuples,
+    which Python does recursively."""
+    if lists is None:
+        lists = {}
+    items: list[SExp] = []
+    key: list = []  # items, each sublist by its identity
+    stack: list[tuple[list, list]] = []
     for tok in _tokenize(line):
         if tok == "(":
-            stack.append([])
+            stack.append((items, key))
+            items, key = [], []
         elif tok != ")":
-            stack[-1].append(tok)
-        elif len(stack) > 1:
-            done = tuple(stack.pop())
-            if lists is not None:
-                key = tuple([x if x.__class__ is str else id(x) for x in done])
-                done = lists.setdefault(key, done)
-            stack[-1].append(done)
+            items.append(tok)
+            key.append(tok)
+        elif stack:
+            done = lists.setdefault(tuple(key), tuple(items))
+            items, key = stack.pop()
+            items.append(done)
+            key.append(id(done))
         else:
             raise TraceFormatError("unexpected ')'")
-    if len(stack) > 1:
+    if stack:
         raise TraceFormatError("unbalanced parentheses")
-    if not stack[0]:
+    if not items:
         raise TraceFormatError("unexpected end of record")
-    if len(stack[0]) > 1:
+    if len(items) > 1:
         raise TraceFormatError(f"trailing tokens in record: {line!r}")
-    return stack[0][0]
+    return items[0]
 
 
 def int_from_sexp(s: SExp) -> int:

@@ -39,11 +39,6 @@ RULES: dict[str, tuple[int, tuple[str, ...]]] = {
     "allL": (1, ("term",)), "impL": (2, ()), "releaseL": (1, ()), "releaseR": (1, ()),
 }
 
-# a record with at most this many lists nests no deeper, so a memo lookup
-# compares its tuples well within the recursion limit; a deeper one is
-# read with its lists shared
-_SHALLOW = 100
-
 
 class TraceNode(NamedTuple):
     """One record and its premises: a named tuple, so it is built as cheaply
@@ -84,7 +79,7 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     wrote, replay's record number.  The tree is then built last record
     first.  Nothing reads `defs`, kept for callers that still pass one."""
     memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
-    lists: dict[tuple, tuple] = {}  # shared by the deep ones: see parse_sexp
+    lists: dict[tuple, tuple] = {}  # shared by every record: see parse_sexp
     seen: dict[str, tuple] = {}
     records: list[tuple] = []
     need = 1
@@ -96,7 +91,7 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
             if not need:
                 raise TraceFormatError("surplus record after the end of the proof")
             if fields is None:
-                rec = parse_sexp(line, lists if line.count("(") > _SHALLOW else None)
+                rec = parse_sexp(line, lists)
                 if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
                     raise TraceFormatError(f"bad record shape: {rec!r}")
                 rule, ncs, tm, ixs, invs, sds = rec
