@@ -65,7 +65,6 @@ invariance premise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -111,9 +110,9 @@ class OutOfBudgetError(Exception):
 class _Ctx:
     __slots__ = ("fpc", "binds", "max_steps", "steps")
 
-    def __init__(self, fpc: FpcDefinition, max_steps: int) -> None:
+    def __init__(self, fpc: FpcDefinition, max_steps: int, first: int) -> None:
         self.fpc = fpc
-        self.binds = BindingStore()
+        self.binds = BindingStore(first)
         self.max_steps = max_steps
         self.steps = 0
 
@@ -335,11 +334,10 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     choice point is (alternatives, goals, records, trail mark); the bottom
     one has none and rewinds the trail to where the search began."""
     limits = limits or ResourceLimits()
-    ctx = _Ctx(fpc, limits.max_steps)
-    binds = ctx.binds
     store = tuple(lemmas)
-    ids = [v.id for v in input_evars(store, goal)]
-    binds.ids = itertools.count(max(ids, default=0) + 1)
+    top = max((v.id for v in input_evars(store, goal)), default=0)
+    ctx = _Ctx(fpc, limits.max_steps, top + 1)
+    binds = ctx.binds
     goals = ((_async, store, (), ("un", goal, ()), cert, 0, {}), None)
     records = None
     choices = [(iter(()), None, None, 0)]

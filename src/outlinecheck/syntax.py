@@ -584,15 +584,12 @@ def synthesize_obvious_invariants(
     if any(isinstance(v, MVar) for v in seen):
         return None, None
     hyp_vars = input_vars(hyps, TT)
-    # the parameters xs take ids above the sequent's, so none is one of zs
-    top = max((v.id for v in seen | hyp_vars), default=0)
-    params = [EVar(top + i, 0) for i in range(1, len(target_args) + 1)]
-    eqs: list[Formula] = [Eq(p, t) for p, t in zip(params, target_args)]
 
     def build(facts: list[Formula], free: set) -> Formula:
-        inner = Imp(_chain(And, eqs + facts, TT), goal)
         zs = sorted(free, key=lambda e: (e.id, e.level))
-        return close_binders(inner, zs, All, params)
+        # parameter i is Bound(len(zs) + i) beneath zs's binders: synthesis makes no id
+        eqs: list[Formula] = [Eq(Bound(len(zs) + i), t) for i, t in enumerate(target_args)]
+        return close_binders(Imp(_chain(And, eqs + facts, TT), goal), zs, All)
 
     folded = (None if any(isinstance(v, MVar) for v in hyp_vars)
               else build([f for _, f in hyps], seen | hyp_vars))

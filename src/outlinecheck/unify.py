@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 
 from .syntax import (
-    App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound, term_vars,
+    App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound,
 )
 
 OK = "ok"
@@ -64,23 +64,17 @@ class BindingStore:
     Checkpoints from `mark` must be undone in LIFO order; rewinding past a
     checkpoint that has already been undone is a structural error.
 
-    `ids` numbers the variables a check makes, pruning's too: from 1 in a
-    bare store, and above every id its inputs hold under kernel.check.
-    Pruning skips past every id the current inputs and bindings hold: the
-    sides of the running unification, its environment and its incoming
-    sigma, which are kept by reference and read only when pruning runs.
+    `ids` numbers the variables a check makes, pruning's too, counting
+    from `first`: the caller gives an id above every id its terms hold, as
+    kernel.check does for its inputs, and no variable is made twice.
     """
 
-    __slots__ = ("bindings", "trail", "ids", "_lhs", "_rhs", "_env", "_sigma")
+    __slots__ = ("bindings", "trail", "ids")
 
-    def __init__(self) -> None:
+    def __init__(self, first: int) -> None:
         self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
-        self.ids = itertools.count(1)
-        self._lhs: tuple[Term, ...] = ()
-        self._rhs: tuple[Term, ...] = ()
-        self._env: Env = ()
-        self._sigma: Sigma | None = None
+        self.ids = itertools.count(first)
 
     # -- checkpoints
 
@@ -135,7 +129,6 @@ class BindingStore:
         """`unify` of each xs[i] with ys[i], all under one checkpoint: on
         any failure the store is restored to what it was before xs[0]."""
         cp = len(self.trail)
-        self._lhs, self._rhs, self._env, self._sigma = xs, ys, env, sigma
         for x, y in zip(xs, ys):
             if self._unify(x, y, sigma, False, env) is not OK:
                 self.undo(cp)
@@ -152,7 +145,6 @@ class BindingStore:
         store, resolved under sigma'; on non-success the store is restored.
         """
         cp = self.mark()
-        self._lhs, self._rhs, self._env, self._sigma = (a,), (b,), env, sigma
         sigma = dict(sigma) if sigma else {}
         out = self._unify(a, b, sigma, True, env)
         if out is not OK:
@@ -225,7 +217,7 @@ class BindingStore:
                 if t.id == v.id:
                     return CLASH  # occurs check
                 if t.level > v.level:
-                    self._bind(t, MVar(self._fresh_id(), v.level))
+                    self._bind(t, MVar(next(self.ids), v.level))
                 return OK
             case EVar(level=lv):
                 if lv > v.level:
@@ -237,22 +229,6 @@ class BindingStore:
                     if out is not OK:
                         return out
         return OK
-
-    def _fresh_id(self) -> int:
-        """The next id of `ids`, or one above every id the inputs of this
-        unification (its two sides, env and sigma's images) and the
-        bindings hold when `ids` has not passed them."""
-        i = next(self.ids)
-        images = self._sigma.values() if self._sigma else ()
-        held = list(self.bindings)
-        held += (v.id for t in (*self._lhs, *self._rhs, *self._env, *images,
-                                *self.bindings.values())
-                 for v in term_vars(t))
-        top = max(held, default=0)
-        if i <= top:
-            i = top + 1
-            self.ids = itertools.count(i + 1)
-        return i
 
     def _bind_evar(self, e: EVar, t: Term, sigma: Sigma, env: Env) -> str:
         if self._occurs_evar(e, t, sigma, env):

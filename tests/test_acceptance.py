@@ -180,7 +180,7 @@ def test_criterion_7_backtracking_hygiene():
     from outlinecheck.syntax import EVar, MVar, Term
 
     rng = random.Random(11223344)
-    store = BindingStore()
+    store = BindingStore(10_000)
     pool: list[Term] = [MVar(5000 + i, 1) for i in range(12)]
     pool += [EVar(6000 + i, 1) for i in range(4)]
     frames: list[tuple[object, int]] = []

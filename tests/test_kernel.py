@@ -25,6 +25,8 @@ from outlinecheck import (
     LemmaName,
     MuAtom,
     Or,
+    STUCK,
+    BindingStore,
     Rejected,
     OutOfBudget,
     ResourceLimits,
@@ -38,15 +40,18 @@ from outlinecheck import (
     instantiate,
     kernel,
     parse_file,
+    run_session,
+    syntax,
     sym,
     synthesize_obvious_invariants,
     trace_from_lines,
     trace_to_lines,
+    unify,
     verify_trace,
 )
 from outlinecheck.syntax import EVar, Hyp, MVar
 
-from _util import check_outline, elab_plus, num
+from _util import CORPUS, check_outline, elab_plus, num
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +227,38 @@ def test_default_fpc_forbids_everything(el):
     r = kernel.check((), Eq(num(0), num(0)), object(), FpcDefinition(), limits)
     assert isinstance(r, Accepted)
     assert r.steps == 3
+
+
+class _OneIndexFpc(FpcDefinition):
+    def store_clerk(self, cert):
+        return ((cert, Hyp(1)),)
+
+
+def test_a_second_formula_stored_under_one_index_raises(el):
+    # the second freeze is offered the index the first one took
+    goal = Imp(is_nat_atom(el, 0), Imp(is_nat_atom(el, 0), is_nat_atom(el, 0)))
+    with pytest.raises(StructuralError, match=r"^duplicate store index \(hyp 1\)$"):
+        kernel.check((), goal, object(), _OneIndexFpc())
+
+
+def test_a_scope_indeterminate_equation_fails_its_branch(monkeypatch):
+    # X = s E, with X from outside E's scope, is neither solvable nor
+    # absurd: eqL is stuck there, and the branch fails instead of closing
+    text = CORPUS.read_text(encoding="utf-8") + (
+        'Theorem stuck : (forall X, exists E, X = s E) -> false.\n'
+        'ship "(induction 1 0 0)".\n')
+    outcomes = []
+    split = BindingStore.unify_case_split
+
+    def spy(self, *args):
+        out = split(self, *args)
+        outcomes.append(out[0])
+        return out
+
+    monkeypatch.setattr(BindingStore, "unify_case_split", spy)
+    r = run_session(parse_file(text))[-1]
+    assert (r.name, r.outcome, r.steps) == ("stuck", "fail", 26)
+    assert outcomes[-1] is STUCK
 
 
 # -- the focus phases read formulas under an environment: exR and allL push
@@ -515,3 +552,26 @@ def test_search_builds_no_term_it_unifies():
                 assert not _builds_a_term(arg), (n.lineno, ast.unparse(arg))
                 assert not (isinstance(arg, ast.Name) and arg.id in built), (n.lineno, arg.id)
     assert calls == 3  # eqL, eqR and initial
+
+
+def test_one_policy_numbers_variables():
+    # search and the unifier make a variable only with the store's next id,
+    # which check starts above its inputs; in syntax, only the trace reader
+    # builds one, with the id it reads
+    made = 0
+    for mod in (kernel, unify):
+        tree = ast.parse(pathlib.Path(mod.__file__).read_text(encoding="utf-8"))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                    and n.func.id in ("EVar", "MVar"):
+                made += 1
+                i = n.args[0]
+                assert (isinstance(i, ast.Call) and isinstance(i.func, ast.Name)
+                        and i.func.id == "next" and isinstance(i.args[0], ast.Attribute)
+                        and i.args[0].attr == "ids"), (mod.__name__, n.lineno, ast.unparse(n))
+    assert made == 6  # exL, allR, the induction's ys, allL, exR and pruning
+    tree = ast.parse(pathlib.Path(syntax.__file__).read_text(encoding="utf-8"))
+    builders = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id in ("EVar", "MVar")}
+    assert builders == {"term_from_sexp"}

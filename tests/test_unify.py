@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -23,26 +22,26 @@ def mv(i, lv=1):
 
 
 def test_unify_ground_equal():
-    b = BindingStore()
+    b = BindingStore(1)
     assert b.unify(num(3), num(3))
     assert not b.unify(num(3), num(4))
 
 
 def test_unify_binds_mvar():
-    b = BindingStore()
+    b = BindingStore(2)
     x = mv(1)
     assert b.unify(x, num(2))
     assert b.resolve(x) == num(2)
 
 
 def test_unify_occurs_check():
-    b = BindingStore()
+    b = BindingStore(2)
     x = mv(1)
     assert not b.unify(x, con("s", x))
 
 
 def test_unify_failure_restores_bindings():
-    b = BindingStore()
+    b = BindingStore(3)
     x, y = mv(1), mv(2)
     # s(x) vs s(z) binds x, then z vs s(y) fails; x must be unbound again.
     assert not b.unify(con("pair", x, con("z")), con("pair", con("z"), con("s", y)))
@@ -52,14 +51,14 @@ def test_unify_failure_restores_bindings():
 
 def test_level_restriction_blocks_deep_eigenvariable():
     # An MVar at level 1 may not capture an EVar from level 2.
-    b = BindingStore()
+    b = BindingStore(3)
     x = mv(1, lv=1)
     deep = ev(2, lv=2)
     assert not b.unify(x, deep)
 
 
 def test_mark_undo_roundtrip():
-    b = BindingStore()
+    b = BindingStore(2)
     x = mv(1)
     cp = b.mark()
     assert b.unify(x, num(1))
@@ -68,7 +67,7 @@ def test_mark_undo_roundtrip():
 
 
 def test_stale_checkpoint_detected():
-    b = BindingStore()
+    b = BindingStore(2)
     cp = b.mark()
     assert b.unify(mv(1), num(1))
     b.undo(cp)
@@ -77,7 +76,7 @@ def test_stale_checkpoint_detected():
 
 
 def test_case_split_ok_produces_substitution():
-    b = BindingStore()
+    b = BindingStore(2)
     e = ev(1)
     verdict, sigma = b.unify_case_split(con("s", e), con("s", num(2)))
     assert verdict is OK
@@ -85,7 +84,7 @@ def test_case_split_ok_produces_substitution():
 
 
 def test_case_split_clash_on_constructors():
-    b = BindingStore()
+    b = BindingStore(1)
     verdict, sigma = b.unify_case_split(con("z"), con("s", num(0)))
     assert verdict is CLASH
     assert sigma is None
@@ -95,7 +94,7 @@ def test_case_split_stuck_on_deep_eigenvariable_under_constructor():
     # A metavariable from an outer scope meets s(e) where e is deeper: the
     # binding would escape e's scope, but nothing rigid disagrees either, so
     # no branch may be closed.
-    b = BindingStore()
+    b = BindingStore(3)
     verdict, sigma = b.unify_case_split(mv(1, lv=1), con("s", ev(2, lv=2)))
     assert verdict is STUCK
     assert sigma is None
@@ -103,7 +102,7 @@ def test_case_split_stuck_on_deep_eigenvariable_under_constructor():
 
 def test_case_split_eigenvariable_clash_under_constructor():
     # e = s e is cyclic for a rigid eigenvariable: genuinely absurd.
-    b = BindingStore()
+    b = BindingStore(2)
     e = ev(1)
     verdict, _ = b.unify_case_split(e, con("s", e))
     assert verdict is CLASH
@@ -114,7 +113,7 @@ def test_case_split_eigenvariable_clash_under_constructor():
 
 
 def test_unify_reads_through_a_chain_of_the_branch_substitution():
-    b = BindingStore()
+    b = BindingStore(4)
     e1, e2, x = ev(1), ev(2), mv(3)
     sigma = {e1: e2, e2: con("s", num(1))}
     assert b.unify(con("s", e1), num(3), sigma)
@@ -128,7 +127,7 @@ def test_unify_reads_through_a_chain_of_the_branch_substitution():
 
 def test_unify_keeps_scope_through_the_branch_substitution():
     # e1 is at X's level, but it stands for e2, which is deeper
-    b = BindingStore()
+    b = BindingStore(5)
     x = mv(3, lv=1)
     sigma = {ev(1, lv=1): con("s", ev(2, lv=2))}
     assert not b.unify(x, ev(1, lv=1), sigma)
@@ -140,7 +139,7 @@ def test_unify_keeps_scope_through_the_branch_substitution():
 
 
 def test_unify_never_binds_an_eigenvariable():
-    b = BindingStore()
+    b = BindingStore(3)
     e1, e2 = ev(1), ev(2)
     sigma = {e2: num(0)}
     assert not b.unify(e1, num(0), sigma)
@@ -152,7 +151,7 @@ def test_unify_never_binds_an_eigenvariable():
 
 
 def test_case_split_composes_with_the_incoming_substitution():
-    b = BindingStore()
+    b = BindingStore(4)
     e1, e2, x = ev(1), ev(2), mv(3)
     incoming = {e1: con("s", e2)}
     verdict, sigma = b.unify_case_split(e1, con("s", num(0)), incoming)
@@ -180,53 +179,51 @@ def _unify_either(b: BindingStore, split: bool, x: Term, y: Term, sigma=None, en
 @pytest.mark.parametrize("split", [False, True])
 def test_pruning_takes_no_id_an_input_or_binding_holds(split):
     # binding X (level 0) to s(Y) with Y at level 1 prunes Y to a fresh
-    # level-0 metavariable; a bare store counts from 1, which X holds
-    b = BindingStore()
+    # level-0 metavariable: the store's first id, above every id its terms hold
+    b = BindingStore(6)
     x = mv(1, lv=0)
     assert _unify_either(b, split, x, con("s", mv(5)))
     out = b.resolve(x)  # no cycle X = s(X), so this terminates
-    assert out.head is con("s").head
-    (y,) = out.args
-    assert isinstance(y, MVar) and y.level == 0 and y.id not in (1, 5)
-    # a later pruning skips ids that only the bindings hold
-    b = BindingStore()
+    assert out == con("s", MVar(6, 0))
+    assert next(b.ids) == 7
+    # a later pruning, after a binding, takes the next id
+    b = BindingStore(4)
     assert b.unify(mv(1, lv=0), con("z"))
     assert _unify_either(b, split, mv(2, lv=0), con("s", mv(3)))
-    assert b.resolve(mv(2, lv=0)) != con("s", con("z"))
-    # the environment is an input too: Y is read through Bound(0), and
-    # mv(3), which nothing reads, must not be made again
-    b = BindingStore()
+    assert b.resolve(mv(2, lv=0)) == con("s", MVar(4, 0))
+    assert next(b.ids) == 5
+    # the environment holds terms too: Y is read through Bound(0)
+    b = BindingStore(4)
     assert _unify_either(b, split, x, con("s", Bound(0)), env=(mv(2), mv(3, lv=0)))
-    y = b.bindings[2]  # read as stored: a pruning that made mv(2) again would cycle
-    assert isinstance(y, MVar) and y.level == 0 and y.id not in (1, 2, 3)
+    assert b.bindings[2] == MVar(4, 0)  # read as stored: mv(2) made again would cycle
+    assert next(b.ids) == 5
 
 
 @pytest.mark.parametrize("split", [False, True])
 def test_pruning_takes_no_id_the_branch_substitution_holds(split):
-    # e2 stands for pair(Y, W), Y deeper than X: pruning Y must not make W
-    b = BindingStore()
+    # e2 stands for pair(Y, W), Y deeper than X: pruning Y takes the first
+    # id, above the ids sigma's images hold
+    b = BindingStore(10)
     x, y, w = mv(1, lv=0), mv(9, lv=1), mv(3, lv=0)
     assert _unify_either(b, split, x, ev(2), {ev(2): con("pair", y, w)})
-    fresh, second = b.resolve(x).args
-    assert second == w and isinstance(fresh, MVar) and fresh.level == 0
-    assert fresh.id not in (1, 2, 3, 9)
+    assert b.resolve(x) == con("pair", MVar(10, 0), w)
+    assert next(b.ids) == 11
 
 
 def test_case_split_pruning_takes_no_id_the_incoming_substitution_holds():
     # the split reads nothing through ev(2), but its premise goes on under
-    # sigma', which maps ev(2) to mv(6): the pruned metavariable must not be 6
-    b = BindingStore()
+    # sigma', which maps ev(2) to mv(6): the store counts from above 6
+    b = BindingStore(7)
     x = mv(1, lv=0)
     incoming = {ev(2): mv(6, lv=0)}
     verdict, sigma = b.unify_case_split(x, con("s", mv(5)), incoming)
     assert verdict is OK and sigma == incoming
-    (fresh,) = b.resolve(x).args
-    assert isinstance(fresh, MVar) and fresh.level == 0
-    assert fresh.id not in (1, 2, 5, 6)
+    assert b.resolve(x) == con("s", MVar(7, 0))
+    assert next(b.ids) == 8
 
 
 def test_unify_args_undoes_earlier_arguments_when_a_later_one_clashes():
-    b = BindingStore()
+    b = BindingStore(4)
     z, x, y = mv(1), mv(2), mv(3)
     assert b.unify(z, num(0))
     # x binds, then 1 = 3 clashes: x's binding goes, z's stays
@@ -246,7 +243,7 @@ def test_unify_args_undoes_earlier_arguments_when_a_later_one_clashes():
     lambda b: b.unify_case_split(ev(1), con("s", Bound(1)), None, (num(0),)),
 ], ids=["head", "argument", "scan", "args", "occurs"])
 def test_a_positional_variable_past_the_environment_raises(call):
-    b = BindingStore()
+    b = BindingStore(3)
     with pytest.raises(StructuralError, match="^positional variable reached the unifier$"):
         call(b)
 
@@ -316,8 +313,7 @@ def test_reading_under_the_environment_is_unifying_the_built_terms(entry, proble
     results = []
     for (a, b), e in (((xs, ys), env), (built, ())):
         # as under kernel.check, fresh ids start above every input
-        store = BindingStore()
-        store.ids = itertools.count(len(_POOL) + 1)
+        store = BindingStore(len(_POOL) + 1)
         if entry == "unify":
             out = store.unify(a[0], b[0], sigma, e)
         elif entry == "unify_args":
@@ -350,7 +346,7 @@ def _random_term(rng: random.Random, vars_pool: list[Term], depth: int = 0) -> T
 
 
 def _scratch_replay(ops: list[tuple[Term, Term]]) -> BindingStore:
-    b = BindingStore()
+    b = BindingStore(10_000)  # above the ids of every pool it replays
     for a, c in ops:
         b.unify(a, c)
     return b
@@ -358,7 +354,7 @@ def _scratch_replay(ops: list[tuple[Term, Term]]) -> BindingStore:
 
 def test_randomized_mark_undo_matches_scratch_replay():
     rng = random.Random(20260826)
-    store = BindingStore()
+    store = BindingStore(10_000)
     pool: list[Term] = [mv(1000 + i) for i in range(12)] + [ev(2000 + i) for i in range(4)]
     frames: list[tuple[object, int]] = []  # (checkpoint, surviving-op count)
     ops: list[tuple[Term, Term]] = []      # successful unifications, in order
@@ -389,4 +385,4 @@ def test_randomized_mark_undo_matches_scratch_replay():
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
 def test_unify_is_symmetric_on_numerals(n, m):
-    assert BindingStore().unify(num(n), num(m)) == (n == m)
+    assert BindingStore(1).unify(num(n), num(m)) == (n == m)
