@@ -22,8 +22,8 @@ from .outline import (
 from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (
     FF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff, Formula,
-    Hyp, Imp, Index, LemmaName, MVar, MuAtom, Or, StructuralError, Term,
-    TraceFormatError, Tt, con, instantiate, sym, synthesize_obvious_invariants,
+    FrozenInstanceError, Hyp, Imp, Index, LemmaName, MVar, MuAtom, Or, StructuralError,
+    Term, TraceFormatError, Tt, con, instantiate, sym, synthesize_obvious_invariants,
 )
 from .trace import TraceNode, count_rule, trace_from_lines, trace_to_lines
 from .unify import CLASH, OK, STUCK, BindingStore, StaleCheckpointError

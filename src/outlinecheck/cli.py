@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--replay", action="store_true",
                     help="re-check each accepted proof's in-memory trace, not its --trace file")
     ap.add_argument("--max-steps", metavar="N", type=int,
-                    default=ResourceLimits.max_steps,
+                    default=ResourceLimits().max_steps,
                     help="per-theorem search step limit (default %(default)s)")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop a file at its first non-accepted theorem")

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import ChainMap
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import kernel
@@ -44,8 +43,8 @@ from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
     FF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
-    LemmaName, MuAtom, Or, StructuralError, Term, Tt, _chain, close_binders, con,
-    sym,
+    LemmaName, MuAtom, Or, Record, StructuralError, Term, Tt, _chain, _set,
+    close_binders, con, sym,
 )
 from .trace import TraceNode
 
@@ -53,66 +52,70 @@ from .trace import TraceNode
 # surface syntax trees (positions are deliberately not part of equality)
 
 
-@dataclass(frozen=True)
-class STerm:
+class STerm(Record):
     """A term, or as a formula an atom whose head names its predicate."""
+    __slots__ = __match_args__ = ("head", "args")
     head: str
-    args: tuple["STerm", ...] = ()
+    args: tuple[STerm, ...]
+
+    def __init__(self, head: str, args: tuple[STerm, ...] = ()) -> None:
+        _set(self, "head", head)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class SEq:
+class SEq(Record):
+    __slots__ = __match_args__ = ("l", "r")
     l: STerm
     r: STerm
 
 
-@dataclass(frozen=True)
-class SBin:
+class SBin(Record):
     """A binary connective: `op` is the core And, Or or Imp."""
+    __slots__ = __match_args__ = ("op", "a", "b")
     op: Callable[[Formula, Formula], Formula]
-    a: "SFormula"
-    b: "SFormula"
+    a: SFormula
+    b: SFormula
 
 
-@dataclass(frozen=True)
-class SQuant:
+class SQuant(Record):
     """A quantifier over `names`: `binder` is the core All or Ex."""
+    __slots__ = __match_args__ = ("binder", "names", "body")
     binder: Callable[[Formula], Formula]
     names: tuple[str, ...]
-    body: "SFormula"
+    body: SFormula
 
 
 # `true` and `false` parse straight to the core TT and FF
 SFormula = Union[STerm, SEq, SBin, SQuant, Tt, Ff]
 
 
-@dataclass(frozen=True)
-class KindDecl:
+class KindDecl(Record):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+class TypeDecl(Record):
+    __slots__ = __match_args__ = ("names", "arg_sorts", "result")
     names: tuple[str, ...]
     arg_sorts: tuple[str, ...]
     result: str
 
 
-@dataclass(frozen=True)
-class SClause:
+class SClause(Record):
+    __slots__ = __match_args__ = ("head_args", "body")
     head_args: tuple[STerm, ...]
     body: Optional[SFormula]
 
 
-@dataclass(frozen=True)
-class DefineDecl:
+class DefineDecl(Record):
+    __slots__ = __match_args__ = ("name", "arg_sorts", "clauses")
     name: str
     arg_sorts: tuple[str, ...]
     clauses: tuple[SClause, ...]
 
 
-@dataclass(frozen=True)
-class TheoremDecl:
+class TheoremDecl(Record):
+    __slots__ = __match_args__ = ("name", "statement", "ship")
     name: str
     statement: SFormula
     ship: str
@@ -121,8 +124,8 @@ class TheoremDecl:
 Decl = Union[KindDecl, TypeDecl, DefineDecl, TheoremDecl]
 
 
-@dataclass(frozen=True)
-class TheoremFile:
+class TheoremFile(Record):
+    __slots__ = __match_args__ = ("decls",)
     decls: tuple[Decl, ...]
 
 
@@ -153,11 +156,13 @@ _KEYWORDS = {"Kind", "Type", "Define", "Theorem", "ship", "by",
              "type", "prop", "forall", "exists", "true", "false"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "ident" | "string" | "punct" | "eof"
-    text: str
-    offset: int
+class _Tok(Record):
+    __slots__ = __match_args__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int) -> None:
+        _set(self, "kind", kind)  # "ident" | "string" | "punct" | "eof"
+        _set(self, "text", text)
+        _set(self, "offset", offset)
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -385,8 +390,8 @@ class ElabError(Exception):
     pass
 
 
-@dataclass
-class Elaborated:
+class Elaborated(Record):
+    __slots__ = __match_args__ = ("definitions", "theorems", "goals")
     definitions: dict[str, Definition]
     theorems: list[TheoremDecl]
     goals: dict[str, Formula]
@@ -562,15 +567,21 @@ def elaborate(file: TheoremFile) -> Elaborated:
 # session driver
 
 
-@dataclass(frozen=True)
-class TheoremResult:
+class TheoremResult(Record):
+    __slots__ = __match_args__ = (
+        "name", "outcome", "detail", "steps", "goal", "trace", "lemmas")
     name: str
     outcome: str  # "ok" | "fail" | "budget"
     detail: str
     steps: int
     goal: Formula
-    trace: Optional[TraceNode] = None
-    lemmas: tuple[tuple[Index, Formula], ...] = ()
+    trace: Optional[TraceNode]
+    lemmas: tuple[tuple[Index, Formula], ...]
+
+    def __init__(self, name: str, outcome: str, detail: str, steps: int, goal: Formula,
+                 trace: Optional[TraceNode] = None,
+                 lemmas: tuple[tuple[Index, Formula], ...] = ()) -> None:
+        super().__init__(name, outcome, detail, steps, goal, trace, lemmas)
 
 
 def run_session(file: TheoremFile, limits: Optional[ResourceLimits] = None,

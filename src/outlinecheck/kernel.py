@@ -55,48 +55,51 @@ A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out
 of the surrounding sequent, in two flavours, one folding the stored atomic
 hypotheses into the invariant (0) and one keeping the invariant bare (1),
-and its record names the flavour it used.  The left premise of this
-induction is provable by construction (instantiate the abstraction at the
-original arguments, reflexivity for the equations, initial steps for the
-folded hypotheses, and an identity for the goal), so the kernel discharges
-it after checking exactly those side conditions and records only the
-invariance premise.
+and its record names the flavour it used.  The bare one, the smaller
+formula, is tried first; where it is too weak, the folded one is tried
+next.  The left premise of this induction is provable by construction
+(instantiate the abstraction at the original arguments, reflexivity for the
+equations, initial steps for the folded hypotheses, and an identity for the
+goal), so the kernel discharges it after checking exactly those side
+conditions and records only the invariance premise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, Index, MuAtom,
-    MVar, Or, Store, StructuralError, Term, Tt, body_with_invariant, input_evars,
-    instantiate, map_sequent, store_lookup, synthesize_obvious_invariants,
+    MVar, Or, Record, Store, StructuralError, Term, Tt, body_with_invariant,
+    input_evars, instantiate, map_sequent, store_lookup, synthesize_obvious_invariants,
     term_subst_bound,
 )
 from .trace import RULES, TraceNode
 from .unify import CLASH, OK, BindingStore, Env, Sigma
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
-    max_steps: int = 1_000_000
+class ResourceLimits(Record):
+    __slots__ = __match_args__ = ("max_steps",)
+    max_steps: int
+
+    def __init__(self, max_steps: int = 1_000_000) -> None:
+        super().__init__(max_steps)
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Record):
+    __slots__ = __match_args__ = ("trace", "steps")
     trace: TraceNode
     steps: int
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(Record):
+    __slots__ = __match_args__ = ("steps",)
     steps: int
 
 
-@dataclass(frozen=True)
-class OutOfBudget:
+class OutOfBudget(Record):
+    __slots__ = __match_args__ = ("steps",)
     steps: int
 
 
@@ -203,7 +206,9 @@ def _atom_left(ctx: _Ctx, store: Store, c: MuAtom, env: Env, rest, rhs, cert: Ce
         rstore, _, (_, goal_f) = map_sequent(
             store, (), (rhs[0], instantiate(rhs[1], rhs[2])),
             lambda t, _: binds.resolve(t, sigma))
-        for k, inv in enumerate(synthesize_obvious_invariants(rstore, targs, goal_f)):
+        invs = synthesize_obvious_invariants(rstore, targs, goal_f)
+        for k in (1, 0):
+            inv = invs[k]
             if inv is None:
                 continue
             ys = tuple(EVar(next(binds.ids), level + 1) for _ in range(d.arity))

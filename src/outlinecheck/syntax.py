@@ -26,268 +26,57 @@ back; formulas print only in messages.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
-# symbols
-
-_SYMBOLS: dict[str, "Sym"] = {}
+# records, and how terms and formulas print
 
 
-@dataclass(frozen=True)
-class Sym:
-    """An interned constant or constructor name."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return self.name
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, a field of a record."""
 
 
-def sym(name: str) -> Sym:
-    """Intern `name`.  The same string always yields the same Sym."""
-    s = _SYMBOLS.get(name)
-    if s is None:
-        s = Sym(name)
-        _SYMBOLS[name] = s
-    return s
+_set = object.__setattr__  # sets a field of a record as it is built
 
 
-# ---------------------------------------------------------------------------
-# terms
+class Record:
+    """An immutable record: its fields, its `__match_args__`, are slots set
+    once, positionally or by keyword, as it is built.  It equals a record of
+    its own class with equal fields, hashes by them and its class, and
+    prints as Class(field=value, ...).  A record built often has its own
+    __init__."""
 
-# Every term carries two flags: `closed` (no Bound inside) and `ground`
-# (no EVar, MVar or Bound inside).  A walk that only rewrites variables of
-# some kind returns a subterm whose flag rules them out as it is.
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
-# A variable prints as (%tag id level): no constructor name starts with `%`.
-# An EVar never equals an MVar: equality compares classes first.  The hash
-# is the id alone, so hashing builds nothing; an EVar and an MVar of one id
-# share it and still differ.
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__match_args__, "__class__")
 
-@dataclass(frozen=True)
-class _Var:
-    id: int
-    level: int
+    def __init__(self, *args: object, **kw: object) -> None:
+        names = self.__match_args__
+        values = args + tuple(kw.pop(n) for n in names[len(args):] if n in kw)
+        if kw or len(values) != len(names):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
-    closed = True
-    ground = False
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.id == other.id and self.level == other.level
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return self.id
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        return f"({self.tag} {self.id} {self.level})"
-
-
-class EVar(_Var):
-    tag = "%ev"
-
-
-class MVar(_Var):
-    tag = "%mv"
-
-
-@dataclass(frozen=True)
-class Bound:
-    """A positional reference to an enclosing binder (0 = innermost)."""
-
-    index: int
-
-    closed = False
-    ground = False
-
-    def __repr__(self) -> str:
-        return f"(%bv {self.index})"
-
-
-# the one shared instance of each ground application built so far
-_GROUND: dict[tuple, "App"] = {}
-
-
-class App:
-    """A constructor application, immutable like the other terms.  Its
-    flags are computed once, from its arguments' flags; its hash, and a
-    ground one's printed form, are kept once computed.  A ground
-    application is interned: building an equal one returns the shared
-    instance.  Identity is only a fast path of equality, which falls back
-    to comparing structure.  Non-ground terms are not interned.
-    """
-
-    __slots__ = ("head", "args", "closed", "ground", "_hash", "_repr")
-    __match_args__ = ("head", "args")
-
-    def __new__(cls, head: Sym, args: tuple["Term", ...] = ()) -> "App":
-        closed = ground = True
-        for a in args:
-            if not a.ground:
-                ground = False
-                if not a.closed:
-                    closed = False
-                    break
-        if ground:
-            key = (head, args)
-            t = _GROUND.get(key)
-            if t is not None:
-                return t
-        t = object.__new__(cls)
-        _init = object.__setattr__
-        _init(t, "head", head)
-        _init(t, "args", args)
-        _init(t, "closed", closed)
-        _init(t, "ground", ground)
-        _init(t, "_hash", None)
-        _init(t, "_repr", None if args else head.name)
-        if ground:
-            _GROUND[key] = t
-        return t
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return App, (self.head, self.args)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        return self.head == other.head and self.args == other.args
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.head, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        return self._repr if self._repr is not None else _sexp(self)
-
-
-Term = Union[EVar, MVar, Bound, App]
-
-
-def con(name: str, *args: Term) -> App:
-    """Convenience constructor application."""
-    return App(sym(name), tuple(args))
-
-
-# ---------------------------------------------------------------------------
-# formulas
-
-
-@dataclass(frozen=True)
-class Definition:
-    """A least-fixed-point predicate definition, mu B.
-
-    It is built from B, its body as a function of the definition itself,
-    called once: a recursive call is an atom of the definition from the
-    moment it is written.  The body is a formula over `arity` parameters;
-    parameter i appears as Bound(depth + i) under `depth` intervening
-    binders.  The body takes no part in equality so a definition can be
-    compared and hashed cheaply by name.  A body that is no formula, or
-    that holds a free variable or anything input_vars refuses, is refused.
-    """
-
-    name: Sym
-    arity: int
-    make_body: InitVar[Callable[[Definition], Formula]]
-    body: Formula = field(init=False, compare=False)
-
-    def __post_init__(self, make_body: Callable[[Definition], Formula]) -> None:
-        body = make_body(self)
-        if input_vars((), body, self):
-            raise StructuralError(f"the body of {self.name} holds a free variable")
-        object.__setattr__(self, "body", body)
-
-    def __repr__(self) -> str:
-        return f"<def {self.name}/{self.arity}>"
-
-
-@dataclass(frozen=True)
-class Eq:
-    l: Term
-    r: Term
-
-    def __repr__(self) -> str:
-        return _sexp(self)
-
-
-# A connective prints as (tag operands...).
-
-@dataclass(frozen=True)
-class _Binary:
-    a: "Formula"
-    b: "Formula"
-
-    def __repr__(self) -> str:
-        return _sexp(self)
-
-
-class And(_Binary):
-    tag = "and"
-
-
-class Or(_Binary):
-    tag = "or"
-
-
-class Imp(_Binary):
-    tag = "imp"
-
-
-@dataclass(frozen=True)
-class _Quantifier:
-    body: "Formula"
-
-    def __repr__(self) -> str:
-        return _sexp(self)
-
-
-class All(_Quantifier):
-    tag = "all"
-
-
-class Ex(_Quantifier):
-    tag = "ex"
-
-
-@dataclass(frozen=True)
-class MuAtom:
-    defn: Definition
-    args: tuple[Term, ...]
-
-    def __repr__(self) -> str:
-        return _sexp(self)
-
-
-@dataclass(frozen=True)
-class Tt:
-    def __repr__(self) -> str:
-        return "tt"
-
-
-@dataclass(frozen=True)
-class Ff:
-    def __repr__(self) -> str:
-        return "ff"
-
-
-TT = Tt()
-FF = Ff()
-
-Formula = Union[Eq, And, Or, Imp, All, Ex, MuAtom, Tt, Ff]
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _sexp(root: Union[Term, Formula]) -> str:
@@ -323,6 +112,270 @@ def _sexp(root: Union[Term, Formula]) -> str:
         stack.append((x, head, len(parts)))
         stack += ((p, None, 0) for p in reversed(parts))
     return done[0]
+
+
+# ---------------------------------------------------------------------------
+# symbols
+
+_SYMBOLS: dict[str, "Sym"] = {}
+
+
+class Sym(Record):
+    """An interned constant or constructor name."""
+
+    __slots__ = __match_args__ = ("name",)
+    name: str
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+def sym(name: str) -> Sym:
+    """Intern `name`.  The same string always yields the same Sym."""
+    s = _SYMBOLS.get(name)
+    if s is None:
+        s = Sym(name)
+        _SYMBOLS[name] = s
+    return s
+
+
+# ---------------------------------------------------------------------------
+# terms
+
+# Every term carries two flags: `closed` (no Bound inside) and `ground`
+# (no EVar, MVar or Bound inside).  A walk that only rewrites variables of
+# some kind returns a subterm whose flag rules them out as it is.
+
+# A variable prints as (%tag id level): no constructor name starts with `%`.
+# An EVar never equals an MVar: equality compares classes first.  The hash
+# is the id alone, so hashing builds nothing; an EVar and an MVar of one id
+# share it and still differ.
+
+class _Var(Record):
+    __slots__ = __match_args__ = ("id", "level")
+
+    closed = True
+    ground = False
+
+    def __init__(self, id: int, level: int) -> None:
+        _set(self, "id", id)
+        _set(self, "level", level)
+
+    def __hash__(self) -> int:
+        return self.id
+
+    def __repr__(self) -> str:
+        return f"({self.tag} {self.id} {self.level})"
+
+
+class EVar(_Var):
+    __slots__ = ()
+    tag = "%ev"
+
+
+class MVar(_Var):
+    __slots__ = ()
+    tag = "%mv"
+
+
+class Bound(Record):
+    """A positional reference to an enclosing binder (0 = innermost)."""
+
+    __slots__ = __match_args__ = ("index",)
+
+    closed = False
+    ground = False
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
+
+    def __repr__(self) -> str:
+        return f"(%bv {self.index})"
+
+
+# the one shared instance of each ground application built so far
+_GROUND: dict[tuple, "App"] = {}
+
+
+class App(Record):
+    """A constructor application, immutable like the other terms.  Its
+    flags are computed once, from its arguments' flags; its hash, and a
+    ground one's printed form, are kept once computed.  A ground
+    application is interned: building an equal one returns the shared
+    instance.  Identity is only a fast path of equality, which falls back
+    to comparing structure.  Non-ground terms are not interned.
+    """
+
+    __slots__ = ("head", "args", "closed", "ground", "_hash", "_repr")
+    __match_args__ = ("head", "args")
+    __init__ = object.__init__  # __new__ builds it
+
+    def __new__(cls, head: Sym, args: tuple["Term", ...] = ()) -> "App":
+        closed = ground = True
+        for a in args:
+            if not a.ground:
+                ground = False
+                if not a.closed:
+                    closed = False
+                    break
+        if ground:
+            key = (head, args)
+            t = _GROUND.get(key)
+            if t is not None:
+                return t
+        t = object.__new__(cls)
+        _init = object.__setattr__
+        _init(t, "head", head)
+        _init(t, "args", args)
+        _init(t, "closed", closed)
+        _init(t, "ground", ground)
+        _init(t, "_hash", None)
+        _init(t, "_repr", None if args else head.name)
+        if ground:
+            _GROUND[key] = t
+        return t
+
+    def __reduce__(self):
+        return App, (self.head, self.args)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self.head == other.head and self.args == other.args
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.head, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        return self._repr if self._repr is not None else _sexp(self)
+
+
+Term = Union[EVar, MVar, Bound, App]
+
+
+def con(name: str, *args: Term) -> App:
+    """Convenience constructor application."""
+    return App(sym(name), tuple(args))
+
+
+# ---------------------------------------------------------------------------
+# formulas
+
+
+class Definition(Record):
+    """A least-fixed-point predicate definition, mu B.
+
+    It is built from B, its body as a function of the definition itself,
+    called once: a recursive call is an atom of the definition from the
+    moment it is written.  The body is a formula over `arity` parameters;
+    parameter i appears as Bound(depth + i) under `depth` intervening
+    binders.  The body takes no part in equality so a definition can be
+    compared and hashed cheaply by name.  A body that is no formula, or
+    that holds a free variable or anything input_vars refuses, is refused.
+    """
+
+    __slots__ = ("name", "arity", "body")
+    __match_args__ = ("name", "arity")
+    body: Formula
+
+    def __init__(self, name: Sym, arity: int,
+                 make_body: Callable[[Definition], Formula]) -> None:
+        super().__init__(name, arity)
+        body = make_body(self)
+        if input_vars((), body, self):
+            raise StructuralError(f"the body of {self.name} holds a free variable")
+        _set(self, "body", body)
+
+    def __repr__(self) -> str:
+        return f"<def {self.name}/{self.arity}>"
+
+
+class Eq(Record):
+    __slots__ = __match_args__ = ("l", "r")
+
+    def __init__(self, l: Term, r: Term) -> None:
+        _set(self, "l", l)
+        _set(self, "r", r)
+    __repr__ = _sexp
+
+
+# A connective prints as (tag operands...).
+
+class _Binary(Record):
+    __slots__ = __match_args__ = ("a", "b")
+
+    def __init__(self, a: Formula, b: Formula) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+    __repr__ = _sexp
+
+
+class And(_Binary):
+    __slots__ = ()
+    tag = "and"
+
+
+class Or(_Binary):
+    __slots__ = ()
+    tag = "or"
+
+
+class Imp(_Binary):
+    __slots__ = ()
+    tag = "imp"
+
+
+class _Quantifier(Record):
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _set(self, "body", body)
+    __repr__ = _sexp
+
+
+class All(_Quantifier):
+    __slots__ = ()
+    tag = "all"
+
+
+class Ex(_Quantifier):
+    __slots__ = ()
+    tag = "ex"
+
+
+class MuAtom(Record):
+    __slots__ = __match_args__ = ("defn", "args")
+
+    def __init__(self, defn: Definition, args: tuple[Term, ...]) -> None:
+        _set(self, "defn", defn)
+        _set(self, "args", args)
+    __repr__ = _sexp
+
+
+class Tt(Record):
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "tt"
+
+
+class Ff(Record):
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ff"
+
+
+TT = Tt()
+FF = Ff()
+
+Formula = Union[Eq, And, Or, Imp, All, Ex, MuAtom, Tt, Ff]
 
 
 class StructuralError(Exception):
@@ -497,16 +550,16 @@ def map_terms(f: Formula, fn: Callable[[Term, int], Term],
 # the store of lemmas and hypotheses
 
 
-@dataclass(frozen=True)
-class LemmaName:
+class LemmaName(Record):
+    __slots__ = __match_args__ = ("name",)
     name: Sym
 
     def __repr__(self) -> str:
         return f"(lemma {self.name})"
 
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(Record):
+    __slots__ = __match_args__ = ("serial",)
     serial: int
 
     def __repr__(self) -> str:

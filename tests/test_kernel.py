@@ -40,6 +40,7 @@ from outlinecheck import (
     instantiate,
     kernel,
     parse_file,
+    replay,
     run_session,
     syntax,
     sym,
@@ -182,6 +183,39 @@ def test_induction_node_records_invariant(el):
     assert isinstance(r, Accepted)
     [ind] = [n for n in r.trace.walk() if n.rule == "induct_obvious"]
     assert ind.invariant == 0  # the flavour that folds the stored hypotheses
+
+
+def test_folded_invariant_tried_after_the_bare_one_fails(monkeypatch):
+    # inducting on plus M N P with is_nat N stored, the bare invariant drops
+    # is_nat N, so its base case (is_nat of a fresh N) fails; the folded one,
+    # tried next, keeps it
+    text = CORPUS.read_text(encoding="utf-8") + (
+        "Theorem plus_is_nat : forall N, is_nat N -> forall M P, plus M N P -> is_nat P.\n"
+        'ship "(induction 1 0 1)".\n')
+    el = elaborate(parse_file(text))
+    goal = el.goals["plus_is_nat"]
+    r = check_outline(el, goal, "(induction 1 0 1)")
+    assert isinstance(r, Accepted)
+    [ind] = [n for n in r.trace.walk() if n.rule == "induct_obvious"]
+    assert ind.invariant == 0
+    # replay synthesizes at that record's sequent, which yields both slots
+    slots = []
+
+    def spy(*args):
+        slots.append(synthesize_obvious_invariants(*args))
+        return slots[-1]
+
+    monkeypatch.setattr(replay, "synthesize_obvious_invariants", spy)
+    assert verify_trace((), goal, r.trace)
+    assert [(f is not None, b is not None) for f, b in slots] == [(True, True)]
+
+    # a kernel that never offers the folded flavour where the bare one exists
+    def bare_where_there_is_one(*args):
+        folded, bare = synthesize_obvious_invariants(*args)
+        return (folded, None) if bare is None else (None, bare)
+
+    monkeypatch.setattr(kernel, "synthesize_obvious_invariants", bare_where_there_is_one)
+    assert isinstance(check_outline(el, goal, "(induction 1 0 1)"), Rejected)
 
 
 def test_synthesized_invariant_applies_to_target(el):

@@ -94,10 +94,8 @@ def _state(text="(induction 1 0 1)", table=()):
 
 
 def test_decide_offers_lemmas_then_hypotheses():
-    from dataclasses import replace
-
     st0 = _state("(induction 1 0 0)", (sym("l1"), sym("l2")))
-    st0 = replace(st0, hyps=2)
+    st0 = OutlineState(st0.d, st0.uA, st0.uS, st0.inducted, 2, st0.supply, st0.tree_mode)
     alts = OUTLINE_FPC.decide_expert(st0)
     assert [ix for _, ix in alts] == [
         LemmaName(sym("l1")), LemmaName(sym("l2")), Hyp(1), Hyp(2)]

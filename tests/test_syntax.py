@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +19,7 @@ from outlinecheck import (
     EVar,
     Eq,
     Ex,
+    FrozenInstanceError,
     Hyp,
     Imp,
     LemmaName,
@@ -363,6 +363,31 @@ def test_terms_cannot_be_assigned():
     with pytest.raises(FrozenInstanceError):
         del t.args
     assert t == con("s", con("z")) and t.ground
+
+
+@pytest.mark.parametrize("rec, field", [
+    (Eq(con("z"), con("z")), "l"), (And(TT, FF), "b"), (All(TT), "body"), (EVar(1, 0), "id"),
+    (Hyp(1), "serial"), (LemmaName(sym("l")), "name"), (ResourceLimits(), "max_steps")])
+def test_records_cannot_be_assigned(rec, field):
+    before = getattr(rec, field)
+    with pytest.raises(FrozenInstanceError):
+        setattr(rec, field, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(rec, field)
+    assert getattr(rec, field) is before
+
+
+def test_records_compare_by_class_and_fields():
+    assert And(TT, FF) == And(TT, FF) and hash(And(TT, FF)) == hash(And(TT, FF))
+    assert And(TT, FF) != Or(TT, FF) and All(TT) != Ex(TT) and Hyp(1) != Hyp(2)
+    assert ResourceLimits(max_steps=5) == ResourceLimits(5) != ResourceLimits()
+    assert repr(ResourceLimits(5)) == "ResourceLimits(max_steps=5)"
+    assert len({Hyp(1), Hyp(1), LemmaName(sym("l"))}) == 2
+    assert Accepted(None, steps=2) == Accepted(trace=None, steps=2)
+    for args, kw in [((None,), {}), ((None, 1, 2), {}), ((None, 1), {"steps": 1}),
+                     ((None,), {"stps": 1})]:
+        with pytest.raises(TypeError):
+            Accepted(*args, **kw)
 
 
 def _deep_trace(n: int):
