@@ -5,11 +5,12 @@ threads it through the predicates of an `FpcDefinition`.  The interface
 holds only the five predicates at which a certificate makes a choice: the
 clerk that names a stored hypothesis, and the experts for deciding, for
 unfolding a fixed point on the left and on the right, and for the obvious
-induction.  Each returns the alternatives the kernel is allowed to try, in
-order.  Every predicate must be pure: same inputs, same outputs, and no
-mutation of the certificate or of anything reachable from it.
+induction.  Each returns the alternatives the kernel may try, as any
+iterable, which the kernel draws in order only as its search asks, so they
+may be made lazily.  Every predicate must be pure: same inputs, same
+outputs, and no mutation of the certificate or of anything reachable from it.
 
-Returning an empty list forbids the corresponding rule outright, which is
+Returning no alternative forbids the corresponding rule outright, which is
 how a certificate format expresses budgets and gating.  Every other rule
 the kernel fires by itself, passing the certificate through unchanged.
 """
@@ -27,7 +28,7 @@ class FpcDefinition:
     """Base class; the default behaviour forbids every choice.
 
     Subclasses override the predicates they care about.  Alternatives are
-    returned as sequences and tried by the kernel in the given order.
+    returned as any iterable and tried by the kernel in the given order.
     """
 
     def store_clerk(self, cert: Certificate) -> Sequence[tuple[Certificate, Index]]:

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 
 from .syntax import (
     All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
-    Term, Tt, instantiate,
+    Term, Tt, instantiate, map_terms,
 )
 
 UNKNOWN = "unknown"
@@ -28,11 +28,11 @@ Verdict = Union[bool, str]
 Fact = tuple[str, tuple[Term, ...]]
 
 
-def _subterms(t: Term, out: set[Term]) -> None:
-    out.add(t)
-    if isinstance(t, App):
-        for a in t.args:
-            _subterms(a, out)
+def _given(d: Definition, defs: list[Definition]) -> Definition:
+    """d, if it is one of defs: saturation derives no fact of any other."""
+    if not any(e is d for e in defs):
+        raise ValueError(f"{d.name} is not among the definitions given")
+    return d
 
 
 # Saturation is deterministic for a given definition list and universe, so
@@ -50,8 +50,10 @@ _SAT_CACHE: dict[tuple, tuple[tuple[Definition, ...], dict[Fact, int], int, bool
 def _saturation(defs: list[Definition], terms: list[Term], fuel: int
                 ) -> tuple[dict[Fact, int], int, bool]:
     key = (tuple(map(id, defs)), tuple(terms))
-    if next(iter(_SAT_CACHE), key)[0] != key[0]:
+    if next(iter(_SAT_CACHE), (None,))[0] != key[0]:  # a list not checked yet
         _SAT_CACHE.clear()
+        for d in defs:  # each atom of each body must be of a definition given
+            map_terms(d.body, lambda t, _: t, lambda e, ts: MuAtom(_given(e, defs), ts))
     _, first, rounds, done = _SAT_CACHE.get(key, (None, {}, 0, False))
     if done or rounds >= fuel:
         return first, rounds, done
@@ -98,20 +100,26 @@ def _saturation(defs: list[Definition], terms: list[Term], fuel: int
 
 
 def eval_ground(defs: Iterable[Definition], atom: MuAtom, fuel: int) -> Verdict:
-    """Evaluate a ground atom by saturation; see the module docstring."""
+    """Evaluate a ground atom by saturation; see the module docstring.
+    `defs` must hold the atom's definition and every one their bodies call."""
     if not all(a.ground for a in atom.args):
         raise ValueError("the oracle evaluates ground atoms only")
     if len(atom.args) != atom.defn.arity:
         raise ValueError(f"{atom.defn.name} expects {atom.defn.arity} arguments, "
                          f"got {len(atom.args)}")
+    defs = list(defs)
+    _given(atom.defn, defs)
 
     universe: set[Term] = set()
-    for a in atom.args:
-        _subterms(a, universe)
+    todo = list(atom.args)
+    while todo:
+        t = todo.pop()
+        universe.add(t)
+        todo += t.args if t.__class__ is App else ()
     terms = sorted(universe, key=repr)
     goal: Fact = (atom.defn.name.name, atom.args)
 
-    first, rounds, done = _saturation(list(defs), terms, fuel)
+    first, rounds, done = _saturation(defs, terms, fuel)
     if first.get(goal, fuel) < fuel:
         return True
     if done and rounds <= fuel:

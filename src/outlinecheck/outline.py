@@ -24,17 +24,19 @@ The lemma supply is (i) everything previously proved, in table order,
 (ii) the listed names, or (iii) a tree of names: a decide may use any
 currently exposed root, which then exposes that node's children for the
 conjunctive subproofs.  Tree decides are bounded by the tree itself; in
-tree form `d` budgets only decides on stored hypotheses.
+tree form `d` budgets only decides on stored hypotheses.  The supply holds
+the store indexes themselves, built once: `LemmaName`s, or in tree form
+(`LemmaName`, subtrees) pairs, so each entry tells its own form.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .fpc import Certificate, FpcDefinition
+from .fpc import FpcDefinition
 from .syntax import (
-    Hyp, Index, LemmaName, Record, SExp, Sym, TraceFormatError, _set, int_from_sexp,
-    parse_sexp, sym,
+    Hyp, LemmaName, Record, SExp, Sym, TraceFormatError, _set, int_from_sexp, parse_sexp,
+    sym,
 )
 
 
@@ -42,34 +44,26 @@ class OutlineError(Exception):
     pass
 
 
-# lemma-supply tree: a name with subtrees exposed once the name is used
-Tree = tuple[Sym, tuple["Tree", ...]]
+# lemma-supply tree: a lemma's index with subtrees exposed once it is used
+Tree = tuple[LemmaName, tuple["Tree", ...]]
 
 
 class OutlineState(Record):
     """The certificate: what parse_outline reads, and what the kernel
-    threads through an outline check."""
-    __slots__ = __match_args__ = ("d", "uA", "uS", "inducted", "hyps", "supply", "tree_mode")
-    d: int
-    uA: int
-    uS: int
-    inducted: bool
-    hyps: int  # highest allocated hypothesis serial
-    # lemma supply: a tuple of names, or the exposed trees in tree mode;
-    # None until initial_state puts in the whole lemma table
-    supply: Union[None, tuple[Sym, ...], tuple[Tree, ...]]
-    tree_mode: bool
+    threads through an outline check.  `hyps` holds the indexes the store
+    clerk handed out, in serial order.  `supply` holds LemmaNames, each
+    decided on for one unit of `d`, or the exposed trees, each used up by
+    a free decide; it is None until initial_state puts in the lemma table."""
+    __slots__ = __match_args__ = ("d", "uA", "uS", "inducted", "hyps", "supply")
 
-    def __init__(self, d: int, uA: int, uS: int, inducted: bool, hyps: int,
-                 supply: Union[None, tuple[Sym, ...], tuple[Tree, ...]],
-                 tree_mode: bool) -> None:
+    def __init__(self, d: int, uA: int, uS: int, inducted: bool, hyps: tuple[Hyp, ...],
+                 supply: Union[None, tuple[LemmaName, ...], tuple[Tree, ...]]) -> None:
         _set(self, "d", d)
         _set(self, "uA", uA)
         _set(self, "uS", uS)
         _set(self, "inducted", inducted)
         _set(self, "hyps", hyps)
         _set(self, "supply", supply)
-        _set(self, "tree_mode", tree_mode)
 
 
 def _budget(s: SExp, what: str) -> int:
@@ -84,9 +78,9 @@ def _budget(s: SExp, what: str) -> int:
 
 def _tree(s: SExp) -> Tree:
     if isinstance(s, str):
-        return (sym(s), ())
+        return (LemmaName(sym(s)), ())
     if isinstance(s, tuple) and s and isinstance(s[0], str):
-        return (sym(s[0]), tuple(_tree(x) for x in s[1:]))
+        return (LemmaName(sym(s[0])), tuple(_tree(x) for x in s[1:]))
     raise OutlineError(f"malformed lemma tree: {s!r}")
 
 
@@ -107,29 +101,30 @@ def parse_outline(text: str) -> OutlineState:
         if not (isinstance(names, tuple) and names and names[0] == "lemmas"
                 and all(isinstance(n, str) for n in names[1:])):
             raise OutlineError(f"malformed lemma list: {names!r}")
-        d, a, u, supply = s[1], s[3], s[4], tuple(sym(n) for n in names[1:])
+        d, a, u, supply = s[1], s[3], s[4], tuple(LemmaName(sym(n)) for n in names[1:])
     elif head == "tree" and len(s) == 5:
         d, a, u, supply = s[2], s[3], s[4], (_tree(s[1]),)
     else:
         raise OutlineError(f"unrecognised certificate form: {text!r}")
     return OutlineState(_budget(d, "decide"), _budget(a, "async unfold"),
-                        _budget(u, "sync unfold"), False, 0, supply, head == "tree")
+                        _budget(u, "sync unfold"), False, (), supply)
 
 
 def initial_state(cert: OutlineState, table: Sequence[Sym]) -> OutlineState:
     """Bind a parsed certificate to the lemma table: a supply of None
     becomes the whole table, and any other may name only lemmas in it."""
     if cert.supply is None:
-        return OutlineState(cert.d, cert.uA, cert.uS, False, 0, tuple(table), False)
+        return OutlineState(cert.d, cert.uA, cert.uS, False, (),
+                            tuple(LemmaName(n) for n in table))
     available = set(table)
     todo = list(reversed(cert.supply))
     while todo:
-        name = todo.pop()
-        if cert.tree_mode:
-            name, kids = name
+        ix = todo.pop()
+        if ix.__class__ is tuple:
+            ix, kids = ix
             todo.extend(reversed(kids))
-        if name not in available:
-            raise OutlineError(f"unknown lemma in certificate: {name.name}")
+        if ix.name not in available:
+            raise OutlineError(f"unknown lemma in certificate: {ix.name.name}")
     return cert
 
 
@@ -139,47 +134,43 @@ class OutlineFpc(FpcDefinition):
     __init__: this is a hot path."""
 
     def store_clerk(self, cert):
-        n = cert.hyps + 1
-        nxt = OutlineState(cert.d, cert.uA, cert.uS, cert.inducted, n,
-                           cert.supply, cert.tree_mode)
-        return ((nxt, Hyp(n)),)
+        ix = Hyp(len(cert.hyps) + 1)
+        return ((OutlineState(cert.d, cert.uA, cert.uS, cert.inducted, cert.hyps + (ix,),
+                              cert.supply), ix),)
 
-    # border
+    # border: the supply in order, then the hypotheses, each built when asked for
     def decide_expert(self, cert):
-        out: list[tuple[Certificate, Index]] = []
-        if cert.tree_mode:
-            trees: tuple[Tree, ...] = cert.supply
-            for i, (name, kids) in enumerate(trees):
-                rest = trees[:i] + kids + trees[i + 1:]
-                out.append((OutlineState(cert.d, cert.uA, cert.uS, cert.inducted,
-                                         cert.hyps, rest, True), LemmaName(name)))
-        if cert.d <= 0:
-            return out or ()
-        nxt = OutlineState(cert.d - 1, cert.uA, cert.uS, cert.inducted,
-                           cert.hyps, cert.supply, cert.tree_mode)
-        if not cert.tree_mode:
-            out += ((nxt, LemmaName(n)) for n in cert.supply)
-        out += ((nxt, Hyp(k)) for k in range(1, cert.hyps + 1))
-        return out
+        d, uA, uS, inducted, hyps, supply = (cert.d, cert.uA, cert.uS, cert.inducted,
+                                             cert.hyps, cert.supply)
+        spent = OutlineState(d - 1, uA, uS, inducted, hyps, supply) if d > 0 else None
+        for i, ix in enumerate(supply):
+            if ix.__class__ is tuple:  # a tree: free, and used up
+                ix, kids = ix
+                yield OutlineState(d, uA, uS, inducted, hyps,
+                                   supply[:i] + kids + supply[i + 1:]), ix
+            elif spent is not None:
+                yield spent, ix
+        if spent is not None:
+            yield from ((spent, ix) for ix in hyps)
 
     # fixed points
     def unfold_left_expert(self, cert):
         if cert.uA <= 0:
             return ()
         return (OutlineState(cert.d, cert.uA - 1, cert.uS, cert.inducted,
-                             cert.hyps, cert.supply, cert.tree_mode),)
+                             cert.hyps, cert.supply),)
 
     def unfold_right_expert(self, cert):
         if cert.uS <= 0:
             return ()
         return (OutlineState(cert.d, cert.uA, cert.uS - 1, cert.inducted,
-                             cert.hyps, cert.supply, cert.tree_mode),)
+                             cert.hyps, cert.supply),)
 
     def ind_expert(self, cert):
         if cert.inducted:
             return ()
         return (OutlineState(cert.d, cert.uA, cert.uS, True,
-                             cert.hyps, cert.supply, cert.tree_mode),)
+                             cert.hyps, cert.supply),)
 
 
 OUTLINE_FPC = OutlineFpc()

@@ -48,6 +48,24 @@ def test_fuel_exhaustion_reports_unknown(el):
     assert eval_ground(el.definitions.values(), _plus(el, 2, 3, 5), 1) is UNKNOWN
 
 
+def test_definition_not_given_is_refused(el):
+    # plus z (s z) (s z) holds, but no plus facts are derived without plus
+    with pytest.raises(ValueError, match="^plus is not among the definitions given$"):
+        eval_ground([el.definitions["is_nat"]], _plus(el, 0, 1, 1), 20)
+    assert eval_ground(el.definitions.values(), _plus(el, 0, 1, 1), 20) is True
+
+
+def test_body_calling_a_definition_not_given_is_refused():
+    defs = elaborate(parse_file(
+        "Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+        "Define p : nat -> prop by p z.\n"
+        "Define q : nat -> prop by q N := p N.\n")).definitions
+    q_z = MuAtom(defs["q"], (num(0),))
+    with pytest.raises(ValueError, match="^p is not among the definitions given$"):
+        eval_ground([defs["q"]], q_z, 10)
+    assert eval_ground(defs.values(), q_z, 10) is True
+
+
 def test_non_ground_query_rejected(el):
     for var in (MVar(1, 0), EVar(2, 0), Bound(0)):
         bad = MuAtom(el.definitions["is_nat"], (var,))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +18,7 @@ from outlinecheck import (
     Rejected,
     count_rule,
     initial_state,
+    outline,
     parse_outline,
     sym,
 )
@@ -27,31 +32,30 @@ from _util import check_outline, elab_plus, num
 
 def test_parse_plain_induction():
     assert parse_outline("(induction 1 0 1)") == OutlineState(
-        1, 0, 1, False, 0, None, False)
+        1, 0, 1, False, (), None)
 
 
 def test_parse_with_lemmas():
     c = parse_outline("(induction 2 (lemmas plus0com plusscom) 1 0)")
     assert c == OutlineState(
-        2, 1, 0, False, 0, (sym("plus0com"), sym("plusscom")), False)
+        2, 1, 0, False, (), (LemmaName(sym("plus0com")), LemmaName(sym("plusscom"))))
 
 
 def test_parse_tree():
     c = parse_outline("(tree (a b (c d)) 1 2 3)")
-    assert c.tree_mode
-    assert c.supply == (
-        (sym("a"), ((sym("b"), ()), (sym("c"), ((sym("d"), ()),)))),)
+    la, lb, lc, ld = (LemmaName(sym(n)) for n in "abcd")
+    assert c.supply == ((la, ((lb, ()), (lc, ((ld, ()),)))),)
     assert (c.d, c.uA, c.uS) == (1, 2, 3)
 
 
 def test_parse_empty_lemma_list_means_no_lemma_decides():
     assert parse_outline("(induction 1 (lemmas) 0 1)") == OutlineState(
-        1, 0, 1, False, 0, (), False)
+        1, 0, 1, False, (), ())
 
 
 def test_parse_is_whitespace_insensitive():
     assert parse_outline("  ( induction   1  0   1 ) ") == OutlineState(
-        1, 0, 1, False, 0, None, False)
+        1, 0, 1, False, (), None)
 
 
 @pytest.mark.parametrize("bad", [
@@ -95,15 +99,16 @@ def _state(text="(induction 1 0 1)", table=()):
 
 def test_decide_offers_lemmas_then_hypotheses():
     st0 = _state("(induction 1 0 0)", (sym("l1"), sym("l2")))
-    st0 = OutlineState(st0.d, st0.uA, st0.uS, st0.inducted, 2, st0.supply, st0.tree_mode)
-    alts = OUTLINE_FPC.decide_expert(st0)
+    [(st1, _)] = OUTLINE_FPC.store_clerk(st0)
+    [(st2, _)] = OUTLINE_FPC.store_clerk(st1)
+    alts = list(OUTLINE_FPC.decide_expert(st2))
     assert [ix for _, ix in alts] == [
         LemmaName(sym("l1")), LemmaName(sym("l2")), Hyp(1), Hyp(2)]
     assert all(c.d == 0 for c, _ in alts)
 
 
 def test_decide_exhausted_budget_offers_nothing():
-    assert OUTLINE_FPC.decide_expert(_state("(induction 0 3 3)")) == ()
+    assert list(OUTLINE_FPC.decide_expert(_state("(induction 0 3 3)"))) == []
 
 
 def test_lemma_list_restricts_supply():
@@ -145,6 +150,38 @@ def test_store_allocates_increasing_serials():
     [(st1, ix1)] = OUTLINE_FPC.store_clerk(st0)
     [(st2, ix2)] = OUTLINE_FPC.store_clerk(st1)
     assert (ix1, ix2) == (Hyp(1), Hyp(2))
+
+
+def test_only_the_store_clerk_builds_an_index():
+    # the supply's LemmaNames are built with the certificate, and each Hyp
+    # once, by the store clerk that hands it out
+    tree = ast.parse(pathlib.Path(outline.__file__).read_text(encoding="utf-8"))
+    builders = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "Hyp"}
+    assert builders == {"store_clerk"}
+    [fpc] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "OutlineFpc"]
+    named = {(fn.name, n.id) for fn in fpc.body if isinstance(fn, ast.FunctionDef)
+             for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in ("LemmaName", "Hyp")}
+    assert named == {("store_clerk", "Hyp")}
+
+
+def test_large_decide_budget_stays_cheap():
+    # each border offers the lemma and every hypothesis stored so far; a
+    # suspended decide that held them all made memory grow with the square
+    # of the budget
+    el = elab_plus()
+    is_nat = el.definitions["is_nat"]
+    lemmas = [(LemmaName(sym("a")), MuAtom(is_nat, (num(0),)))]
+    goal = MuAtom(is_nat, (num(1),))
+    tracemalloc.start()
+    try:
+        r = check_outline(el, goal, "(induction 500 0 1)", lemmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(r, Accepted) and r.steps == 2021
+    assert peak < 8_000_000
 
 
 # -- initial closes against any stored atom, atomic lemmas included, outside
@@ -195,4 +232,4 @@ def test_lemma_list_refinement_on_corpus():
        st.integers(min_value=0, max_value=9))
 def test_parse_print_budget_roundtrip(d, a, s):
     c = parse_outline(f"(induction {d} {a} {s})")
-    assert (c.d, c.uA, c.uS, c.supply, c.tree_mode) == (d, a, s, None, False)
+    assert (c.d, c.uA, c.uS, c.supply) == (d, a, s, None)
