@@ -117,12 +117,7 @@ class _Ctx:
         self.fpc = fpc
         self.binds = BindingStore(first)
         self.max_steps = max_steps
-        self.steps = 0
-
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise OutOfBudgetError
+        self.steps = 0  # counted by check's loop and by _atom_right, the same way
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,9 @@ def _atom_right(ctx: _Ctx, store: Store, focus: MuAtom, env: Env, cert: Certific
     d, ts = focus.defn, focus.args
     for ix, g in store:
         if g.__class__ is MuAtom and g.defn is d:
-            ctx.tick()
+            ctx.steps += 1
+            if ctx.steps > ctx.max_steps:
+                raise OutOfBudgetError
             if binds.unify_args(ts, g.args, sigma, env):
                 yield ("initial", None, ix, None, None),
     for k1 in ctx.fpc.unfold_right_expert(cert):
@@ -343,20 +340,25 @@ def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
     top = max((v.id for v in input_evars(store, goal)), default=0)
     ctx = _Ctx(fpc, limits.max_steps, top + 1)
     binds = ctx.binds
+    trail = binds.trail
+    max_steps = ctx.max_steps
     goals = ((_async, store, (), ("un", goal, ()), cert, 0, {}), None)
     records = None
     choices = [(iter(()), None, None, 0)]
     try:
         while goals is not None:
             frame, goals = goals
-            ctx.tick()
+            ctx.steps += 1
+            if ctx.steps > max_steps:
+                raise OutOfBudgetError
             out = frame[0](ctx, frame)
             if out is not None and out.__class__ is not tuple:
-                choices.append((out, goals, records, binds.mark()))
+                choices.append((out, goals, records, len(trail)))
                 out = next(out, None)
             while out is None:
                 alts, goals, records, mark = choices[-1]
-                binds.undo(mark)
+                if len(trail) != mark:
+                    binds.undo(mark)
                 out = next(alts, None)
                 if out is None:
                     choices.pop()

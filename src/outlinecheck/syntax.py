@@ -26,7 +26,7 @@ back; formulas print only in messages.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,27 @@ class App(Record):
         return App, (self.head, self.args)
 
     def __eq__(self, other: object) -> bool:
+        """Structure, compared off an explicit stack, so depth costs no
+        recursion.  Each pair's heads, symbols equal by name, are compared
+        before its arguments."""
         if self is other:
             return True
         if other.__class__ is not App:
             return NotImplemented
-        return self.head == other.head and self.args == other.args
+        x, y, stack = self, other, []
+        while True:
+            h, k = x.head, y.head
+            if h is not k and h.name != k.name or len(x.args) != len(y.args):
+                return False
+            for s, t in zip(x.args, y.args):
+                if s is not t:
+                    if s.__class__ is App and t.__class__ is App:
+                        stack.append((s, t))
+                    elif s != t:
+                        return False
+            if not stack:
+                return True
+            x, y = stack.pop()
 
     def __hash__(self) -> int:
         h = self._hash
@@ -396,26 +412,48 @@ def _shift_term(t: Term, by: int) -> Term:
 
 def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
     """Replace Bound(depth + i) by args[i] lifted to the local depth; shift
-    higher indices down."""
+    higher indices down.  A term it leaves unchanged comes back as it is."""
     if t.closed:
         return t
-    if isinstance(t, Bound):
+    if t.__class__ is Bound:
         j = t.index
         if j < depth:
             return t
         if j < depth + len(args):
-            return _shift_term(args[j - depth], depth)
+            a = args[j - depth]
+            return a if a.closed else _shift_term(a, depth)
         return Bound(j - len(args))
-    return App(t.head, tuple(term_subst_bound(x, args, depth) for x in t.args))
+    ys = tuple([x if x.closed else term_subst_bound(x, args, depth) for x in t.args])
+    return t if all(map(is_, ys, t.args)) else App(t.head, ys)
 
 
 def instantiate(f: Formula, args: tuple[Term, ...]) -> Formula:
     """The formula f denotes with args[i] for its free Bound(i): a binder's
     body opened, a definition body unfolded, an invariant applied, or a
-    formula read under an environment.  It is the one substitution."""
-    if not args:
+    formula read under an environment.  It is the one substitution.  A
+    subformula or subterm it leaves unchanged comes back as it is."""
+    return _subst(f, args, 0) if args else f
+
+
+def _subst(f: Formula, args: tuple[Term, ...], depth: int) -> Formula:
+    """instantiate under `depth` binders, where args[i] is Bound(depth + i)."""
+    c = f.__class__
+    if c is MuAtom:
+        ys = tuple([x if x.closed else term_subst_bound(x, args, depth) for x in f.args])
+        return f if all(map(is_, ys, f.args)) else MuAtom(f.defn, ys)
+    if c is Eq:
+        l = f.l if f.l.closed else term_subst_bound(f.l, args, depth)
+        r = f.r if f.r.closed else term_subst_bound(f.r, args, depth)
+        return f if l is f.l and r is f.r else Eq(l, r)
+    if c is And or c is Or or c is Imp:
+        a, b = _subst(f.a, args, depth), _subst(f.b, args, depth)
+        return f if a is f.a and b is f.b else c(a, b)
+    if c is All or c is Ex:
+        body = _subst(f.body, args, depth + 1)
+        return f if body is f.body else c(body)
+    if c is Tt or c is Ff:
         return f
-    return map_terms(f, lambda t, depth: t if t.closed else term_subst_bound(t, args, depth))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +611,9 @@ Rhs = tuple[str, Formula]  # ("un", f) unstored or ("st", f) stored goal
 
 
 def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
+    k = ix.__class__
     for jx, f in store:
-        if jx == ix:
+        if jx.__class__ is k and (jx is ix or jx == ix):
             return f
     return None
 

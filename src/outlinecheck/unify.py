@@ -122,7 +122,12 @@ class BindingStore:
     def unify(self, a: Term, b: Term, sigma: Sigma | None = None, env: Env = ()) -> bool:
         """Rigid-eigenvariable unification of a and b read under sigma and
         env; restores the store on failure."""
-        return self.unify_args((a,), (b,), sigma, env)
+        cp = len(self.trail)
+        if self._unify(a, b, sigma, False, env) is OK:
+            return True
+        if len(self.trail) != cp:
+            self.undo(cp)
+        return False
 
     def unify_args(self, xs: tuple[Term, ...], ys: tuple[Term, ...],
                    sigma: Sigma | None = None, env: Env = ()) -> bool:
@@ -131,7 +136,8 @@ class BindingStore:
         cp = len(self.trail)
         for x, y in zip(xs, ys):
             if self._unify(x, y, sigma, False, env) is not OK:
-                self.undo(cp)
+                if len(self.trail) != cp:
+                    self.undo(cp)
                 return False
         return True
 
@@ -160,17 +166,30 @@ class BindingStore:
     # term is built under env only where a binding stores it
 
     def _unify(self, a: Term, b: Term, sigma: Sigma | None, split: bool, env: Env) -> str:
-        if a.__class__ is Bound:
+        # each side read as `walk` reads it, inline: a Bound through env, a
+        # metavariable through its binding, an eigenvariable through sigma
+        bindings = self.bindings
+        ka = a.__class__
+        if ka is Bound:
             a = env[a.index] if a.index < len(env) else _read(a, env)
-        if a.__class__ is not App:
-            a = self.walk(a, sigma)
-        if b.__class__ is Bound:
+            ka = a.__class__
+        while ka is not App:
+            x = bindings.get(a.id) if ka is MVar else sigma.get(a) if sigma else None
+            if x is None:
+                break
+            a, ka = x, x.__class__
+        kb = b.__class__
+        if kb is Bound:
             b = env[b.index] if b.index < len(env) else _read(b, env)
-        if b.__class__ is not App:
-            b = self.walk(b, sigma)
+            kb = b.__class__
+        while kb is not App:
+            x = bindings.get(b.id) if kb is MVar else sigma.get(b) if sigma else None
+            if x is None:
+                break
+            b, kb = x, x.__class__
         if a is b:
             return OK
-        if a.__class__ is App and b.__class__ is App:
+        if ka is App and kb is App:
             if a.ground and b.ground:
                 return OK if a == b else CLASH
             if a.head is not b.head or len(a.args) != len(b.args):
@@ -180,15 +199,15 @@ class BindingStore:
                 if out is not OK:
                     return out
             return OK
-        if a == b:
+        if ka is kb and a == b:
             return OK
-        if a.__class__ is MVar:
+        if ka is MVar:
             return self._bind_mvar(a, b, sigma, split, env)
-        if b.__class__ is MVar:
+        if kb is MVar:
             return self._bind_mvar(b, a, sigma, split, env)
-        if split and a.__class__ is EVar:
+        if split and ka is EVar:
             return self._bind_evar(a, b, sigma, env)
-        if split and b.__class__ is EVar:
+        if split and kb is EVar:
             return self._bind_evar(b, a, sigma, env)
         return CLASH  # distinct rigid constants, or one against an application
 

@@ -144,6 +144,19 @@ def test_recursion_overflow_exit_two(capsys, tmp_path):
     assert "nested too deeply for this checker" in err
 
 
+def test_numerals_differing_deep_down_fail_exit_one(capsys, tmp_path):
+    # unfolding plus z N M leaves the equation N = M of two ground
+    # numerals, equal down to their last layer; comparing them is a loop
+    text = CORPUS.read_text()
+    decls = text[:text.index("Theorem")]
+    numeral = lambda n: "(s " * n + "z" + ")" * n
+    f = tmp_path / "off.thm"
+    f.write_text(decls + f"Theorem off_by_one : plus z {numeral(420)} {numeral(419)}.\n"
+                 'ship "(induction 0 0 1)".\n')
+    code, lines, err = run(capsys, f)
+    assert (code, lines, err) == (1, ["off_by_one: fail no proof within the certificate"], "")
+
+
 def test_negative_recursion_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.thm"
     bad.write_text("Kind nat type.\nType z nat.\n"

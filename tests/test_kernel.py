@@ -161,6 +161,20 @@ def test_step_limit_reported(el):
     assert isinstance(r, OutOfBudget)
 
 
+def test_step_cap_cuts_at_the_same_step_from_both_counting_sites(el):
+    # check's loop counts each goal and initial counts each candidate atom;
+    # a cap of k ends the search at step k + 1, whichever site it falls on
+    names = [t.name for t in el.theorems]
+    lemmas = [(LemmaName(sym(n)), el.goals[n]) for n in names[:names.index("plus0com")]]
+    run = lambda k: check_outline(el, el.goals["plus0com"], "(induction 1 0 1)", lemmas, k)
+    full = run(1000)
+    assert isinstance(full, Accepted) and full.steps == 147
+    n = full.steps
+    assert [run(k) for k in range(n)] == [OutOfBudget(k + 1) for k in range(n)]
+    last = run(n)
+    assert isinstance(last, Accepted) and last.steps == n
+
+
 # -- induction
 
 

@@ -300,6 +300,40 @@ def test_equality_does_not_rely_on_sharing():
     assert new != num(4) and con("s", new) == num(4)
 
 
+# -- property: instantiate means what a term map over the formula means
+
+_p2 = Definition(sym("p"), 2, lambda _: TT)
+_open_terms = st.recursive(
+    st.one_of(st.builds(Bound, st.integers(min_value=0, max_value=4)),
+              st.builds(EVar, _NUMS, _NUMS), _NAMES.map(lambda n: App(sym(n)))),
+    lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),
+                           _NAMES, st.lists(kids, min_size=1, max_size=2)),
+    max_leaves=4)
+_open_formulas = st.recursive(
+    st.one_of(st.just(TT), st.just(FF), st.builds(Eq, _open_terms, _open_terms),
+              st.builds(lambda a, b: MuAtom(_p2, (a, b)), _open_terms, _open_terms)),
+    lambda kids: st.one_of(*(st.builds(c, kids, kids) for c in (And, Or, Imp)),
+                           *(st.builds(c, kids) for c in (All, Ex))),
+    max_leaves=6)
+
+
+def _instantiate_by_term_map(f, args):
+    """Reference: instantiate as a rewrite of every term of f."""
+    return map_terms(f, lambda t, d: t if t.closed else term_subst_bound(t, args, d))
+
+
+@given(_open_formulas, st.lists(_open_terms, max_size=3).map(tuple))
+def test_instantiate_agrees_with_a_term_map(f, args):
+    assert instantiate(f, args) == _instantiate_by_term_map(f, args)
+    # every Bound(i) of f is at most 4, so under five arguments none stays
+    # free; a formula with no free Bound comes back as it is, and so does
+    # each part of one that is left unchanged
+    closed = instantiate(f, tuple(num(i) for i in range(5)))
+    assert instantiate(closed, args) is closed
+    pair = instantiate(And(closed, f), args)
+    assert pair.a is closed and pair.b == _instantiate_by_term_map(f, args)
+
+
 _ground_terms = st.recursive(
     _NAMES.map(lambda n: App(sym(n))),
     lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),

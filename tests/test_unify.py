@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from outlinecheck import BindingStore, CLASH, OK, STUCK, StaleCheckpointError, con
+from outlinecheck import BindingStore, CLASH, OK, STUCK, StaleCheckpointError, con, syntax
 from outlinecheck.syntax import App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound
 
 from _util import num
@@ -25,6 +25,23 @@ def test_unify_ground_equal():
     b = BindingStore(1)
     assert b.unify(num(3), num(3))
     assert not b.unify(num(3), num(4))
+
+
+def test_ground_numerals_compare_at_any_depth():
+    # equality compares structure off a stack: two 2,000-layer numerals
+    # that differ only at the bottom, and the same numeral built twice
+    # once the interned instances are forgotten, meet no recursion limit
+    for forget in (False, True):
+        old = num(2000)
+        if forget:
+            syntax._GROUND.clear()
+        new, short = num(2000), num(1999)
+        assert (new is old) is not forget
+        assert new == old and old == new and not new != old
+        assert new != short and short != new and new != con("s", con("s", short))
+        assert BindingStore(1).unify(new, old)
+        assert not BindingStore(1).unify(new, short)
+        assert not BindingStore(2).unify(con("pair", new, mv(1)), con("pair", short, con("z")))
 
 
 def test_unify_binds_mvar():
