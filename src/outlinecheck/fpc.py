@@ -17,11 +17,11 @@ the kernel fires by itself, passing the certificate through unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from .syntax import Index
 
-Certificate = Any
+Certificate = object
 
 
 class FpcDefinition:

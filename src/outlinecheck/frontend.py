@@ -36,14 +36,14 @@ from __future__ import annotations
 import itertools
 import re
 from collections import ChainMap
-from typing import Callable, Optional, Union
+from collections.abc import Callable
 
 from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
     FF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
-    LemmaName, MuAtom, Or, Record, StructuralError, Term, Tt, _chain, _set,
+    LemmaName, MuAtom, Or, Record, StructuralError, Term, Tt, _chain,
     close_binders, con, sym,
 )
 from .trace import TraceNode
@@ -58,9 +58,8 @@ class STerm(Record):
     head: str
     args: tuple[STerm, ...]
 
-    def __init__(self, head: str, args: tuple[STerm, ...] = ()) -> None:
-        _set(self, "head", head)
-        _set(self, "args", args)
+
+STerm.__init__.__defaults__ = ((),)
 
 
 class SEq(Record):
@@ -86,7 +85,7 @@ class SQuant(Record):
 
 
 # `true` and `false` parse straight to the core TT and FF
-SFormula = Union[STerm, SEq, SBin, SQuant, Tt, Ff]
+SFormula = STerm | SEq | SBin | SQuant | Tt | Ff
 
 
 class KindDecl(Record):
@@ -104,7 +103,7 @@ class TypeDecl(Record):
 class SClause(Record):
     __slots__ = __match_args__ = ("head_args", "body")
     head_args: tuple[STerm, ...]
-    body: Optional[SFormula]
+    body: SFormula | None
 
 
 class DefineDecl(Record):
@@ -121,7 +120,7 @@ class TheoremDecl(Record):
     ship: str
 
 
-Decl = Union[KindDecl, TypeDecl, DefineDecl, TheoremDecl]
+Decl = KindDecl | TypeDecl | DefineDecl | TheoremDecl
 
 
 class TheoremFile(Record):
@@ -157,12 +156,7 @@ _KEYWORDS = {"Kind", "Type", "Define", "Theorem", "ship", "by",
 
 
 class _Tok(Record):
-    __slots__ = __match_args__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int) -> None:
-        _set(self, "kind", kind)  # "ident" | "string" | "punct" | "eof"
-        _set(self, "text", text)
-        _set(self, "offset", offset)
+    __slots__ = __match_args__ = ("kind", "text", "offset")  # kind: ident, string, punct, eof
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -204,7 +198,7 @@ class _Parser:
     def fail(self, msg: str) -> ParseError:
         return ParseError(msg, self.text, self.peek().offset)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
+    def expect(self, kind: str, text: str | None = None) -> _Tok:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
@@ -409,7 +403,7 @@ class _Elab:
         self.constructors: dict[str, tuple[tuple[str, ...], str]] = {}
         self.definitions: dict[str, Definition] = {}
         self.def_sorts: dict[str, tuple[str, ...]] = {}
-        self.var_sorts: dict[EVar, Optional[str]] = {}
+        self.var_sorts: dict[EVar, str | None] = {}
         self.ids = itertools.count()
 
     def placeholder(self) -> EVar:
@@ -421,7 +415,7 @@ class _Elab:
     # by the whole clause.  me is the definition being built, None in a theorem.
 
     def term(self, t: STerm, env: ChainMap[str, EVar],
-             expected: Optional[str], me: Optional[Definition]) -> Term:
+             expected: str | None, me: Definition | None) -> Term:
         v = env.get(t.head)
         if v is None and me is not None and not t.args \
                 and t.head not in self.constructors:
@@ -449,7 +443,7 @@ class _Elab:
         return con(t.head, *(self.term(a, env, s, me)
                              for a, s in zip(t.args, arg_sorts)))
 
-    def term_sort(self, t: STerm, env: ChainMap[str, EVar]) -> Optional[str]:
+    def term_sort(self, t: STerm, env: ChainMap[str, EVar]) -> str | None:
         if t.head in env:
             return self.var_sorts.get(env[t.head])
         ctor = self.constructors.get(t.head)
@@ -458,7 +452,7 @@ class _Elab:
     # -- formulas
 
     def formula(self, f: SFormula, env: ChainMap[str, EVar],
-                me: Optional[Definition]) -> Formula:
+                me: Definition | None) -> Formula:
         match f:
             case Tt() | Ff():
                 return f
@@ -575,16 +569,14 @@ class TheoremResult(Record):
     detail: str
     steps: int
     goal: Formula
-    trace: Optional[TraceNode]
+    trace: TraceNode | None
     lemmas: tuple[tuple[Index, Formula], ...]
 
-    def __init__(self, name: str, outcome: str, detail: str, steps: int, goal: Formula,
-                 trace: Optional[TraceNode] = None,
-                 lemmas: tuple[tuple[Index, Formula], ...] = ()) -> None:
-        super().__init__(name, outcome, detail, steps, goal, trace, lemmas)
+
+TheoremResult.__init__.__defaults__ = (None, ())
 
 
-def run_session(file: TheoremFile, limits: Optional[ResourceLimits] = None,
+def run_session(file: TheoremFile, limits: ResourceLimits | None = None,
                 stop_on_failure: bool = False) -> list[TheoremResult]:
     """Check every theorem in order, accumulating accepted ones as lemmas."""
     el = elaborate(file)

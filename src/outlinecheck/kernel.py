@@ -66,7 +66,7 @@ conditions and records only the invariance premise.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from collections.abc import Iterator, Sequence
 
 from .fpc import Certificate, FpcDefinition
 from .syntax import (
@@ -83,8 +83,8 @@ class ResourceLimits(Record):
     __slots__ = __match_args__ = ("max_steps",)
     max_steps: int
 
-    def __init__(self, max_steps: int = 1_000_000) -> None:
-        super().__init__(max_steps)
+
+ResourceLimits.__init__.__defaults__ = (1_000_000,)
 
 
 class Accepted(Record):
@@ -103,7 +103,7 @@ class OutOfBudget(Record):
     steps: int
 
 
-CheckResult = Union[Accepted, Rejected, OutOfBudget]
+CheckResult = Accepted | Rejected | OutOfBudget
 
 
 class OutOfBudgetError(Exception):
@@ -325,7 +325,7 @@ def _finalize(binds: BindingStore, records) -> TraceNode:
 
 def check(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
           cert: Certificate, fpc: FpcDefinition,
-          limits: Optional[ResourceLimits] = None) -> CheckResult:
+          limits: ResourceLimits | None = None) -> CheckResult:
     """Search for a proof of `goal` under the lemma store, as directed by
     the certificate.  Returns Accepted with a replayable trace, Rejected
     when the certificate's alternatives are exhausted, or OutOfBudget when

@@ -13,8 +13,8 @@ oracle is used on.  Unknown means the fuel ran out before saturation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable, Union
 
 from .syntax import (
     All, And, App, Definition, Eq, Ex, Ff, Formula, Imp, MuAtom, Or,
@@ -23,7 +23,7 @@ from .syntax import (
 
 UNKNOWN = "unknown"
 
-Verdict = Union[bool, str]
+Verdict = bool | str
 
 Fact = tuple[str, tuple[Term, ...]]
 

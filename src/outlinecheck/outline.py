@@ -31,12 +31,11 @@ the store indexes themselves, built once: `LemmaName`s, or in tree form
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .fpc import FpcDefinition
 from .syntax import (
-    Hyp, LemmaName, Record, SExp, Sym, TraceFormatError, _set, int_from_sexp, parse_sexp,
-    sym,
+    Hyp, LemmaName, Record, SExp, Sym, TraceFormatError, int_from_sexp, parse_sexp, sym,
 )
 
 
@@ -55,15 +54,6 @@ class OutlineState(Record):
     decided on for one unit of `d`, or the exposed trees, each used up by
     a free decide; it is None until initial_state puts in the lemma table."""
     __slots__ = __match_args__ = ("d", "uA", "uS", "inducted", "hyps", "supply")
-
-    def __init__(self, d: int, uA: int, uS: int, inducted: bool, hyps: tuple[Hyp, ...],
-                 supply: Union[None, tuple[LemmaName, ...], tuple[Tree, ...]]) -> None:
-        _set(self, "d", d)
-        _set(self, "uA", uA)
-        _set(self, "uS", uS)
-        _set(self, "inducted", inducted)
-        _set(self, "hyps", hyps)
-        _set(self, "supply", supply)
 
 
 def _budget(s: SExp, what: str) -> int:
@@ -130,7 +120,7 @@ def initial_state(cert: OutlineState, table: Sequence[Sym]) -> OutlineState:
 
 class OutlineFpc(FpcDefinition):
     """Clerks and experts realising the outline policy on OutlineState.
-    Each builds the next state directly, with OutlineState's own
+    Each builds the next state directly, with OutlineState's
     __init__: this is a hot path."""
 
     def store_clerk(self, cert):

@@ -24,7 +24,7 @@ sound even on tampered traces.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
@@ -72,7 +72,7 @@ def _occurs(e: EVar, t: Term, sigma: dict[EVar, Term]) -> bool:
     return False
 
 
-def match_evars(a: Term, b: Term) -> tuple[str, Optional[dict[EVar, Term]]]:
+def match_evars(a: Term, b: Term) -> tuple[str, dict[EVar, Term] | None]:
     """Unify two concrete terms with eigenvariables flexible and
     metavariables inert.  Returns (OK, sigma), (CLASH, None) when a rigid
     disagreement is found regardless of undetermined parts, or
@@ -176,7 +176,7 @@ class _Replay:
     # -- phases
 
     def r_async(self, store: Store, theta: tuple[Formula, ...], rhs: Rhs,
-                level: int, node: TraceNode) -> Optional[tuple[Frame, ...]]:
+                level: int, node: TraceNode) -> tuple[Frame, ...] | None:
         if theta:
             c, rest = theta[0], theta[1:]
             match c:
@@ -268,7 +268,7 @@ class _Replay:
                 return (self.r_async, (store, (focus,), ("st", goal), level)),
 
     def r_right(self, store: Store, focus: Formula, level: int,
-                node: TraceNode) -> Optional[tuple[Frame, ...]]:
+                node: TraceNode) -> tuple[Frame, ...] | None:
         match focus:
             case Or(a=a, b=b):
                 self.expect(node, ("orR",), focus)
@@ -304,7 +304,7 @@ class _Replay:
                 raise ReplayError("ff has no right rule")
 
 
-def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> Optional[str]:
+def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> str | None:
     """Replay a trace; None when it checks out, else a reason it does not,
     naming the failing record by its line in the trace file, the cursor `n`.
     Each record in preorder pops the premise it proves and pushes the ones

@@ -27,7 +27,7 @@ back; formulas print only in messages.
 from __future__ import annotations
 
 from operator import attrgetter, is_
-from typing import Callable, Iterator, Optional, Sequence, Union
+from collections.abc import Callable, Iterator, Sequence
 
 # ---------------------------------------------------------------------------
 # records, and how terms and formulas print
@@ -42,24 +42,23 @@ _set = object.__setattr__  # sets a field of a record as it is built
 
 class Record:
     """An immutable record: its fields, its `__match_args__`, are slots set
-    once, positionally or by keyword, as it is built.  It equals a record of
-    its own class with equal fields, hashes by them and its class, and
-    prints as Class(field=value, ...).  A record built often has its own
-    __init__."""
+    once, positionally or by keyword, by an __init__ made from their names
+    with the class unless it writes its own; defaults are that function's
+    __defaults__.  It equals a record of its own class with equal fields,
+    hashes by them and its class, and prints as Class(field=value, ...)."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls.__match_args__, "__class__")
-
-    def __init__(self, *args: object, **kw: object) -> None:
-        names = self.__match_args__
-        values = args + tuple(kw.pop(n) for n in names[len(args):] if n in kw)
-        if kw or len(values) != len(names):
-            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, values):
-            _set(self, name, value)
+        names = cls.__match_args__
+        cls._key = attrgetter(*names, "__class__")
+        if "__match_args__" in cls.__dict__ and "__init__" not in cls.__dict__:
+            ns = {"_set": _set}
+            exec(f"def __init__(self, {', '.join(names)}):\n"
+                 + "".join(f"    _set(self, {n!r}, {n})\n" for n in names), ns)
+            cls.__init__ = ns["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name: str, *_: object) -> None:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -79,12 +78,12 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-def _sexp(root: Union[Term, Formula]) -> str:
+def _sexp(root: Term | Formula) -> str:
     """Print a term or formula: a node prints after its parts, off an
     explicit stack, so depth costs no recursion.  A ground application
     keeps its printed form."""
     done: list[str] = []
-    stack: list[tuple[object, Optional[str], int]] = [(root, None, 0)]
+    stack: list[tuple[object, str | None, int]] = [(root, None, 0)]
     while stack:
         x, head, n = stack.pop()
         if head is not None:  # the n parts of x are printed
@@ -157,10 +156,6 @@ class _Var(Record):
     closed = True
     ground = False
 
-    def __init__(self, id: int, level: int) -> None:
-        _set(self, "id", id)
-        _set(self, "level", level)
-
     def __hash__(self) -> int:
         return self.id
 
@@ -185,9 +180,6 @@ class Bound(Record):
 
     closed = False
     ground = False
-
-    def __init__(self, index: int) -> None:
-        _set(self, "index", index)
 
     def __repr__(self) -> str:
         return f"(%bv {self.index})"
@@ -262,17 +254,26 @@ class App(Record):
             x, y = stack.pop()
 
     def __hash__(self) -> int:
+        """Kept once computed.  The unhashed applications below are hashed
+        first, off an explicit stack, so depth costs no recursion."""
         h = self._hash
         if h is None:
-            h = hash((self.head, self.args))
-            object.__setattr__(self, "_hash", h)
+            stack = [self]
+            while stack:
+                t = stack[-1]
+                for a in t.args:
+                    if a.__class__ is App and a._hash is None:
+                        stack.append(a)
+                if stack[-1] is t:  # all below t are hashed; self goes last
+                    stack.pop()
+                    object.__setattr__(t, "_hash", h := hash((t.head, t.args)))
         return h
 
     def __repr__(self) -> str:
         return self._repr if self._repr is not None else _sexp(self)
 
 
-Term = Union[EVar, MVar, Bound, App]
+Term = EVar | MVar | Bound | App
 
 
 def con(name: str, *args: Term) -> App:
@@ -302,7 +303,8 @@ class Definition(Record):
 
     def __init__(self, name: Sym, arity: int,
                  make_body: Callable[[Definition], Formula]) -> None:
-        super().__init__(name, arity)
+        _set(self, "name", name)
+        _set(self, "arity", arity)
         body = make_body(self)
         if input_vars((), body, self):
             raise StructuralError(f"the body of {self.name} holds a free variable")
@@ -314,10 +316,6 @@ class Definition(Record):
 
 class Eq(Record):
     __slots__ = __match_args__ = ("l", "r")
-
-    def __init__(self, l: Term, r: Term) -> None:
-        _set(self, "l", l)
-        _set(self, "r", r)
     __repr__ = _sexp
 
 
@@ -325,10 +323,6 @@ class Eq(Record):
 
 class _Binary(Record):
     __slots__ = __match_args__ = ("a", "b")
-
-    def __init__(self, a: Formula, b: Formula) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
     __repr__ = _sexp
 
 
@@ -349,9 +343,6 @@ class Imp(_Binary):
 
 class _Quantifier(Record):
     __slots__ = __match_args__ = ("body",)
-
-    def __init__(self, body: Formula) -> None:
-        _set(self, "body", body)
     __repr__ = _sexp
 
 
@@ -367,10 +358,6 @@ class Ex(_Quantifier):
 
 class MuAtom(Record):
     __slots__ = __match_args__ = ("defn", "args")
-
-    def __init__(self, defn: Definition, args: tuple[Term, ...]) -> None:
-        _set(self, "defn", defn)
-        _set(self, "args", args)
     __repr__ = _sexp
 
 
@@ -391,7 +378,7 @@ class Ff(Record):
 TT = Tt()
 FF = Ff()
 
-Formula = Union[Eq, And, Or, Imp, All, Ex, MuAtom, Tt, Ff]
+Formula = Eq | And | Or | Imp | All | Ex | MuAtom | Tt | Ff
 
 
 class StructuralError(Exception):
@@ -498,7 +485,7 @@ def close_binders(f: Formula, names: Sequence[EVar],
 # ---------------------------------------------------------------------------
 # traversal helpers
 
-def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
+def term_vars(t: Term) -> Iterator[EVar | MVar]:
     if t.ground:
         return
     match t:
@@ -510,14 +497,14 @@ def term_vars(t: Term) -> Iterator[Union[EVar, MVar]]:
 
 
 def input_vars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula,
-               me: Optional[Definition] = None) -> set[Union[EVar, MVar]]:
+               me: Definition | None = None) -> set[EVar | MVar]:
     """The variables free in a check's goal and lemmas, or in the body of
     `me` as it is built, checked before any step or record: TypeError on a
     node that is no formula; StructuralError on an atom of the wrong arity,
     on a Bound that no binder (nor, in a body, parameter) binds, and on an
     atom of `me` left of an odd number of implications, since the obvious
     induction is sound only for monotone definitions."""
-    out: set[Union[EVar, MVar]] = set()
+    out: set[EVar | MVar] = set()
     params = 0 if me is None else me.arity
     # (node, polarity, binders above it); a term's polarity is None
     stack: list[tuple] = [(f, True, 0) for f in (goal, *(g for _, g in lemmas))]
@@ -563,7 +550,7 @@ def input_evars(lemmas: Sequence[tuple[Index, Formula]], goal: Formula) -> set[E
 
 
 def map_terms(f: Formula, fn: Callable[[Term, int], Term],
-              atom: Optional[Callable[[Definition, tuple[Term, ...]], Formula]] = None,
+              atom: Callable[[Definition, tuple[Term, ...]], Formula] | None = None,
               depth: int = 0) -> Formula:
     """Rebuild `f` with every term t replaced by fn(t, depth), where depth
     counts the binders enclosing t (`depth` of them enclose `f` itself).
@@ -604,13 +591,13 @@ class Hyp(Record):
         return f"(hyp {self.serial})"
 
 
-Index = Union[LemmaName, Hyp]
+Index = LemmaName | Hyp
 
 Store = tuple[tuple[Index, Formula], ...]
 Rhs = tuple[str, Formula]  # ("un", f) unstored or ("st", f) stored goal
 
 
-def store_lookup(store: Store, ix: Index) -> Optional[Formula]:
+def store_lookup(store: Store, ix: Index) -> Formula | None:
     k = ix.__class__
     for jx, f in store:
         if jx.__class__ is k and (jx is ix or jx == ix):
@@ -651,7 +638,7 @@ def synthesize_obvious_invariants(
     store: Store,
     target_args: tuple[Term, ...],
     goal: Formula,
-) -> tuple[Optional[Formula], Optional[Formula]]:
+) -> tuple[Formula | None, Formula | None]:
     """The obvious invariants for inducting on an atom with the given
     (resolved) arguments, under the given (resolved) store and goal, in two
     fixed slots; a trace record names the one it used by its slot, its
@@ -692,7 +679,7 @@ def synthesize_obvious_invariants(
 # reading the concrete syntax back: the readers below invert the reprs of
 # terms, indexes and integers, all a trace record holds.
 
-SExp = Union[str, tuple]
+SExp = str | tuple
 
 
 class TraceFormatError(Exception):
@@ -703,7 +690,7 @@ def _tokenize(line: str) -> list[str]:
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def parse_sexp(line: str, lists: Optional[dict[tuple, tuple]] = None) -> SExp:
+def parse_sexp(line: str, lists: dict[tuple, tuple] | None = None) -> SExp:
     """Read one s-expression off an explicit stack.  Lists come back as
     tuples, so an s-expression can key a memo.  `lists` keeps one instance
     of each list read, found by its atoms and the identity of its sublists;
@@ -751,7 +738,7 @@ def int_from_sexp(s: SExp) -> int:
     raise TraceFormatError(f"expected an integer, got {s!r}")
 
 
-def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
+def term_from_sexp(s: SExp, memo: dict[SExp, Term] | None = None) -> Term:
     """Read a term off an explicit stack: an application is built after
     its arguments, so depth costs no recursion.  Calls that read one trace
     share `memo`, which maps every s-expression read so far to its term, so
@@ -759,7 +746,7 @@ def term_from_sexp(s: SExp, memo: Optional[dict[SExp, Term]] = None) -> Term:
     if memo is None:
         memo = {}
     done: list[Term] = []
-    stack: list[Optional[SExp]] = [s]
+    stack: list[SExp | None] = [s]
     while stack:
         x = stack.pop()
         if x is None:  # the arguments of the list below are the last terms done

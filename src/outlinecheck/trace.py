@@ -18,11 +18,11 @@ definition table.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .syntax import (
-    Index, SExp, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp,
-    term_from_sexp,
+    SExp, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp, term_from_sexp,
 )
 
 # every rule's premise count and the fields its record carries:
@@ -40,18 +40,15 @@ RULES: dict[str, tuple[int, tuple[str, ...]]] = {
 }
 
 
-class TraceNode(NamedTuple):
-    """One record and its premises: a named tuple, so it is built as cheaply
-    as a tuple and compares equal to the plain tuple of its fields."""
+class TraceNode(namedtuple("TraceNode", "rule children term index invariant side",
+                           defaults=((), None, None, None, None))):
+    """One record and its premises, built as cheaply as a tuple and equal to
+    the plain tuple of its fields.  `invariant` is the flavour, a slot of
+    synthesize_obvious_invariants; a field the rule lacks is None."""
 
-    rule: str
-    children: tuple["TraceNode", ...] = ()
-    term: Optional[Term] = None
-    index: Optional[Index] = None
-    invariant: Optional[int] = None  # the flavour: a slot of synthesize_obvious_invariants
-    side: Optional[int] = None
+    __slots__ = ()
 
-    def walk(self) -> Iterator["TraceNode"]:
+    def walk(self) -> Iterator[TraceNode]:
         """The records of this subtree in preorder, off an explicit stack."""
         stack = [self]
         while stack:

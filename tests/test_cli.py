@@ -207,13 +207,14 @@ def test_multiple_files_get_headers(capsys, tmp_path):
     assert sum(1 for ln in lines if ln.startswith("== ")) == 2
 
 
-def test_start_up_imports_neither_dataclasses_nor_inspect():
+def test_start_up_imports_no_typing_dataclasses_or_inspect():
     # records are plain slotted classes: building dataclasses, and importing
-    # inspect for them, would be most of start-up; -S keeps a site .pth file
-    # from loading either
+    # inspect for them, would be most of start-up, and typing would add a
+    # few milliseconds more; -S keeps a site .pth file from loading any of
+    # them
     src = pathlib.Path(outlinecheck.__file__).resolve().parent.parent
     code = ("import sys; import outlinecheck.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'typing', 'dataclasses', 'inspect'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import sys
 
 import pytest
@@ -422,6 +424,88 @@ def test_records_compare_by_class_and_fields():
                      ((None,), {"stps": 1})]:
         with pytest.raises(TypeError):
             Accepted(*args, **kw)
+
+
+def _record_classes(cls=syntax.Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_every_record_class_builds_one_way():
+    # every class whose __init__ is made from its fields: positional and
+    # keyword construction agree, a wrong field set names the class that
+    # made the __init__, and fields cannot be assigned
+    made = 0
+    for cls in _record_classes():
+        init = cls.__init__
+        if getattr(init, "__code__", None) is None or init.__code__.co_filename != "<string>":
+            continue
+        made += 1
+        names = cls.__match_args__
+        owner = next(c for c in cls.__mro__ if "__init__" in c.__dict__).__qualname__
+        assert init.__qualname__ == f"{owner}.__init__"
+        values = tuple(range(1, len(names) + 1))
+        a, b = cls(*values), cls(**dict(zip(names, values)))
+        assert a == b and hash(a) == hash(b) and a.__class__ is cls
+        required = len(names) - len(init.__defaults__ or ())
+        wrong = [(values, {"nofield": 0}), (values + (0,), {})]
+        if required:
+            wrong.append((values[:required - 1], {}))
+        for args, kw in wrong:
+            with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\)"):
+                cls(*args, **kw)
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, names[0], 0)
+    assert made >= 30
+
+
+def test_records_write_no_field_setting_init():
+    # a record's __init__ is made from its fields; one written by hand must
+    # do more than set them, so a second way to build a record cannot grow
+    # back
+    src = pathlib.Path(syntax.__file__).resolve().parent
+    records = {cls.__name__ for cls in _record_classes()}
+
+    def sets_a_field(st):
+        if isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant):
+            return True  # a docstring
+        f = st.value.func if isinstance(st, ast.Expr) and isinstance(st.value, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id == "_set"
+                or isinstance(f, ast.Attribute) and f.attr == "__init__"
+                and isinstance(f.value, ast.Call) and isinstance(f.value.func, ast.Name)
+                and f.value.func.id == "super")
+
+    written = []
+    for path in sorted(src.glob("*.py")):
+        for c in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(c, ast.ClassDef) or c.name not in records:
+                continue
+            for fn in c.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    written.append(c.name)
+                    assert not all(map(sets_a_field, fn.body)), (path.name, fn.lineno)
+    assert written == ["Definition"]
+
+
+def test_first_hash_of_a_deep_term_with_a_variable_does_not_recurse():
+    # a term with a variable is not interned, so nothing hashed it as it
+    # was built: its first hash fills the applications below it first
+    assert sys.getrecursionlimit() == 1000
+
+    def deep():
+        u = MVar(1, 0)
+        for _ in range(3000):
+            u = con("s", u)
+        return u
+
+    u, v = deep(), deep()
+    assert u is not v and hash(u) == hash(v) and u == v
+    assert len({u, v, con("s", u)}) == 2
+    w = MVar(1, 0)
+    for _ in range(100):
+        w = con("pair", w, w)  # 2**100 paths, 101 applications: each is hashed once
+    assert hash(w) == w._hash
 
 
 def _deep_trace(n: int):
