@@ -33,7 +33,7 @@ along a branch.  The case-analysis substitution of the left equality
 rule is a field of every goal instead, `sigma`: its premise goes on with
 the same store, workbench and goal, and every unification reads their
 terms under it, so it cannot leak into sibling branches.  Only the
-induction builds the sequent under it, resolving every formula.
+induction builds the sequent under it, rebuilding what a binding changes.
 
 Search never substitutes into a formula.  It reads each one under an
 environment: the closed terms that its free positional variables stand
@@ -48,8 +48,11 @@ formula is built only where it is stored (storeL, freeze, storeR) or
 handed to invariant synthesis, so the store and a stored goal hold
 concrete formulas only.  eqL, eqR and initial hand the unifier their
 terms with the environment, and it reads them under it; unfoldR builds
-an atom's arguments only once an unfold is granted.  Replay opens and
-unfolds eagerly, so it checks these paths independently.
+an atom's arguments only once an unfold is granted.  Replay reads its
+focused formulas under an environment too, but it builds each term it
+compares with term_subst_bound and shares no code with the unifier, and
+its asynchronous phase opens and unfolds eagerly: it checks these paths
+independently.
 
 A least fixed point on the left can be frozen (stored), unfolded, or
 treated by the obvious induction: the kernel abstracts the fixed point out

@@ -13,23 +13,26 @@ Replay never backtracks, so it is one loop over the records in the order
 a trace file lists them, with a stack of the premises still to prove: no
 trace is too deep for it, and a failure names its record by its line.
 
-Metavariables that survive in a finished trace were never constrained; the
-replayer treats them as inert constants.  The left equality rule is the
-one place where the replayer recomputes something: the case-analysis
-substitution on eigenvariables, which it derives from the recorded
-equation and applies to the premise (the kernel reads under it instead).
-A recorded clash leaf must exhibit a rigid disagreement, so it stays
-sound even on tampered traces.
+The asynchronous phase opens binders and unfolds definitions eagerly; the
+focus phases read their formula under an environment, the closed terms its
+free positional variables stand for, which exR and allL extend with their
+witness and unfoldR sets to the atom's arguments.  Replay builds a term,
+with term_subst_bound, only to compare it, and shares no code with the
+unifier.  Metavariables left in a trace were never constrained: they are
+inert constants.  Left equality derives its eigenvariable case split from
+the recorded equation and rewrites only the formulas it changes; a clash
+record must show a rigid disagreement, so it stays sound when tampered.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import is_, is_not
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
     Or, Rhs, Store, Term, Tt, body_with_invariant, input_evars, instantiate,
-    map_sequent, store_lookup, synthesize_obvious_invariants, term_vars,
+    map_sequent, store_lookup, synthesize_obvious_invariants, term_subst_bound, term_vars,
 )
 from .trace import RULES, TraceNode
 
@@ -56,8 +59,9 @@ def _sigma_apply(t: Term, sigma: dict[EVar, Term]) -> Term:
     if t.ground:
         return t
     t = _sigma_walk(t, sigma)
-    if isinstance(t, App) and not t.ground:
-        return App(t.head, tuple(_sigma_apply(x, sigma) for x in t.args))
+    if t.__class__ is App and not t.ground:
+        ys = tuple([_sigma_apply(x, sigma) for x in t.args])
+        return t if all(map(is_, ys, t.args)) else App(t.head, ys)
     return t
 
 
@@ -118,6 +122,8 @@ def match_evars(a: Term, b: Term) -> tuple[str, dict[EVar, Term] | None]:
 
 # a premise to prove: the phase that replays its record, and the sequent
 Frame = tuple[Callable, tuple]
+# whether each rule's record carries a term, an index, an invariant, a side
+_SHAPES = {rule: tuple(f in fs for f in TraceNode._fields[2:]) for rule, (_, fs) in RULES.items()}
 
 
 class _Replay:
@@ -134,17 +140,17 @@ class _Replay:
             raise ReplayError(msg)
 
     def expect(self, node: TraceNode, rules: tuple[str, ...],
-               formula: Formula) -> None:
-        """The record is one of `rules`, those that apply to `formula`, with
-        exactly the fields trace.RULES gives it: an extra field is tampering
-        even if nothing reads it.  Its premises are counted by the loop."""
+               formula: Formula, env: tuple[Term, ...] = ()) -> None:
+        """The record is one of `rules`, those that apply to `formula` under
+        `env`, with exactly the fields trace.RULES gives it: an extra field
+        is tampering even if nothing reads it.  The loop counts premises."""
         if node.rule not in rules:
-            raise ReplayError(f"expected {' or '.join(rules)} on the principal formula {formula!r}")
-        fields = RULES[node.rule][1]
-        for name in ("term", "index", "invariant", "side"):
-            if (getattr(node, name) is None) == (name in fields):
-                what = "missing" if name in fields else "unexpected"
-                raise ReplayError(f"{what} {name} field")
+            raise ReplayError(f"expected {' or '.join(rules)} on the principal formula "
+                              f"{instantiate(formula, env)!r}")
+        if tuple(map(is_not, node[2:], (None,) * 4)) != _SHAPES[node.rule]:
+            for name, has in zip(TraceNode._fields[2:], _SHAPES[node.rule]):
+                if (getattr(node, name) is None) == has:
+                    raise ReplayError(f"{'missing' if has else 'unexpected'} {name} field")
 
     def fresh_eigen(self, t: Term, level: int) -> EVar:
         self.need(isinstance(t, EVar), "term is not an eigenvariable")
@@ -247,59 +253,61 @@ class _Replay:
 
         self.expect(node, ("decideL", "decideR"), f)
         if node.rule == "decideR":
-            return (self.r_right, (store, f, level)),
+            return (self.r_right, (store, f, (), level)),
         g = store_lookup(store, node.index)
         self.need(g is not None, "decide on an absent index")
-        return (self.r_left, (store, g, f, level)),
+        return (self.r_left, (store, g, (), f, level)),
 
-    def r_left(self, store: Store, focus: Formula, goal: Formula,
+    def r_left(self, store: Store, focus: Formula, env: tuple[Term, ...], goal: Formula,
                level: int, node: TraceNode) -> tuple[Frame, ...]:
         match focus:
             case All(body=b):
-                self.expect(node, ("allL",), focus)
+                self.expect(node, ("allL",), focus, env)
                 w = self.scoped_witness(node.term, level)
-                return (self.r_left, (store, instantiate(b, (w,)), goal, level)),
+                return (self.r_left, (store, b, (w,) + env, goal, level)),
             case Imp(a=a, b=b):
-                self.expect(node, ("impL",), focus)
-                return ((self.r_right, (store, a, level)),
-                        (self.r_left, (store, b, goal, level)))
+                self.expect(node, ("impL",), focus, env)
+                return ((self.r_right, (store, a, env, level)),
+                        (self.r_left, (store, b, env, goal, level)))
             case _:
-                self.expect(node, ("releaseL",), focus)
-                return (self.r_async, (store, (focus,), ("st", goal), level)),
+                self.expect(node, ("releaseL",), focus, env)
+                return (self.r_async, (store, (instantiate(focus, env),), ("st", goal), level)),
 
-    def r_right(self, store: Store, focus: Formula, level: int,
+    def r_right(self, store: Store, focus: Formula, env: tuple[Term, ...], level: int,
                 node: TraceNode) -> tuple[Frame, ...] | None:
         match focus:
             case Or(a=a, b=b):
-                self.expect(node, ("orR",), focus)
+                self.expect(node, ("orR",), focus, env)
                 self.need(node.side in (1, 2), "orR side is neither 1 nor 2")
-                return (self.r_right, (store, a if node.side == 1 else b, level)),
+                return (self.r_right, (store, a if node.side == 1 else b, env, level)),
             case And(a=a, b=b):
-                self.expect(node, ("andR",), focus)
-                return ((self.r_right, (store, a, level)),
-                        (self.r_right, (store, b, level)))
+                self.expect(node, ("andR",), focus, env)
+                return ((self.r_right, (store, a, env, level)),
+                        (self.r_right, (store, b, env, level)))
             case Ex(body=b):
-                self.expect(node, ("exR",), focus)
+                self.expect(node, ("exR",), focus, env)
                 w = self.scoped_witness(node.term, level)
-                return (self.r_right, (store, instantiate(b, (w,)), level)),
+                return (self.r_right, (store, b, (w,) + env, level)),
             case Eq(l=l, r=r):
-                self.expect(node, ("eqR",), focus)
-                self.need(l == r, "right equality is not reflexive when replayed")
+                self.expect(node, ("eqR",), focus, env)
+                self.need(term_subst_bound(l, env, 0) == term_subst_bound(r, env, 0),
+                          "right equality is not reflexive when replayed")
                 return ()
             case Tt():
                 self.expect(node, ("ttR",), focus)
                 return ()
             case MuAtom(defn=d, args=ts):
-                self.expect(node, ("initial", "unfoldR"), focus)
+                self.expect(node, ("initial", "unfoldR"), focus, env)
+                ts = tuple([term_subst_bound(t, env, 0) for t in ts])
                 if node.rule == "unfoldR":
-                    return (self.r_right, (store, instantiate(d.body, ts), level)),
+                    return (self.r_right, (store, d.body, ts, level)),
                 g = store_lookup(store, node.index)
                 self.need(isinstance(g, MuAtom) and g.defn is d and g.args == ts,
                           "initial step does not match its store entry")
                 return ()
             case Imp() | All():
-                self.expect(node, ("releaseR",), focus)
-                return (self.r_async, (store, (), ("un", focus), level)),
+                self.expect(node, ("releaseR",), focus, env)
+                return (self.r_async, (store, (), ("un", instantiate(focus, env)), level)),
             case Ff():
                 raise ReplayError("ff has no right rule")
 

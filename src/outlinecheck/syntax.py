@@ -553,19 +553,23 @@ def map_terms(f: Formula, fn: Callable[[Term, int], Term],
               atom: Callable[[Definition, tuple[Term, ...]], Formula] | None = None,
               depth: int = 0) -> Formula:
     """Rebuild `f` with every term t replaced by fn(t, depth), where depth
-    counts the binders enclosing t (`depth` of them enclose `f` itself).
-    With `atom`, an atom MuAtom(d, ts) becomes atom(d, ts') once its
-    arguments are rewritten; without it, it stays an atom of d."""
+    counts the binders enclosing t (`depth` of them enclose `f` itself); a
+    subformula whose terms fn returns as they are comes back as it is.
+    With `atom`, MuAtom(d, ts) becomes atom(d, ts') instead."""
     c = f.__class__
     if c is Eq:
-        return Eq(fn(f.l, depth), fn(f.r, depth))
+        l, r = fn(f.l, depth), fn(f.r, depth)
+        return f if l is f.l and r is f.r else Eq(l, r)
     if c is And or c is Or or c is Imp:
-        return c(map_terms(f.a, fn, atom, depth), map_terms(f.b, fn, atom, depth))
+        a, b = map_terms(f.a, fn, atom, depth), map_terms(f.b, fn, atom, depth)
+        return f if a is f.a and b is f.b else c(a, b)
     if c is All or c is Ex:
-        return c(map_terms(f.body, fn, atom, depth + 1))
+        body = map_terms(f.body, fn, atom, depth + 1)
+        return f if body is f.body else c(body)
     if c is MuAtom:
-        ts = tuple(fn(x, depth) for x in f.args)
-        return MuAtom(f.defn, ts) if atom is None else atom(f.defn, ts)
+        ts = tuple([fn(x, depth) for x in f.args])
+        return (atom(f.defn, ts) if atom is not None
+                else f if all(map(is_, ts, f.args)) else MuAtom(f.defn, ts))
     if c is Tt or c is Ff:
         return f
     raise TypeError(f"not a formula: {f!r}")
@@ -609,7 +613,7 @@ def map_sequent(store: Store, theta: tuple[Formula, ...], rhs: Rhs,
                 fn: Callable[[Term, int], Term]
                 ) -> tuple[Store, tuple[Formula, ...], Rhs]:
     """Rewrite the terms of a sequent (store, workbench and right-hand
-    side) with map_terms."""
+    side) with map_terms: a formula fn leaves alone is not rebuilt."""
     return (tuple((ix, map_terms(f, fn)) for ix, f in store),
             tuple(map_terms(f, fn) for f in theta), (rhs[0], map_terms(rhs[1], fn)))
 

@@ -35,6 +35,7 @@ in a candidate binding are pruned to fresh ones at the lower level.
 from __future__ import annotations
 
 import itertools
+from operator import is_
 
 from .syntax import (
     App, Bound, EVar, MVar, StructuralError, Term, term_subst_bound,
@@ -105,12 +106,14 @@ class BindingStore:
             t = b
 
     def resolve(self, t: Term, sigma: Sigma | None = None) -> Term:
-        """Substitute all bindings, and sigma if given, recursively."""
+        """Substitute all bindings, and sigma if given, recursively.  A
+        term no binding changes comes back as it is."""
         if t.ground:
             return t
         t = self.walk(t, sigma)
-        if isinstance(t, App) and not t.ground:
-            return App(t.head, tuple(self.resolve(x, sigma) for x in t.args))
+        if t.__class__ is App and not t.ground:
+            ys = tuple([self.resolve(x, sigma) for x in t.args])
+            return t if all(map(is_, ys, t.args)) else App(t.head, ys)
         return t
 
     def _bind(self, v: MVar, t: Term) -> None:

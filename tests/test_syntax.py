@@ -336,6 +336,15 @@ def test_instantiate_agrees_with_a_term_map(f, args):
     assert pair.a is closed and pair.b == _instantiate_by_term_map(f, args)
 
 
+@given(_open_formulas)
+def test_map_terms_returns_what_it_leaves_alone_as_it_is(f):
+    # a case split or a resolve rebuilds only the formulas it changes
+    assert map_terms(f, lambda t, _: t) is f
+    closed = instantiate(f, tuple(num(i) for i in range(5)))
+    pair = _instantiate_by_term_map(And(closed, f), (num(7),))
+    assert pair.a is closed and pair.b == instantiate(f, (num(7),))
+
+
 _ground_terms = st.recursive(
     _NAMES.map(lambda n: App(sym(n))),
     lambda kids: st.builds(lambda n, ts: App(sym(n), tuple(ts)),

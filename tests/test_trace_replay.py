@@ -28,7 +28,7 @@ from outlinecheck import (
 )
 from outlinecheck.syntax import (
     FF, TT, All, And, App, Bound, EVar, Eq, Ex, Hyp, Imp, LemmaName, MVar, Or,
-    parse_sexp, sym,
+    parse_sexp, sym, term_vars,
 )
 from outlinecheck.trace import RULES
 
@@ -329,6 +329,120 @@ def test_hundred_random_mutations_rejected(session):
     assert rejected == 100
 
 
+@pytest.fixture(scope="module")
+def varied_traces(el):
+    """(lemmas, goal, trace) for plus 4 1 5, is_nat 6 and one theorem from
+    each file of bench/theorems: between them every rule but ttL, ttR and
+    releaseR, which no corpus proof uses."""
+    out = []
+    for name, args in (("plus", (4, 1, 5)), ("is_nat", (6,))):
+        goal = MuAtom(el.definitions[name], tuple(num(n) for n in args))
+        r = check_outline(el, goal, f"(induction 0 0 {args[-1] + 2})")
+        assert isinstance(r, Accepted)
+        out.append(((), goal, r.trace))
+    theorems = CORPUS.parent.parent / "bench" / "theorems"
+    for file, name in (("list", "app_assoc"), ("order", "lt_trans"),
+                       ("parity", "even_odd_false")):
+        r, = [r for r in run_session(parse_file((theorems / f"{file}.thm").read_text()))
+              if r.name == name]
+        assert r.outcome == "ok"
+        out.append((r.lemmas, r.goal, r.trace))
+    return out
+
+
+def _still_a_proof(trace: TraceNode, path: list[int], field: str) -> bool:
+    """Whether _mutate leaves a proof: a store index renamed where no record
+    reads it, or for a witness a metavariable that no other record names,
+    one search never constrained, so any closed term serves as well."""
+    node = trace
+    for i in path:
+        node = node.children[i]
+    if field == "index" and node.rule in ("freeze", "storeL"):
+        return sum(n.index == node.index for n in node.walk()) == 1
+    if field == "term" and node.rule in ("allL", "exR") and isinstance(node.term, MVar):
+        return sum(n.term is not None and node.term in term_vars(n.term)
+                   for n in trace.walk()) == 1
+    return False
+
+
+def test_every_single_field_mutation_rejected_unless_still_a_proof(varied_traces):
+    # each mutant is refused, except those that are still proofs
+    rng = random.Random(29)
+    mutants = proofs = 0
+    for lemmas, goal, trace in varied_traces:
+        for path in _all_paths(trace):
+            for field in ("rule", "term", "index", "invariant", "side"):
+                mutant = _mutate(trace, path, field, rng)
+                assert mutant != trace
+                proof = _still_a_proof(trace, path, field)
+                assert verify_trace(lemmas, goal, mutant) is proof, (goal, path, field)
+                mutants += 1
+                proofs += proof
+    assert mutants == 5 * sum(len(trace_to_lines(t)) for _, _, t in varied_traces)
+    assert proofs == 3
+    used = {n.rule for _, _, t in varied_traces for n in t.walk()}
+    assert RULES.keys() - used == {"ttL", "ttR", "releaseR"}
+
+
+def _free_positions(text: str) -> list[str]:
+    """The (%bv i) of a printed formula that escape its binders."""
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    binders: list[bool] = []  # per open parenthesis, whether it opens a binder
+    free = []
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            binders.append(toks[i + 1] in ("ex", "all"))
+        elif tok == ")":
+            binders.pop()
+        elif tok == "%bv" and int(toks[i + 1]) >= sum(binders):
+            free.append(f"(%bv {toks[i + 1]})")
+    return free
+
+
+def test_refused_focus_formula_is_quoted_as_replay_computed_it(el):
+    # under right focus replay reads a formula under an environment; a
+    # refusal still quotes it whole, with its free positions filled in
+    assert _free_positions("(mu p (%bv 0) (ex (%bv 0) (%bv 1)))") == ["(%bv 0)", "(%bv 1)"]
+    goal = MuAtom(el.definitions["plus"], (num(4), num(1), num(5)))
+    r = check_outline(el, goal, "(induction 0 0 6)")
+    lines = trace_to_lines(r.trace)
+    quoted = {}
+    for k, line in enumerate(lines, 1):
+        rule = line[1:].split(" ", 1)[0]
+        if rule not in ("orR", "andR", "exR", "eqR", "unfoldR", "initial"):
+            continue
+        bad = list(lines)
+        bad[k - 1] = line.replace(f"({rule} ", "(impL ", 1)
+        reason = explain_failure((), goal, trace_from_lines(bad))
+        assert reason.startswith(f"record {k} (impL): expected "), reason
+        quoted[rule] = formula = reason.split(" on the principal formula ", 1)[1]
+        assert not _free_positions(formula), reason
+    assert quoted.keys() == {"orR", "andR", "exR", "eqR", "unfoldR"}
+    # an equation, a conjunction and an atom hold no binder, so no %bv at all
+    assert not any("%bv" in quoted[rule] for rule in ("andR", "eqR", "unfoldR"))
+    # the first record after the first unfold quotes plus's body at 4 1 5
+    k = next(k for k, line in enumerate(lines, 1) if line.startswith("(unfoldR ")) + 1
+    bad = list(lines)
+    bad[k - 1] = bad[k - 1].replace("(orR ", "(impL ", 1)
+    body = outlinecheck.instantiate(el.definitions["plus"].body, goal.args)
+    assert explain_failure((), goal, trace_from_lines(bad)).endswith(
+        f"expected orR on the principal formula {body!r}")
+
+
+def test_replaying_a_right_focus_trace_builds_no_formula(el, monkeypatch):
+    # plus 30 1 31 is proved in right focus alone: exR's witness and
+    # unfoldR's arguments go into the environment, so no body is built
+    goal = MuAtom(el.definitions["plus"], (num(30), num(1), num(31)))
+    r = check_outline(el, goal, "(induction 0 0 32)")
+    assert isinstance(r, Accepted) and count_rule(r.trace, "unfoldR") == 31
+    calls = []
+    real = outlinecheck.replay.instantiate
+    monkeypatch.setattr(outlinecheck.replay, "instantiate",
+                        lambda *a: calls.append(a) or real(*a))
+    assert explain_failure((), goal, r.trace) is None
+    assert calls == []
+
+
 # -- replay checks in one place that a record carries the fields its rule uses
 
 
@@ -405,6 +519,17 @@ def test_rare_rule_traced_replayed_and_guarded(rule):
     reason = explain_failure(r.lemmas, r.goal, trace_from_lines(lines))
     assert reason.startswith(
         f"record {i + 1} ({other}): expected {rule} on the principal formula ")
+
+
+def test_release_under_a_witness_replays():
+    # right focus releases `forall Y, Y = X -> Y = z` read under exR's
+    # witness z: what the asynchronous phase gets is built with it
+    prelude = CORPUS.read_text().split("Define plus")[0]
+    statement = "exists X, X = z /\\ (forall Y, Y = X -> Y = z)"
+    file = parse_file(prelude + f'Theorem t : {statement}.\nship "(induction 0 0 0)".\n')
+    [r] = run_session(file)
+    assert r.outcome == "ok" and count_rule(r.trace, "releaseR") == 1
+    assert explain_failure(r.lemmas, r.goal, trace_from_lines(trace_to_lines(r.trace))) is None
 
 
 # -- tampering with recorded equality reasoning is caught

@@ -51,6 +51,19 @@ def test_unify_binds_mvar():
     assert b.resolve(x) == num(2)
 
 
+def test_resolve_returns_a_term_no_binding_changes_as_it_is():
+    # the kernel's induction and _finalize rebuild only what a binding changed
+    b = BindingStore(5)
+    t = con("pair", con("s", mv(1)), con("pair", ev(2), num(3)))
+    assert b.resolve(t) is t
+    assert b.resolve(t, {ev(4): num(1)}) is t
+    assert b.unify(mv(3), num(2))
+    u = con("pair", con("s", mv(1)), mv(3))
+    out = b.resolve(u)
+    assert out == con("pair", con("s", mv(1)), num(2))
+    assert out.args[0] is u.args[0]
+
+
 def test_unify_occurs_check():
     b = BindingStore(2)
     x = mv(1)
