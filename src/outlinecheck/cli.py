@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .frontend import ElabError, ParseError, TheoremResult, parse_file, run_session
 from .kernel import ResourceLimits
 from .replay import explain_failure
-from .trace import count_rule, trace_to_lines
+from .trace import trace_to_lines
 
 
 def _verdict_line(r: TheoremResult) -> str:
     if r.outcome == "ok":
         assert r.trace is not None
-        return (f"{r.name}: ok (decides={count_rule(r.trace, 'decideL')},"
-                f" unfoldL={count_rule(r.trace, 'unfoldL')},"
-                f" unfoldR={count_rule(r.trace, 'unfoldR')},"
-                f" steps={r.steps})")
+        n = Counter(node.rule for node in r.trace.walk())
+        return (f"{r.name}: ok (decides={n['decideL']}, unfoldL={n['unfoldL']},"
+                f" unfoldR={n['unfoldR']}, steps={r.steps})")
     if r.outcome == "budget":
         return f"{r.name}: budget"
     return f"{r.name}: fail {r.detail}"

@@ -690,34 +690,20 @@ class TraceFormatError(Exception):
     pass
 
 
-def _tokenize(line: str) -> list[str]:
-    return line.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def parse_sexp(line: str, lists: dict[tuple, tuple] | None = None) -> SExp:
+def parse_sexp(line: str) -> SExp:
     """Read one s-expression off an explicit stack.  Lists come back as
-    tuples, so an s-expression can key a memo.  `lists` keeps one instance
-    of each list read, found by its atoms and the identity of its sublists;
-    calls that read one trace share it, so a memo finds a list that an
-    earlier line spelled by identity, without comparing two deep tuples,
-    which Python does recursively."""
-    if lists is None:
-        lists = {}
+    tuples."""
     items: list[SExp] = []
-    key: list = []  # items, each sublist by its identity
-    stack: list[tuple[list, list]] = []
-    for tok in _tokenize(line):
+    stack: list[list] = []
+    for tok in line.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
-            stack.append((items, key))
-            items, key = [], []
+            stack.append(items)
+            items = []
         elif tok != ")":
             items.append(tok)
-            key.append(tok)
         elif stack:
-            done = lists.setdefault(tuple(key), tuple(items))
-            items, key = stack.pop()
-            items.append(done)
-            key.append(id(done))
+            stack[-1].append(tuple(items))
+            items = stack.pop()
         else:
             raise TraceFormatError("unexpected ')'")
     if stack:
@@ -742,13 +728,11 @@ def int_from_sexp(s: SExp) -> int:
     raise TraceFormatError(f"expected an integer, got {s!r}")
 
 
-def term_from_sexp(s: SExp, memo: dict[SExp, Term] | None = None) -> Term:
+def term_from_sexp(s: SExp, refs: list[Term], vs: dict[SExp, Term]) -> Term:
     """Read a term off an explicit stack: an application is built after
-    its arguments, so depth costs no recursion.  Calls that read one trace
-    share `memo`, which maps every s-expression read so far to its term, so
-    a numeral that many records spell is built once."""
-    if memo is None:
-        memo = {}
+    its arguments, so depth costs no recursion.  The calls that read one
+    trace share `refs`, which gains each application with arguments, so #k
+    reads as refs[k], and `vs`, which keeps one object per variable."""
     done: list[Term] = []
     stack: list[SExp | None] = [s]
     while stack:
@@ -758,26 +742,25 @@ def term_from_sexp(s: SExp, memo: dict[SExp, Term] | None = None) -> Term:
             k = len(done) - len(x) + 1
             t = App(sym(x[0]), tuple(done[k:]))
             del done[k:]
-        else:
-            t = memo.get(x)
-            if t is not None:
-                done.append(t)
-                continue
-            if isinstance(x, str):
+            refs.append(t)
+        elif isinstance(x, str):
+            if x[0] != "#":
                 t = App(sym(x), ())
-            elif not x or not isinstance(x[0], str):
-                raise TraceFormatError(f"bad term: {x!r}")
-            elif x[0] == "%ev" and len(x) == 3:
-                t = EVar(int_from_sexp(x[1]), int_from_sexp(x[2]))
-            elif x[0] == "%mv" and len(x) == 3:
-                t = MVar(int_from_sexp(x[1]), int_from_sexp(x[2]))
-            elif x[0] == "%bv" and len(x) == 2:
-                t = Bound(int_from_sexp(x[1]))
+            elif 0 <= (k := int_from_sexp(x[1:])) < len(refs):
+                t = refs[k]
             else:
-                stack += (x, None)
-                stack += x[:0:-1]
-                continue
-        memo[x] = t
+                raise TraceFormatError(f"dangling term reference: {x}")
+        elif not x or not isinstance(x[0], str):
+            raise TraceFormatError(f"bad term: {x!r}")
+        elif x[0] == "%ev" and len(x) == 3:
+            t = vs.get(x) or vs.setdefault(x, EVar(int_from_sexp(x[1]), int_from_sexp(x[2])))
+        elif x[0] == "%mv" and len(x) == 3:
+            t = vs.get(x) or vs.setdefault(x, MVar(int_from_sexp(x[1]), int_from_sexp(x[2])))
+        elif x[0] == "%bv" and len(x) == 2:
+            t = Bound(int_from_sexp(x[1]))
+        else:
+            stack += (x, None, *x[:0:-1])
+            continue
         done.append(t)
     return done[0]
 

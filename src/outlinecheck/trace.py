@@ -10,10 +10,12 @@ count, so a file can be parsed without lookahead:
 
     (rule NCHILDREN TERM INDEX INVARIANT SIDE)
 
-Absent fields are written as `nil`; every other field is written as its
-repr, the concrete syntax that `syntax` owns and reads back.  A record
-holds only terms, indexes and integers, so reading a trace needs no
-definition table.
+Absent fields are written as `nil`, others as their repr, the concrete
+syntax that `syntax` owns and reads back, but a compound term (one with
+arguments) is spelled in full only once: each compound a full spelling
+holds takes the next number, #0, #1, ..., in postorder, and a later
+occurrence is #k.  Constants and variables stay inline.  A record holds
+only terms, indexes and integers, so reading needs no definition table.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .syntax import (
-    SExp, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp, term_from_sexp,
+    App, Term, TraceFormatError, index_from_sexp, int_from_sexp, parse_sexp, term_from_sexp,
 )
 
 # every rule's premise count and the fields its record carries:
@@ -61,22 +63,46 @@ def count_rule(trace: TraceNode, rule: str) -> int:
     return sum(1 for n in trace.walk() if n.rule == rule)
 
 
+def _spell(t: Term, nums: dict) -> str:
+    """t as a trace writes it, off an explicit stack.  `nums` numbers the
+    compounds spelled so far, a ground one by identity, and gains t's."""
+    done: list[str] = []
+    stack: list[Term | None] = [t]
+    while stack:
+        x = stack.pop()
+        if x is None:  # the arguments of the application below are spelled
+            x = stack.pop()
+            k = len(done) - len(x.args)
+            done[k:] = [f"({' '.join((x.head.name, *done[k:]))})"]
+            nums[id(x) if x.ground else x] = len(nums)
+        elif x.__class__ is not App or not x.args:
+            done.append(repr(x))
+        elif (k := nums.get(id(x) if x.ground else x)) is not None:
+            done.append(f"#{k}")
+        else:
+            stack += (x, None, *x.args[::-1])
+    return done[0]
+
+
 def trace_to_lines(trace: TraceNode) -> list[str]:
-    return [f"({n.rule} {len(n.children)} "
-            + " ".join("nil" if v is None else repr(v)
-                       for v in (n.term, n.index, n.invariant, n.side))
-            + ")" for n in trace.walk()]
+    nums, lines, stack = {}, [], [trace]
+    while stack:
+        rule, children, term, index, invariant, side = stack.pop()
+        stack += children[::-1]
+        lines.append(f"({rule} {len(children)} {'nil' if term is None else _spell(term, nums)}"
+                     f" {'nil' if index is None else repr(index)}"
+                     f" {'nil' if invariant is None else invariant} {'nil' if side is None else side})")
+    return lines
 
 
 def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
-    """Read a trace in one pass over its lines, parsing each distinct line
-    once and counting the records still owed, `need`: a record when none is
-    owed is surplus, and any owed at the end leave the trace truncated.  An
-    error names its line, blank lines counted: in a file that `--trace`
-    wrote, replay's record number.  The tree is then built last record
-    first.  Nothing reads `defs`, kept for callers that still pass one."""
-    memo: dict[SExp, Term] = {}  # shared by every record: see term_from_sexp
-    lists: dict[tuple, tuple] = {}  # shared by every record: see parse_sexp
+    """Read a trace in one pass over its lines, parsing once each line that
+    numbers no term and counting the records still owed, `need`: a record
+    when none is owed is surplus, and any owed at the end leave the trace
+    truncated.  An error names its line, blank lines counted: in a file
+    that `--trace` wrote, replay's record number.  The tree is then built
+    last record first.  Nothing reads `defs`, kept for callers' sake."""
+    refs, vs = [], {}  # shared by every record: see term_from_sexp
     seen: dict[str, tuple] = {}
     records: list[tuple] = []
     need = 1
@@ -88,7 +114,7 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
             if not need:
                 raise TraceFormatError("surplus record after the end of the proof")
             if fields is None:
-                rec = parse_sexp(line, lists)
+                rec = parse_sexp(line)
                 if not isinstance(rec, tuple) or len(rec) != 6 or not isinstance(rec[0], str):
                     raise TraceFormatError(f"bad record shape: {rec!r}")
                 rule, ncs, tm, ixs, invs, sds = rec
@@ -97,21 +123,24 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
                 n = int_from_sexp(ncs)
                 if n < 0:
                     raise TraceFormatError(f"negative premise count: {n}")
-                fields = seen[line] = (
+                numbered = len(refs)
+                fields = (
                     rule, n,
-                    None if tm == "nil" else term_from_sexp(tm, memo),
+                    None if tm == "nil" else term_from_sexp(tm, refs, vs),
                     None if ixs == "nil" else index_from_sexp(ixs),
                     None if invs == "nil" else int_from_sexp(invs),
                     None if sds == "nil" else int_from_sexp(sds))
+                if len(refs) == numbered:
+                    seen[line] = fields
         except TraceFormatError as e:
             raise TraceFormatError(f"line {i}: {e}") from None
         need += fields[1] - 1
         records.append(fields)
     if need:
         raise TraceFormatError(f"line {len(lines) + 1}: truncated trace: {need} records missing")
-    done: list[TraceNode] = []
+    done: list[TraceNode] = []  # made by tuple.__new__, as TraceNode() is a Python call
     for rule, n, term, index, invariant, side in reversed(records):
-        children = tuple(reversed(done[len(done) - n:]))
+        children = tuple(done[len(done) - n:][::-1])
         del done[len(done) - n:]
-        done.append(TraceNode(rule, children, term, index, invariant, side))
+        done.append(tuple.__new__(TraceNode, (rule, children, term, index, invariant, side)))
     return done[0]

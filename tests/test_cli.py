@@ -12,7 +12,9 @@ import sys
 import pytest
 
 import outlinecheck
-from outlinecheck import Accepted, cli, trace_from_lines, verify_trace, elaborate, parse_file
+from outlinecheck import (
+    Accepted, cli, elaborate, parse_file, run_session, trace_from_lines, verify_trace,
+)
 
 from _util import CORPUS, check_outline
 
@@ -43,15 +45,20 @@ def test_replay_flag_reports_count(capsys):
 
 
 def test_trace_files_written_and_verifiable(capsys, tmp_path):
-    code, _, _ = run(capsys, CORPUS, "--trace", tmp_path)
-    assert code == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == [f"plus.{n}.trace" for n in sorted(
-        ["plus_total", "plus_determ", "plus0com", "plusscom", "pluscom"])]
-    el = elaborate(parse_file(CORPUS.read_text()))
-    lines = (tmp_path / "plus.plus_total.trace").read_text().splitlines()
-    tr = trace_from_lines(lines)
-    assert verify_trace((), el.goals["plus_total"], tr)
+    # the 21 files --trace writes over the four theorem files, read back
+    # from disk and each replayed against the lemmas its theorem had
+    files = [CORPUS.parent.parent / f for f in _PINNED_FILES]
+    code, _, _ = run(capsys, "--trace", tmp_path, *files)
+    assert code == 1  # two negative controls
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_PINNED_SHA256)
+    replayed = 0
+    for f in files:
+        for r in run_session(parse_file(f.read_text())):
+            if r.outcome == "ok":
+                lines = (tmp_path / f"{f.stem}.{r.name}.trace").read_text().splitlines()
+                assert verify_trace(r.lemmas, r.goal, trace_from_lines(lines)), r.name
+                replayed += 1
+    assert replayed == 21
 
 
 def test_unwritable_trace_path_exit_two(capsys, tmp_path):

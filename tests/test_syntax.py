@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -252,7 +253,7 @@ _indices = st.one_of(st.builds(Hyp, _NUMS), _NAMES.map(lambda n: LemmaName(sym(n
 
 @given(_terms, _indices, st.integers())
 def test_readers_invert_reprs(t, ix, n):
-    assert term_from_sexp(parse_sexp(repr(t))) == t
+    assert term_from_sexp(parse_sexp(repr(t)), [], {}) == t
     assert index_from_sexp(parse_sexp(repr(ix))) == ix
     assert int_from_sexp(repr(n)) == n
 
@@ -526,14 +527,21 @@ def _deep_trace(n: int):
 
 
 def test_numeral_tampered_by_one_s_is_rejected():
+    # each numeral occurrence in turn is made one larger: the (s z) inside
+    # the full spelling becomes (s (s z)), and a #k becomes (s #k); exactly
+    # one record's witness changes, by one s, and replay refuses each
     goal, lines = _deep_trace(6)
+    terms = [n.term for n in trace_from_lines(lines).walk()]
     tampered = 0
     for i, line in enumerate(lines):
-        if "(s z)" not in line:
-            continue
-        bad = lines[:i] + [line.replace("(s z)", "(s (s z))", 1)] + lines[i + 1:]
-        assert not verify_trace((), goal, trace_from_lines(bad)), i
-        tampered += 1
+        for m in re.finditer(r"\(s z\)|#\d+", line):
+            more = "(s (s z))" if m[0] == "(s z)" else f"(s {m[0]})"
+            bad = lines[:i] + [line[:m.start()] + more + line[m.end():]] + lines[i + 1:]
+            back = trace_from_lines(bad)
+            [(t, u)] = [(t, n.term) for t, n in zip(terms, back.walk()) if t != n.term]
+            assert t.head is sym("s") and u == con("s", t), (i, m[0])
+            assert not verify_trace((), goal, back), (i, m[0])
+            tampered += 1
     assert tampered > 10
     assert verify_trace((), goal, trace_from_lines(lines))
 
@@ -557,7 +565,13 @@ def test_read_trace_spells_each_term_once():
     # within one read, a term that several records spell is one object:
     # ground numerals, and non-ground terms over the same eigenvariables
     _, lines = _deep_trace(12)
-    assert sum(f" {num(1)!r} nil nil nil)" in ln for ln in lines) > 5
+    assert sum(ln.count("(s z)") for ln in lines) == 1
+    refs: list = []
+    for ln in lines:
+        if (tm := parse_sexp(ln)[2]) != "nil":
+            term_from_sexp(tm, refs, {})
+    ref = f"#{refs.index(num(1))}"
+    assert sum(ref in ln.split() for ln in lines) > 5
     traces = [lines] + [trace_to_lines(r.trace) for r in run_session(
         load_plus(), ResourceLimits(max_steps=1_000_000))]
     for tr in traces:

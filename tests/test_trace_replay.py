@@ -102,7 +102,27 @@ def test_malformed_records_rejected():
     # a complete proof with one record after it, once read as truncated
     (["(eqR 0 nil nil nil nil)", "", "(allR 1 (%ev 1 1) nil nil nil)"],
      "line 3: surplus record after the end of the proof"),
-], ids=["rule", "integer-after-a-blank-line", "negative", "truncated", "empty", "surplus"])
+    # a term reference: #k names the k-th compound spelled in full so far
+    (["(exR 1 #3 nil nil nil)", "(eqR 0 nil nil nil nil)"],
+     "line 1: dangling term reference: #3"),
+    (["(exR 1 (s z) nil nil nil)", "(exR 1 #01 nil nil nil)"],
+     "line 2: expected an integer, got '01'"),
+    (["(exR 1 (s z) nil nil nil)", "(exR 1 #-1 nil nil nil)"],
+     "line 2: dangling term reference: #-1"),
+    (["(exR 1 (s z) nil nil nil)", "(exR 1 (s #x) nil nil nil)"],
+     "line 2: expected an integer, got 'x'"),
+    (["(exR 1 (s z) nil nil nil)", "(exR 1 # nil nil nil)"],
+     "line 2: expected an integer, got ''"),
+    # (s z) takes #0 only after the pair's first argument is read
+    (["(exR 1 (pair #0 (s z)) nil nil nil)", "(eqR 0 nil nil nil nil)"],
+     "line 1: dangling term reference: #0"),
+    (["(exR 1 #0 nil nil nil)", "(exR 1 (s z) nil nil nil)", "(eqR 0 nil nil nil nil)"],
+     "line 1: dangling term reference: #0"),
+    (["(exR 1 (s z) nil nil nil)"] * 2 + ["(exR 1 #2 nil nil nil)", "(eqR 0 nil nil nil nil)"],
+     "line 3: dangling term reference: #2"),
+], ids=["rule", "integer-after-a-blank-line", "negative", "truncated", "empty", "surplus",
+        "ref-unnumbered", "ref-leading-zero", "ref-negative", "ref-not-a-number", "ref-bare",
+        "ref-forward-in-line", "ref-forward-across-lines", "ref-past-two-equal-lines"])
 def test_reader_names_the_refused_line(lines, msg):
     with pytest.raises(TraceFormatError) as e:
         trace_from_lines(lines)
@@ -115,6 +135,41 @@ def test_old_format_invariant_field_rejected():
     with pytest.raises(TraceFormatError, match=r"expected an integer, got \('inv'"):
         trace_from_lines(
             ["(induct_obvious 0 nil nil (inv 1 (mu is_nat (%bv 0))) nil)"])
+
+
+# -- shared terms: a compound is spelled in full once, then named #k
+
+
+def _fields(trace: TraceNode) -> list[tuple]:
+    """The records in preorder, each with its premise count: the tree,
+    compared without recursing."""
+    return [(n.rule, len(n.children), n.term, n.index, n.invariant, n.side)
+            for n in trace.walk()]
+
+
+def test_each_line_that_spells_a_term_numbers_it():
+    # two equal lines are both read, so (s z) is #0 and #1
+    sz = App(sym("s"), (App(sym("z"), ()),))
+    lines = ["(exR 1 (s z) nil nil nil)"] * 2 + ["(exR 1 #1 nil nil nil)", "(eqR 0 nil nil nil nil)"]
+    assert [n.term for n in trace_from_lines(lines).walk()] == [sz, sz, sz, None]
+
+
+def _spelled_in_full(trace: TraceNode) -> list[str]:
+    """A trace as it was written before terms were shared: every field
+    spelled in full by its repr."""
+    return [f"({n.rule} {len(n.children)} "
+            + " ".join("nil" if v is None else repr(v) for v in (n.term, n.index, n.invariant, n.side))
+            + ")" for n in trace.walk()]
+
+
+def test_a_trace_spelled_in_full_reads_as_its_shared_text(all_accepted, el):
+    goal = MuAtom(el.definitions["plus"], (num(30), num(1), num(31)))
+    r = check_outline(el, goal, "(induction 0 0 32)")
+    assert isinstance(r, Accepted)
+    for trace in [r.trace] + [a.trace for a in all_accepted]:
+        full, shared = _spelled_in_full(trace), trace_to_lines(trace)
+        assert _fields(trace_from_lines(full)) == _fields(trace_from_lines(shared)) == _fields(trace)
+    assert any("#" in ln for ln in trace_to_lines(r.trace))
 
 
 # the bare invariant, the second of the two this sequent yields once
@@ -265,6 +320,7 @@ def test_thousands_of_layers_round_trip_at_the_default_limit(el, name, args, cer
     assert isinstance(r, Accepted)
     lines = trace_to_lines(r.trace)
     assert len(lines) == records
+    assert sum(len(ln) + 1 for ln in lines) < 500_000  # each compound spelled once
     back = trace_from_lines(lines)
     assert trace_to_lines(back) == lines
     assert explain_failure((), goal, back) is None
