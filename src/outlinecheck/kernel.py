@@ -314,7 +314,8 @@ def _atom_right(ctx: _Ctx, store: Store, focus: MuAtom, env: Env, cert: Certific
 def _finalize(binds: BindingStore, records) -> TraceNode:
     """Build the trace of a finished search from its records, newest
     first: in reverse preorder a node's premises are built before it,
-    first premise on top.  Each node is built once, its term resolved."""
+    first premise on top.  Each node is built once, its term resolved, by
+    tuple.__new__, as TraceNode() is a Python-level call."""
     done: list[TraceNode] = []
     while records is not None:
         (rule, term, index, invariant, side), records = records
@@ -322,7 +323,7 @@ def _finalize(binds: BindingStore, records) -> TraceNode:
         kids = () if n == 0 else (done.pop(),) if n == 1 else (done.pop(), done.pop())
         if term is not None:
             term = binds.resolve(term)
-        done.append(TraceNode(rule, kids, term, index, invariant, side))
+        done.append(tuple.__new__(TraceNode, (rule, kids, term, index, invariant, side)))
     return done[0]
 
 

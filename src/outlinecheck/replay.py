@@ -27,7 +27,7 @@ record must show a rigid disagreement, so it stays sound when tampered.
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import is_, is_not
+from operator import is_
 
 from .syntax import (
     YS_HEAD, All, And, App, EVar, Eq, Ex, Ff, Formula, Imp, MVar, MuAtom,
@@ -147,7 +147,8 @@ class _Replay:
         if node.rule not in rules:
             raise ReplayError(f"expected {' or '.join(rules)} on the principal formula "
                               f"{instantiate(formula, env)!r}")
-        if tuple(map(is_not, node[2:], (None,) * 4)) != _SHAPES[node.rule]:
+        if (node.term is not None, node.index is not None, node.invariant is not None,
+                node.side is not None) != _SHAPES[node.rule]:
             for name, has in zip(TraceNode._fields[2:], _SHAPES[node.rule]):
                 if (getattr(node, name) is None) == has:
                     raise ReplayError(f"{'missing' if has else 'unexpected'} {name} field")
@@ -275,61 +276,64 @@ class _Replay:
 
     def r_right(self, store: Store, focus: Formula, env: tuple[Term, ...], level: int,
                 node: TraceNode) -> tuple[Frame, ...] | None:
-        match focus:
-            case Or(a=a, b=b):
-                self.expect(node, ("orR",), focus, env)
-                self.need(node.side in (1, 2), "orR side is neither 1 nor 2")
-                return (self.r_right, (store, a if node.side == 1 else b, env, level)),
-            case And(a=a, b=b):
-                self.expect(node, ("andR",), focus, env)
-                return ((self.r_right, (store, a, env, level)),
-                        (self.r_right, (store, b, env, level)))
-            case Ex(body=b):
-                self.expect(node, ("exR",), focus, env)
-                w = self.scoped_witness(node.term, level)
-                return (self.r_right, (store, b, (w,) + env, level)),
-            case Eq(l=l, r=r):
-                self.expect(node, ("eqR",), focus, env)
-                self.need(term_subst_bound(l, env, 0) == term_subst_bound(r, env, 0),
-                          "right equality is not reflexive when replayed")
-                return ()
-            case Tt():
-                self.expect(node, ("ttR",), focus)
-                return ()
-            case MuAtom(defn=d, args=ts):
-                self.expect(node, ("initial", "unfoldR"), focus, env)
-                ts = tuple([term_subst_bound(t, env, 0) for t in ts])
-                if node.rule == "unfoldR":
-                    return (self.r_right, (store, d.body, ts, level)),
-                g = store_lookup(store, node.index)
-                self.need(isinstance(g, MuAtom) and g.defn is d and g.args == ts,
-                          "initial step does not match its store entry")
-                return ()
-            case Imp() | All():
-                self.expect(node, ("releaseR",), focus, env)
-                return (self.r_async, (store, (), ("un", instantiate(focus, env)), level)),
-            case Ff():
-                raise ReplayError("ff has no right rule")
+        c = focus.__class__  # the classes in the order deep proofs meet them most
+        if c is Eq:
+            self.expect(node, ("eqR",), focus, env)
+            self.need(term_subst_bound(focus.l, env, 0) == term_subst_bound(focus.r, env, 0),
+                      "right equality is not reflexive when replayed")
+            return ()
+        if c is And:
+            self.expect(node, ("andR",), focus, env)
+            return ((self.r_right, (store, focus.a, env, level)),
+                    (self.r_right, (store, focus.b, env, level)))
+        if c is Ex:
+            self.expect(node, ("exR",), focus, env)
+            w = self.scoped_witness(node.term, level)
+            return (self.r_right, (store, focus.body, (w,) + env, level)),
+        if c is MuAtom:
+            self.expect(node, ("initial", "unfoldR"), focus, env)
+            ts = tuple([term_subst_bound(t, env, 0) for t in focus.args])
+            if node.rule == "unfoldR":
+                return (self.r_right, (store, focus.defn.body, ts, level)),
+            g = store_lookup(store, node.index)
+            self.need(g.__class__ is MuAtom and g.defn is focus.defn and g.args == ts,
+                      "initial step does not match its store entry")
+            return ()
+        if c is Or:
+            self.expect(node, ("orR",), focus, env)
+            self.need(node.side in (1, 2), "orR side is neither 1 nor 2")
+            return (self.r_right, (store, focus.a if node.side == 1 else focus.b, env, level)),
+        if c is Tt:
+            self.expect(node, ("ttR",), focus)
+            return ()
+        if c is Imp or c is All:
+            self.expect(node, ("releaseR",), focus, env)
+            return (self.r_async, (store, (), ("un", instantiate(focus, env)), level)),
+        if c is Ff:
+            raise ReplayError("ff has no right rule")
 
 
 def explain_failure(lemmas, goal: Formula, trace: TraceNode) -> str | None:
     """Replay a trace; None when it checks out, else a reason it does not,
     naming the failing record by its line in the trace file, the cursor `n`.
-    Each record in preorder pops the premise it proves and pushes the ones
-    its phase returns, first premise on top.  A record has as many children
-    as its phase returns premises, so records and premises run out together."""
+    One stack pairs each record still to replay with the premise it proves:
+    a record's phase returns a premise per child, and each child is pushed
+    with its own, the first on top, so records replay in file order."""
     store = tuple(lemmas)
     replay = _Replay(store, goal)
-    pending: list[Frame] = [(replay.r_async, (store, (), ("un", goal), 0))]
-    n, node = 0, trace
+    n, stack = 0, [((replay.r_async, (store, (), ("un", goal), 0)), trace)]
     try:
-        for n, node in enumerate(trace.walk(), 1):
-            phase, args = pending.pop()
+        while stack:
+            (phase, args), node = stack.pop()
+            n += 1
             premises = phase(*args, node)
-            if len(premises) != len(node.children):  # None has no len
-                raise ReplayError(
-                    f"expected {len(premises)} premises, found {len(node.children)}")
-            pending.extend(reversed(premises))
+            children = node.children
+            if len(premises) != len(children):  # None has no len
+                raise ReplayError(f"expected {len(premises)} premises, found {len(children)}")
+            if len(children) == 1:
+                stack.append((premises[0], children[0]))
+            elif children:
+                stack += zip(premises[::-1], children[::-1])
     except ReplayError as e:
         reason = str(e)
     except RecursionError:  # the term walks still recurse on a term's depth

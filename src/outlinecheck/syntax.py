@@ -744,12 +744,14 @@ def term_from_sexp(s: SExp, refs: list[Term], vs: dict[SExp, Term]) -> Term:
             del done[k:]
             refs.append(t)
         elif isinstance(x, str):
-            if x[0] != "#":
-                t = App(sym(x), ())
-            elif 0 <= (k := int_from_sexp(x[1:])) < len(refs):
+            if x[0] == "#":
+                if not 0 <= (k := int_from_sexp(x[1:])) < len(refs):
+                    raise TraceFormatError(f"dangling term reference: {x}")
                 t = refs[k]
+            elif x[0] != "%" or x == "%ys":
+                t = App(sym(x), ())
             else:
-                raise TraceFormatError(f"dangling term reference: {x}")
+                raise TraceFormatError(f"bad term head: {x}")
         elif not x or not isinstance(x[0], str):
             raise TraceFormatError(f"bad term: {x!r}")
         elif x[0] == "%ev" and len(x) == 3:
@@ -758,6 +760,8 @@ def term_from_sexp(s: SExp, refs: list[Term], vs: dict[SExp, Term]) -> Term:
             t = vs.get(x) or vs.setdefault(x, MVar(int_from_sexp(x[1]), int_from_sexp(x[2])))
         elif x[0] == "%bv" and len(x) == 2:
             t = Bound(int_from_sexp(x[1]))
+        elif x[0][0] in "#%" and x[0] != "%ys":  # neither a writer nor a theorem file makes it
+            raise TraceFormatError(f"bad term head: {x[0]}")
         else:
             stack += (x, None, *x[:0:-1])
             continue

@@ -107,9 +107,9 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     records: list[tuple] = []
     need = 1
     for i, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         fields = seen.get(line)
+        if fields is None and not line.strip():
+            continue
         try:
             if not need:
                 raise TraceFormatError("surplus record after the end of the proof")
@@ -139,8 +139,8 @@ def trace_from_lines(lines: list[str], defs=None) -> TraceNode:
     if need:
         raise TraceFormatError(f"line {len(lines) + 1}: truncated trace: {need} records missing")
     done: list[TraceNode] = []  # made by tuple.__new__, as TraceNode() is a Python call
-    for rule, n, term, index, invariant, side in reversed(records):
-        children = tuple(done[len(done) - n:][::-1])
-        del done[len(done) - n:]
-        done.append(tuple.__new__(TraceNode, (rule, children, term, index, invariant, side)))
+    for rule, n, term, index, invariant, side in reversed(records):  # first premise on top
+        kids = (() if n == 0 else (done.pop(),) if n == 1 else (done.pop(), done.pop())
+                if n == 2 else tuple([done.pop() for _ in range(n)]))
+        done.append(tuple.__new__(TraceNode, (rule, kids, term, index, invariant, side)))
     return done[0]

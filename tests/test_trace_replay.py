@@ -120,9 +120,15 @@ def test_malformed_records_rejected():
      "line 1: dangling term reference: #0"),
     (["(exR 1 (s z) nil nil nil)"] * 2 + ["(exR 1 #2 nil nil nil)", "(eqR 0 nil nil nil nil)"],
      "line 3: dangling term reference: #2"),
+    # a head that neither the writer nor a theorem file makes
+    (["(exR 1 (#0 z) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: #0"),
+    (["(exR 1 (%ev 1) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %ev"),
+    (["(exR 1 (%foo z) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %foo"),
+    (["(exR 1 (s %bv) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %bv"),
 ], ids=["rule", "integer-after-a-blank-line", "negative", "truncated", "empty", "surplus",
         "ref-unnumbered", "ref-leading-zero", "ref-negative", "ref-not-a-number", "ref-bare",
-        "ref-forward-in-line", "ref-forward-across-lines", "ref-past-two-equal-lines"])
+        "ref-forward-in-line", "ref-forward-across-lines", "ref-past-two-equal-lines",
+        "head-ref", "head-var-arity", "head-percent", "head-bare-percent"])
 def test_reader_names_the_refused_line(lines, msg):
     with pytest.raises(TraceFormatError) as e:
         trace_from_lines(lines)
@@ -213,6 +219,26 @@ def test_corrupted_flavour_names_its_record(session, flavour, reason):
     lines[k - 1] = lines[k - 1].replace(" nil 0 nil)", f" nil {flavour} nil)")
     assert explain_failure(r.lemmas, r.goal, trace_from_lines(lines)) == (
         f"record {k} (induct_obvious): {reason}")
+
+
+def _rebuilt(trace: TraceNode) -> TraceNode:
+    """trace built again, node by node, by TraceNode(...)."""
+    made: dict[int, TraceNode] = {}
+    for n in reversed(list(trace.walk())):
+        made[id(n)] = TraceNode(n.rule, tuple(made[id(c)] for c in n.children),
+                                n.term, n.index, n.invariant, n.side)
+    return made[id(trace)]
+
+
+def test_nodes_built_by_tuple_new_equal_those_built_by_the_class(all_accepted):
+    # _finalize and the reader build nodes with tuple.__new__, skipping
+    # TraceNode's own constructor: the nodes and their order must not differ
+    for r in all_accepted:
+        for tree in (r.trace, trace_from_lines(trace_to_lines(r.trace))):
+            fast, slow = list(tree.walk()), list(_rebuilt(tree).walk())
+            assert len(fast) == len(slow), r.name
+            for a, b in zip(fast, slow):
+                assert type(a) is TraceNode and a == b, r.name
 
 
 def test_traces_read_with_no_definition_table_replay(all_accepted):
@@ -324,6 +350,45 @@ def test_thousands_of_layers_round_trip_at_the_default_limit(el, name, args, cer
     back = trace_from_lines(lines)
     assert trace_to_lines(back) == lines
     assert explain_failure((), goal, back) is None
+
+
+def _replace_record(trace: TraceNode, k: int, **changes) -> TraceNode:
+    """trace with its k-th record in preorder, from 1, changed: the records
+    on the way to it are rebuilt off an explicit stack."""
+    seen: list[tuple] = []  # (node, position of its parent in seen, its place there)
+    stack = [(trace, None, None)]
+    while len(seen) < k:
+        node, parent, i = stack.pop()
+        seen.append((node, parent, i))
+        stack += [(c, len(seen) - 1, j) for j, c in enumerate(node.children)][::-1]
+    node, parent, i = seen[-1]
+    new = node._replace(**changes)
+    while parent is not None:
+        up, grand, place = seen[parent]
+        new = up._replace(children=up.children[:i] + (new,) + up.children[i + 1:])
+        parent, i = grand, place
+    return new
+
+
+def test_failure_deep_in_a_long_trace_names_its_line(el):
+    # record 5,000 of an 11,010-record tree, tampered in memory: replay
+    # names it by the line trace_to_lines writes it on
+    goal = MuAtom(el.definitions["plus"], (num(1000), num(1), num(1001)))
+    r = check_outline(el, goal, "(induction 0 0 1002)", max_steps=1_000_000)
+    assert isinstance(r, Accepted)
+    lines = trace_to_lines(r.trace)
+    assert len(lines) == 11010
+    node = list(r.trace.walk())[4999]
+    rule, n = node.rule, len(node.children)
+    assert lines[4999].startswith(f"({rule} {n} ")
+    surplus = _replace_record(r.trace, 5000, children=node.children + (TraceNode("eqR"),))
+    assert trace_to_lines(surplus)[4999].startswith(f"({rule} {n + 1} ")
+    assert explain_failure((), goal, surplus) == (
+        f"record 5000 ({rule}): expected {n} premises, found {n + 1}")
+    other = "ttR" if rule != "ttR" else "ffL"
+    renamed = _replace_record(r.trace, 5000, rule=other)
+    assert trace_to_lines(renamed)[4999].startswith(f"({other} {n} ")
+    assert explain_failure((), goal, renamed).startswith(f"record 5000 ({other}): expected ")
 
 
 def test_replay_catches_truncated_trace(session):
