@@ -6,8 +6,9 @@ Run from the repository root:
 """
 
 import pathlib
+from collections import Counter
 
-from outlinecheck import ResourceLimits, count_rule, parse_file, run_session
+from outlinecheck import ResourceLimits, parse_file, run_session
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "plus.thm"
 
@@ -20,11 +21,9 @@ def main() -> None:
         if r.outcome != "ok":
             print(f"  {r.name}: {r.outcome} ({r.detail})")
             continue
-        decides = count_rule(r.trace, "decideL")
-        ua = count_rule(r.trace, "unfoldL")
-        us = count_rule(r.trace, "unfoldR")
-        print(f"  {r.name}: ok  decides={decides} unfoldL={ua} "
-              f"unfoldR={us} steps={r.steps}")
+        n = Counter(node.rule for node in r.trace.walk())
+        print(f"  {r.name}: ok  decides={n['decideL']} unfoldL={n['unfoldL']} "
+              f"unfoldR={n['unfoldR']} steps={r.steps}")
     print("\nThe same run is available as:  acheck corpus/plus.thm")
 
 

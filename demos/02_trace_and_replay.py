@@ -13,10 +13,9 @@ repository root:
 import pathlib
 
 from outlinecheck import (
-    ResourceLimits, TraceNode, explain_failure, parse_file, run_session,
+    ResourceLimits, TraceNode, con, explain_failure, parse_file, run_session,
     trace_to_lines, verify_trace,
 )
-from outlinecheck.syntax import con
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "plus.thm"
 

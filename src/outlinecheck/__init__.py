@@ -8,7 +8,7 @@ trace.
 
 from .fpc import Certificate, FpcDefinition
 from .frontend import (
-    ElabError, ParseError, TheoremFile, TheoremResult, elaborate, parse_file,
+    ElabError, ParseError, TheoremFile, TheoremResult, con, elaborate, parse_file,
     run_session,
 )
 from .kernel import (
@@ -23,9 +23,9 @@ from .replay import ReplayError, explain_failure, verify_trace
 from .syntax import (
     FF, TT, All, And, App, Bound, Definition, EVar, Eq, Ex, Ff, Formula,
     FrozenInstanceError, Hyp, Imp, Index, LemmaName, MVar, MuAtom, Or, StructuralError,
-    Term, TraceFormatError, Tt, con, instantiate, sym, synthesize_obvious_invariants,
+    Term, TraceFormatError, Tt, instantiate, sym, synthesize_obvious_invariants,
 )
-from .trace import TraceNode, count_rule, trace_from_lines, trace_to_lines
+from .trace import TraceNode, trace_from_lines, trace_to_lines
 from .unify import CLASH, OK, STUCK, BindingStore, StaleCheckpointError
 
 __version__ = "0.1.0"

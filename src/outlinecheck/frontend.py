@@ -42,9 +42,9 @@ from . import kernel
 from .kernel import Accepted, OutOfBudget, Rejected, ResourceLimits
 from .outline import OUTLINE_FPC, OutlineError, initial_state, parse_outline
 from .syntax import (
-    FF, TT, All, And, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
+    FF, TT, All, And, App, Definition, EVar, Eq, Ex, Ff, Formula, Imp, Index,
     LemmaName, MuAtom, Or, Record, StructuralError, Term, Tt, _chain,
-    close_binders, con, sym,
+    close_binders, sym,
 )
 from .trace import TraceNode
 
@@ -382,6 +382,11 @@ def parse_file(text: str) -> TheoremFile:
 
 class ElabError(Exception):
     pass
+
+
+def con(name: str, *args: Term) -> App:
+    """The application of the constructor `name` to args."""
+    return App(sym(name), args)
 
 
 class Elaborated(Record):

@@ -227,9 +227,6 @@ class App(Record):
             _GROUND[key] = t
         return t
 
-    def __reduce__(self):
-        return App, (self.head, self.args)
-
     def __eq__(self, other: object) -> bool:
         """Structure, compared off an explicit stack, so depth costs no
         recursion.  Each pair's heads, symbols equal by name, are compared
@@ -274,11 +271,6 @@ class App(Record):
 
 
 Term = EVar | MVar | Bound | App
-
-
-def con(name: str, *args: Term) -> App:
-    """Convenience constructor application."""
-    return App(sym(name), tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +390,24 @@ def _shift_term(t: Term, by: int) -> Term:
 
 
 def term_subst_bound(t: Term, args: tuple[Term, ...], depth: int) -> Term:
-    """Replace Bound(depth + i) by args[i] lifted to the local depth; shift
-    higher indices down.  A term it leaves unchanged comes back as it is."""
+    """Replace Bound(depth + i) by args[i] lifted to the local depth; args
+    is total.  A term it leaves unchanged comes back as it is."""
     if t.closed:
         return t
     if t.__class__ is Bound:
-        j = t.index
-        if j < depth:
+        j = t.index - depth
+        if j < 0:
             return t
-        if j < depth + len(args):
-            a = args[j - depth]
-            return a if a.closed else _shift_term(a, depth)
-        return Bound(j - len(args))
+        a = args[j]
+        return a if a.closed else _shift_term(a, depth)
     ys = tuple([x if x.closed else term_subst_bound(x, args, depth) for x in t.args])
     return t if all(map(is_, ys, t.args)) else App(t.head, ys)
 
 
 def instantiate(f: Formula, args: tuple[Term, ...]) -> Formula:
-    """The formula f denotes with args[i] for its free Bound(i): a binder's
-    body opened, a definition body unfolded, an invariant applied, or a
-    formula read under an environment.  It is the one substitution.  A
+    """The formula f denotes with args[i] for its free Bound(i), args total
+    (a term for each): a binder's body opened, a definition body unfolded,
+    an invariant applied, or a formula read under an environment.  A
     subformula or subterm it leaves unchanged comes back as it is."""
     return _subst(f, args, 0) if args else f
 

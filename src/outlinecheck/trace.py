@@ -59,10 +59,6 @@ class TraceNode(namedtuple("TraceNode", "rule children term index invariant side
             stack.extend(reversed(node.children))
 
 
-def count_rule(trace: TraceNode, rule: str) -> int:
-    return sum(1 for n in trace.walk() if n.rule == rule)
-
-
 def _spell(t: Term, nums: dict) -> str:
     """t as a trace writes it, off an explicit stack.  `nums` numbers the
     compounds spelled so far, a ground one by identity, and gains t's."""

@@ -58,6 +58,11 @@ def accepted(result: CheckResult) -> bool:
     return isinstance(result, Accepted)
 
 
+def count_rule(trace, rule: str) -> int:
+    """How many records of `trace` name `rule`."""
+    return sum(n.rule == rule for n in trace.walk())
+
+
 def session_lemmas(results) -> list[tuple[Index, Formula]]:
     """The lemma store after a run_session, from the last result's view."""
     from outlinecheck import LemmaName, sym

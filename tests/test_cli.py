@@ -13,7 +13,8 @@ import pytest
 
 import outlinecheck
 from outlinecheck import (
-    Accepted, cli, elaborate, parse_file, run_session, trace_from_lines, verify_trace,
+    Accepted, TheoremResult, cli, elaborate, parse_file, run_session, trace_from_lines,
+    trace_to_lines, verify_trace,
 )
 
 from _util import CORPUS, check_outline
@@ -42,6 +43,26 @@ def test_replay_flag_reports_count(capsys):
     code, lines, _ = run(capsys, CORPUS, "--replay")
     assert code == 0
     assert lines[-1] == "replay: 5/5 ok"
+
+
+def test_replay_flag_reports_a_trace_that_does_not_replay(capsys, monkeypatch):
+    # the run prints every verdict, then names the theorem, record and rule
+    # whose trace does not replay, and fails
+    results = run_session(parse_file(CORPUS.read_text()))
+    k = [r.name for r in results].index("plus0com")
+    r = results[k]
+    lines = trace_to_lines(r.trace)
+    assert lines[7] == "(eqL 1 nil nil nil nil)"
+    lines[7] = "(andL 1 nil nil nil nil)"
+    results[k] = TheoremResult(r.name, r.outcome, r.detail, r.steps, r.goal,
+                               trace_from_lines(lines), r.lemmas)
+    monkeypatch.setattr(cli, "run_session", lambda *_: results)
+    code, out, err = run(capsys, "--replay", CORPUS)
+    assert code == 1 and err == "" and len(out) == 7
+    assert all(OK_LINE.match(ln) for ln in out[:5])
+    assert out[5] == "replay: 4/5 ok"
+    assert out[6].startswith("replay mismatch in plus0com: record 8 (andL): "
+                             "expected eqL or eqL_clash on the principal formula "), out[6]
 
 
 def test_trace_files_written_and_verifiable(capsys, tmp_path):
@@ -116,6 +137,58 @@ def test_bad_file_keeps_earlier_verdicts(capsys, tmp_path):
     assert len(lines) == 6
     assert all(OK_LINE.match(ln) for ln in lines[1:])
     assert err.count("\n") == 1 and "bad.thm" in err
+
+
+_NAT = "Kind nat type.\nType z nat.\nType s nat -> nat.\n"
+_SHIP = '\nship "(induction 0 0 0)".\n'
+
+
+@pytest.mark.parametrize("text, msg", [
+    (_NAT + "foo.", "4:1: expected a declaration (Kind, Type, Define, Theorem)"),
+    ("Kind type type.", "1:6: expected a name"),
+    (_NAT + "Type c forall.", "4:8: expected a sort name"),
+    (_NAT + "Define d : nat -> nat.", "4:22: a definition must end in prop"),
+    (_NAT + "Theorem t : z = (s z) z." + _SHIP, "4:24: a compound term cannot be applied further"),
+    (_NAT + "Theorem t : z = ." + _SHIP, "4:17: expected a term"),
+    (_NAT + "Define p : nat -> prop by p z.\nDefine q : nat -> prop by q p.",
+     "predicate p used as a term"),
+    (_NAT + "Theorem t : forall X, X z = z." + _SHIP, "variable X cannot take arguments"),
+    (_NAT + "Kind b type.\nType t b.\nTheorem th : forall X Y, X = z /\\ Y = t /\\ X = Y."
+     + _SHIP, "Y used at sorts b and nat"),
+    (_NAT + "Theorem t : foo = z." + _SHIP, "undeclared symbol: foo"),
+    (_NAT + "Kind b type.\nType t b.\nTheorem th : t = z." + _SHIP,
+     "z has sort nat, expected b"),
+    (_NAT + "Theorem t : s = z." + _SHIP, "s expects 1 arguments, got 0"),
+    (_NAT + "Theorem t : forall X, X." + _SHIP, "X is a term variable, not a predicate"),
+    ("Kind nat type.\nKind nat type.", "duplicate kind: nat"),
+    ("Kind nat type.\nType c foo.", "undeclared sort: foo"),
+    (_NAT + "Type z nat.", "duplicate symbol: z"),
+    (_NAT + "Define z : nat -> prop.", "duplicate symbol: z"),
+    (_NAT + "Define d : foo -> prop.", "undeclared sort: foo"),
+    (_NAT + "Define d : nat -> prop by d z z.", "clause of d has 2 head arguments, expected 1"),
+    (_NAT + "Theorem t : z = z." + _SHIP + "Theorem t : z = z." + _SHIP,
+     "duplicate theorem name: t"),
+], ids=["declaration", "name", "sort-name", "prop", "compound-applied", "term",
+        "predicate-as-term", "variable-applied", "two-sorts", "undeclared-symbol", "sort",
+        "constructor-arity", "variable-as-predicate", "duplicate-kind", "type-sort",
+        "duplicate-type", "duplicate-define", "define-sort", "clause-arity",
+        "duplicate-theorem"])
+def test_front_end_refusal_is_one_line_naming_the_file(capsys, tmp_path, text, msg):
+    f = tmp_path / "bad.thm"
+    f.write_text(text)
+    code, lines, err = run(capsys, f)
+    assert (code, lines, err) == (2, [], f"acheck: {f}: {msg}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "Kind nat type.\nType z, o nat.\nTheorem t : o = o." + _SHIP,
+    _NAT + "Theorem t : (s z) = s z." + _SHIP,
+], ids=["two-names-one-type", "parenthesised-term-before-equals"])
+def test_rarely_written_forms_are_accepted(capsys, tmp_path, text):
+    f = tmp_path / "ok.thm"
+    f.write_text(text)
+    code, lines, err = run(capsys, f)
+    assert code == 0 and err == "" and len(lines) == 1 and OK_LINE.match(lines[0]), lines
 
 
 def test_non_utf8_file_exit_two(capsys, tmp_path):

@@ -9,13 +9,14 @@ from outlinecheck import (
     FF,
     ParseError,
     ResourceLimits,
+    con,
     elaborate,
     parse_file,
     run_session,
 )
 from outlinecheck.frontend import SBin, SEq, SQuant, STerm
 from outlinecheck.syntax import (
-    All, And, Bound, Definition, EVar, Eq, Ex, Imp, MuAtom, Or, con,
+    All, And, Bound, Definition, EVar, Eq, Ex, Imp, MuAtom, Or,
     input_vars, sym,
 )
 

@@ -33,7 +33,6 @@ from outlinecheck import (
     StructuralError,
     TraceNode,
     con,
-    count_rule,
     elaborate,
     eval_ground,
     explain_failure,
@@ -52,7 +51,7 @@ from outlinecheck import (
 )
 from outlinecheck.syntax import EVar, Hyp, MVar
 
-from _util import CORPUS, check_outline, elab_plus, num
+from _util import CORPUS, check_outline, count_rule, elab_plus, num
 
 
 @pytest.fixture(scope="module")

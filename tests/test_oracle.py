@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +48,35 @@ def test_is_nat_z_true_in_one_round(el):
 
 def test_fuel_exhaustion_reports_unknown(el):
     assert eval_ground(el.definitions.values(), _plus(el, 2, 3, 5), 1) is UNKNOWN
+
+
+_CONNECTIVES = """\
+Kind nat type.
+Type z nat.
+Type s nat -> nat.
+Define tt_ff : nat -> prop by
+  tt_ff z := true ;
+  tt_ff (s N) := false.
+Define imp : nat -> nat -> prop by
+  imp X Y := X = z -> Y = z.
+Define nosucc : nat -> nat -> prop by
+  nosucc X Y := forall W, W = s X -> false.
+"""
+
+
+@pytest.mark.parametrize("name, truth", [
+    ("tt_ff", lambda a: a == 0),
+    ("imp", lambda a, b: a != 0 or b == 0),
+    # W ranges over the subterms of the query's arguments, which hold s X
+    # exactly when Y is above X
+    ("nosucc", lambda a, b: b <= a),
+])
+def test_true_false_implication_and_forall_bodies(name, truth):
+    defs = elaborate(parse_file(_CONNECTIVES)).definitions
+    d = defs[name]
+    for ns in itertools.product(range(3), repeat=d.arity):
+        atom = MuAtom(d, tuple(map(num, ns)))
+        assert eval_ground(defs.values(), atom, 10) is truth(*ns), ns
 
 
 def test_definition_not_given_is_refused(el):

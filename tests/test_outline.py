@@ -16,7 +16,6 @@ from outlinecheck import (
     OutlineError,
     OutlineState,
     Rejected,
-    count_rule,
     initial_state,
     outline,
     parse_outline,
@@ -24,7 +23,7 @@ from outlinecheck import (
 )
 from outlinecheck.syntax import Hyp, LemmaName
 
-from _util import check_outline, elab_plus, num
+from _util import check_outline, count_rule, elab_plus, num
 
 
 # -- grammar
@@ -73,6 +72,14 @@ def test_parse_is_whitespace_insensitive():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(OutlineError):
         parse_outline(bad)
+
+
+@pytest.mark.parametrize("text", ["", "  \n "])
+def test_empty_certificate_is_an_unexpected_end(text):
+    # the trace reader skips blank lines, so only a certificate meets this
+    with pytest.raises(OutlineError,
+                       match="^unreadable certificate: unexpected end of record$"):
+        parse_outline(text)
 
 
 # -- state construction

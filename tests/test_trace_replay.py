@@ -17,7 +17,7 @@ from outlinecheck import (
     ResourceLimits,
     TraceFormatError,
     TraceNode,
-    count_rule,
+    con,
     elaborate,
     explain_failure,
     parse_file,
@@ -32,7 +32,7 @@ from outlinecheck.syntax import (
 )
 from outlinecheck.trace import RULES
 
-from _util import CORPUS, check_outline, elab_plus, load_plus, num
+from _util import CORPUS, check_outline, count_rule, elab_plus, load_plus, num
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +125,17 @@ def test_malformed_records_rejected():
     (["(exR 1 (%ev 1) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %ev"),
     (["(exR 1 (%foo z) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %foo"),
     (["(exR 1 (s %bv) nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term head: %bv"),
+    # what the s-expression, term and index readers refuse
+    (["(eqR 0 nil nil nil nil))"], "line 1: unexpected ')'"),
+    (["(impR 1 nil nil nil nil)", "(eqR 0 nil nil nil nil"], "line 2: unbalanced parentheses"),
+    (["(exR 1 () nil nil nil)", "(eqR 0 nil nil nil nil)"], "line 1: bad term: ()"),
+    (["(impR 1 nil nil nil nil)", "(initial 0 nil (foo 1) nil nil)"],
+     "line 2: bad index: ('foo', '1')"),
 ], ids=["rule", "integer-after-a-blank-line", "negative", "truncated", "empty", "surplus",
         "ref-unnumbered", "ref-leading-zero", "ref-negative", "ref-not-a-number", "ref-bare",
         "ref-forward-in-line", "ref-forward-across-lines", "ref-past-two-equal-lines",
-        "head-ref", "head-var-arity", "head-percent", "head-bare-percent"])
+        "head-ref", "head-var-arity", "head-percent", "head-bare-percent",
+        "close-unopened", "unclosed", "empty-term", "index"])
 def test_reader_names_the_refused_line(lines, msg):
     with pytest.raises(TraceFormatError) as e:
         trace_from_lines(lines)
@@ -670,6 +677,43 @@ def test_clash_claims_require_rigid_disagreement(session):
                 return
 
 
+@pytest.mark.parametrize("equation", ["X = s X", "s X = X"])
+def test_occurs_check_refuses_a_cyclic_equation(equation):
+    # the eigenvariable X occurs in s X, so X = s X has no solution: the
+    # kernel closes the branch by a clash, and replay refuses to unify it
+    prelude = re.split(r"^Theorem", CORPUS.read_text(), flags=re.M)[0]
+    [r] = run_session(parse_file(prelude + f"Theorem occ : forall X, {equation} -> false.\n"
+                                 'ship "(induction 0 0 0)".\n'))
+    lines = trace_to_lines(r.trace)
+    assert r.outcome == "ok" and lines[-1] == "(eqL_clash 0 nil nil nil nil)"
+    assert explain_failure(r.lemmas, r.goal, trace_from_lines(lines)) is None
+    lines[-1] = "(eqL 0 nil nil nil nil)"
+    assert explain_failure(r.lemmas, r.goal, trace_from_lines(lines)) == (
+        f"record {len(lines)} (eqL): recorded equation does not unify")
+
+
+# forall Y, ff from the lemma l, forall X W, (pair X (s W) = pair (s W) (s z)
+# -> ff) -> ff, with X the eigenvariable E for Y and W a metavariable M that
+# no record binds, up to the left equation pair E (s M) = pair (s M) (s z):
+# E unifies with s M, and s M = s z is stuck on M
+_STUCK = ["(allR 1 (%ev 1 1) nil nil nil)", "(storeR 1 nil nil nil nil)",
+          "(decideL 1 nil (lemma l) nil nil)", "(allL 1 (%ev 1 1) nil nil nil)",
+          "(allL 1 (%mv 2 0) nil nil nil)", "(impL 2 nil nil nil nil)",
+          "(releaseR 1 nil nil nil nil)", "(impR 1 nil nil nil nil)",
+          "({} 0 nil nil nil nil)", "(releaseL 1 nil nil nil nil)", "(ffL 0 nil nil nil nil)"]
+
+
+@pytest.mark.parametrize("rule, reason", [
+    ("eqL", "recorded equation does not unify"),
+    ("eqL_clash", "recorded clash is not rigid"),
+])
+def test_an_equation_stuck_on_a_metavariable_is_neither_solved_nor_a_clash(rule, reason):
+    sw = con("s", Bound(0))
+    lemma = All(All(Imp(Imp(Eq(con("pair", Bound(1), sw), con("pair", sw, num(1))), FF), FF)))
+    trace = trace_from_lines([ln.format(rule) for ln in _STUCK])
+    assert explain_failure(((_L, lemma),), All(FF), trace) == f"record 9 ({rule}): {reason}"
+
+
 def test_eigenvariable_of_the_goal_cannot_be_claimed_fresh():
     # forall X, X = (%ev 1 1) is false: (%ev 1 1) is a fixed constant that
     # no rule may introduce again, so allR may not claim it for X
@@ -832,3 +876,72 @@ def test_replay_is_a_loop_along_the_trace():
     framed = {n.attr for n in ast.walk(tree)
               if isinstance(n, ast.Attribute) and n.attr in phases}
     assert framed == phases
+
+
+# -- the trusted base holds only what checking runs
+
+# the functions of syntax.py, trace.py and replay.py that reading and
+# replaying every accepted trace never enters, each with why it stays
+_NOT_ENTERED_BY_CHECKING = {
+    "syntax.Record.__init_subclass__": "class set-up: makes each record's __init__",
+    "syntax.Record.__setattr__": "refuses an assignment to a field",
+    "syntax.Record.__repr__": "prints a record in a message",
+    "syntax._sexp": "prints a term or formula in a message",
+    "syntax.Sym.__repr__": "prints a symbol in a message",
+    "syntax._Var.__repr__": "prints a variable in a message",
+    "syntax.Bound.__repr__": "prints a bound variable in a message",
+    "syntax.App.__repr__": "prints an application in a message",
+    "syntax.Definition.__init__": "a definition is built by elaboration, not checked",
+    "syntax.Definition.__repr__": "prints a definition in a message",
+    "syntax.Tt.__repr__": "prints tt in a message",
+    "syntax.Ff.__repr__": "prints ff in a message",
+    "syntax.LemmaName.__repr__": "prints a lemma index in a message",
+    "syntax.Hyp.__repr__": "prints a hypothesis index in a message",
+    "trace.TraceNode.walk": "cli counts a verdict's rules with it",
+    "trace._spell": "the trace writer, which bench/spans.py wraps by module path",
+    "trace.trace_to_lines": "the trace writer, which bench/spans.py wraps by module path",
+    "replay.verify_trace": "the boolean form of explain_failure that bench/ calls",
+}
+
+
+def _defined_functions(module: str, path: pathlib.Path) -> dict[int, str]:
+    """Each function a source file defines, nested ones too, by the first
+    line of its code object (a decorator's, if it has one)."""
+    out: dict[int, str] = {}
+    todo = [(node, module) for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    while todo:
+        node, prefix = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                out[min([node.lineno] + [d.lineno for d in node.decorator_list])] = name
+            todo += ((child, name) for child in node.body)
+        else:
+            todo += ((child, prefix) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def test_checking_enters_every_function_of_the_trusted_base_but_a_named_few(all_accepted):
+    # a function that checking never enters either earns a named reason or
+    # leaves the trusted base
+    pkg = pathlib.Path(outlinecheck.__file__).parent
+    defined = {(str(pkg / f"{m}.py"), line): name
+               for m in ("syntax", "trace", "replay")
+               for line, name in _defined_functions(m, pkg / f"{m}.py").items()}
+    texts = [(r, trace_to_lines(r.trace)) for r in all_accepted]
+    assert len(texts) == 21
+    entered: set[tuple[str, int]] = set()
+
+    def tracer(frame, event, arg):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    reasons, old = [], sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for r, lines in texts:
+            reasons.append(explain_failure(r.lemmas, r.goal, trace_from_lines(lines)))
+    finally:
+        sys.settrace(old)
+    assert reasons == [None] * len(texts)
+    never = {name for key, name in defined.items() if key not in entered}
+    assert never == set(_NOT_ENTERED_BY_CHECKING)
